@@ -123,10 +123,11 @@ def _ops_or_build(system: LinearSystem, grid: TimeGrid, ops: StepOperator | None
 
 def _singular_values_and_v(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values and the complete right singular basis (cols x cols),
-    without forming the large left factor of tall matrices."""
+    without forming the large left factor of tall matrices: M = Q R, and R
+    (cols x cols) has the singular values and right vectors of M."""
     rows, cols = M.shape
     if rows >= cols:
-        _, s, vt = np.linalg.svd(M, full_matrices=False)
+        _, s, vt = np.linalg.svd(np.linalg.qr(M, mode="r"))
     else:
         _, s, vt = np.linalg.svd(M, full_matrices=True)
     return s, vt
@@ -215,16 +216,22 @@ def _homogeneous_observation_matrix(system, grid, ops) -> tuple[np.ndarray, np.n
     return theta, z0_map
 
 
-def _general_maps(system, grid, G, W, ops, want_initial: bool):
+def _general_maps(system, grid, G, W, ops, want_initial: bool, cap: int):
     """Stacked observation map over (z_T, g, w, f) and, optionally, the
-    measured map (z(0), g, w, f); f enters in sqrt(dt)-scaled coordinates."""
+    measured map (z(0), g, w, f); f enters in sqrt(dt)-scaled coordinates.
+    Refuses before allocating when the maps exceed ``cap`` float64 entries."""
     n, m, N = system.n, system.m, grid.n_steps
     p_g, p_w = G.dim, W.dim
     sqrt_dt = math.sqrt(grid.dt)
     n_cols = n + p_g + p_w + n * N
     obs_rows = N * m + N * n
+    entries = obs_rows * n_cols + (n_cols * n_cols if want_initial else 0)
+    if entries > cap:
+        raise ProblemTooLargeError(
+            f"dense observability assembly needs {entries} float64 entries, cap is {cap}"
+        )
     M = np.zeros((obs_rows, n_cols))
-    D = np.zeros((n + p_g + p_w + n * N, n_cols)) if want_initial else None
+    D = np.zeros((n_cols, n_cols)) if want_initial else None
     zero_f = np.zeros((N, n))
 
     def fill(col, a_signal, b_signal, z0):
@@ -296,7 +303,7 @@ def observability_constant(
     W: Subspace,
     kind: str,
     t_tilde: float | None = None,
-    cap: int = 20000,
+    cap: int = 2**27,
     ops: StepOperator | None = None,
     kernel_rtol: float = KERNEL_RTOL,
 ) -> ObservabilityReport:
@@ -307,17 +314,15 @@ def observability_constant(
     kinds quantify over (z_T, g, w, f) with f ranging over the whole signal
     space; the observed pair is (B* z + g, f + w) stacked in the product
     norm, which bounds the sum-of-norms form of the inequality as well.
-    Dense assembly; refuses when n * n_steps exceeds ``cap``.
+    Dense assembly; the 'general_*' kinds refuse, before allocating, when
+    their maps (M, plus D for 'general_initial') would hold more than
+    ``cap`` float64 entries (the default 2**27 entries is 1 GiB).
     """
     if kind not in OBS_KINDS:
         raise ShapeError(f"kind must be one of {OBS_KINDS}, got {kind!r}")
     _check_spaces(system, grid, G, W)
     ops = _ops_or_build(system, grid, ops)
     n, N = system.n, grid.n_steps
-    if kind in ("general_final", "general_initial") and n * N > cap:
-        raise ProblemTooLargeError(
-            f"dense observability assembly needs n*n_steps <= {cap}, got {n * N}"
-        )
     if kind in ("final_state", "initial_state", "tilde_T"):
         theta, z0_map = _homogeneous_observation_matrix(system, grid, ops)
         if kind == "final_state":
@@ -337,7 +342,7 @@ def observability_constant(
         C, sigma = _split_constant(theta, D, kernel_rtol)
         return ObservabilityReport(kind, C, sigma)
     want_initial = kind == "general_initial"
-    M, D = _general_maps(system, grid, G, W, ops, want_initial)
+    M, D = _general_maps(system, grid, G, W, ops, want_initial, cap)
     if not want_initial:
         svals = np.linalg.svd(M, compute_uv=False)
         smax = float(svals[0]) if svals.size else 0.0

@@ -45,6 +45,24 @@ def impulse_responses(ops, B: np.ndarray, n_steps: int):
     return avg, fin
 
 
+def loop_forward_nodes(system, ops, y0, u) -> np.ndarray:
+    """Forward node values y_{k+1} = E y_k + Phi B u_k, one step at a time."""
+    nodes = np.empty((u.shape[0] + 1, system.n))
+    nodes[0] = y0
+    for k in range(u.shape[0]):
+        nodes[k + 1] = ops.E @ nodes[k] + ops.Phi @ (system.B @ u[k])
+    return nodes
+
+
+def loop_adjoint_nodes(ops, z_T, f) -> np.ndarray:
+    """Backward node values z_k = E^T z_{k+1} - Phi^T f_k, one step at a time."""
+    nodes = np.empty((f.shape[0] + 1, f.shape[1]))
+    nodes[-1] = z_T
+    for k in range(f.shape[0] - 1, -1, -1):
+        nodes[k] = ops.E.T @ nodes[k + 1] - ops.Phi.T @ f[k]
+    return nodes
+
+
 def primal_matrices(p: ProblemData):
     """Dense maps u -> (trajectory averages, final state) plus free responses."""
     n, m, N = p.system.n, p.system.m, p.grid.n_steps

@@ -130,6 +130,25 @@ class TestUCCheckMatrixExamples:
         assert rep.sigma_min == 0.0
         assert rep.map_dims == (4, 2)
 
+    @pytest.mark.parametrize("rows, cols, rank", [(9, 1, 1), (64, 64, 64), (200, 7, 7),
+                                                  (200, 7, 5), (3000, 12, 11)])
+    def test_tall_maps_match_plain_svd(self, rows, cols, rank):
+        rng = np.random.default_rng(rows + cols + rank)
+        M = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+        s = np.linalg.svd(M, compute_uv=False)
+        # the default threshold, and one just above sigma_min so a witness is returned
+        for tol in (1e-8, 1.5 * s[-1] + 1e-8):
+            rep = uc_check(M, tol_uc=tol)
+            assert abs(rep.sigma_min - s[-1]) <= 1e-12 * s[0]
+            assert rep.holds == (s[-1] > tol)
+            if rep.holds:
+                continue
+            w = rep.witness
+            assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-14)
+            assert abs(np.linalg.norm(M @ w) - rep.sigma_min) <= 1e-12 * s[0]
+            residual = M.T @ (M @ w) - rep.sigma_min ** 2 * w
+            assert np.linalg.norm(residual) <= 1e-12 * s[0] ** 2
+
 
 class TestObservabilityConstants:
     @pytest.mark.parametrize("horizon", [0.25, 1.0, 4.0])
@@ -197,6 +216,24 @@ class TestObservabilityConstants:
         system, grid, G, W = scalar_setup(n_steps=64)
         with pytest.raises(ProblemTooLargeError):
             observability_constant(system, grid, G, W, "general_final", cap=10)
+
+    def test_size_guard_counts_map_entries(self, monkeypatch):
+        # n * N = 20000, yet the general maps would hold 220000 x 20010
+        # entries (about 35 GB); refuse from the shapes, before allocating.
+        system, _ = make_heat1d(8)
+        grid = TimeGrid(1.0, 2500)
+        G = orthonormalize([], SignalAmbient(system.m, grid))
+        W = orthonormalize([], SignalAmbient(system.n, grid))
+        zeros = np.zeros
+
+        def small_zeros(shape, *args, **kwargs):
+            assert np.prod(shape) <= 10**7, f"allocation of {shape} attempted"
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", small_zeros)
+        for kind in ("general_final", "general_initial"):
+            with pytest.raises(ProblemTooLargeError):
+                observability_constant(system, grid, G, W, kind)
 
     def test_unknown_kind(self):
         system, grid, G, W = scalar_setup()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from pccontrol import (
@@ -16,6 +18,8 @@ from pccontrol import (
     signal_inner,
 )
 from pccontrol.errors import InvalidSystemError, ShapeError
+
+from oracles import loop_adjoint_nodes, loop_forward_nodes
 
 
 def scalar_system(a=0.0, b=1.0):
@@ -185,6 +189,73 @@ class TestAdjointSolve:
         assert traj.initial[0] == pytest.approx(math.exp(-1.0), abs=1e-13)
 
 
+PRIMES = [2, 3, 5, 7, 11, 13, 31, 97, 127, 211, 293]
+SQUARES = [1, 4, 9, 16, 25, 64, 100, 144, 225, 289]
+
+
+@st.composite
+def stepping_cases(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 3))
+    n_steps = draw(st.one_of(st.integers(1, 3), st.sampled_from(PRIMES + SQUARES),
+                             st.integers(1, 300)))
+    horizon = draw(st.floats(0.05, 3.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, m, n_steps, horizon, seed
+
+
+def _rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+class TestSteppingKernel:
+    """The chunked recursion against the one-step-at-a-time loop."""
+
+    @given(stepping_cases())
+    def test_matches_loop(self, case):
+        n, m, n_steps, horizon, seed = case
+        rng = np.random.default_rng(seed)
+        system = make_ode(rng.normal(size=(n, n)), rng.normal(size=(n, m)))
+        # The steppers take the step count from the signal; the grid only sets dt.
+        ops = build_propagator(system, TimeGrid(horizon, max(n_steps, 2)))
+        y0, z_T = rng.normal(size=n), rng.normal(size=n)
+        u, f = rng.normal(size=(n_steps, m)), rng.normal(size=(n_steps, n))
+        y = forward_solve(system, ops, y0, u).node_values
+        z = adjoint_solve(system, ops, z_T, f).node_values
+        assert _rel_err(y, loop_forward_nodes(system, ops, y0, u)) <= 1e-12
+        assert _rel_err(z, loop_adjoint_nodes(ops, z_T, f)) <= 1e-12
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 2, 3])
+    def test_short_signals(self, n_steps):
+        rng = np.random.default_rng(n_steps)
+        system = make_ode(rng.normal(size=(3, 3)), rng.normal(size=(3, 2)))
+        ops = build_propagator(system, TimeGrid(1.0, 4))
+        y0, z_T = rng.normal(size=3), rng.normal(size=3)
+        u, f = rng.normal(size=(n_steps, 2)), rng.normal(size=(n_steps, 3))
+        y = forward_solve(system, ops, y0, u)
+        z = adjoint_solve(system, ops, z_T, f)
+        assert y.node_values.shape == z.node_values.shape == (n_steps + 1, 3)
+        assert y.interval_averages.shape == z.interval_averages.shape == (n_steps, 3)
+        assert np.array_equal(y.initial, y0) and np.array_equal(z.final, z_T)
+        assert z.node_values.flags["C_CONTIGUOUS"]
+        np.testing.assert_allclose(y.node_values, loop_forward_nodes(system, ops, y0, u),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(z.node_values, loop_adjoint_nodes(ops, z_T, f),
+                                   rtol=0, atol=1e-14)
+
+
+def _pairing_scale(system, ops, y0, u, z_T, f):
+    y = forward_solve(system, ops, y0, u)
+    z = adjoint_solve(system, ops, z_T, f)
+    return (
+        abs(float(y.final @ z_T))
+        + abs(float(y0 @ z.initial))
+        + abs(signal_inner(y.interval_averages, f, ops.dt))
+        + abs(signal_inner(u, control_observation(system, z), ops.dt))
+        + 1e-30
+    )
+
+
 class TestDuality:
     def test_zero_inputs(self):
         system = scalar_system()
@@ -212,16 +283,19 @@ class TestDuality:
             z_T = rng.normal(size=n)
             f = rng.normal(size=(n_steps, n))
             res = duality_residual(system, ops, y0, u, z_T, f)
-            y = forward_solve(system, ops, y0, u)
-            z = adjoint_solve(system, ops, z_T, f)
-            scale = (
-                abs(float(y.final @ z_T))
-                + abs(float(y0 @ z.initial))
-                + abs(signal_inner(y.interval_averages, f, grid.dt))
-                + abs(signal_inner(u, control_observation(system, z), grid.dt))
-                + 1e-30
-            )
-            assert abs(res) <= 1e-12 * scale
+            assert abs(res) <= 1e-12 * _pairing_scale(system, ops, y0, u, z_T, f)
+
+    @pytest.mark.parametrize("n_steps", [1024, 4096])
+    def test_long_horizons(self, n_steps):
+        # Chunks of 23 and 45 steps; the grids above (N <= 32) take at most 4.
+        rng = np.random.default_rng(n_steps)
+        for n, m in ((1, 1), (4, 2), (6, 3)):
+            system = make_ode(rng.normal(size=(n, n)), rng.normal(size=(n, m)))
+            ops = build_propagator(system, TimeGrid(2.0, n_steps))
+            y0, z_T = rng.normal(size=n), rng.normal(size=n)
+            u, f = rng.normal(size=(n_steps, m)), rng.normal(size=(n_steps, n))
+            res = duality_residual(system, ops, y0, u, z_T, f)
+            assert abs(res) <= 1e-12 * _pairing_scale(system, ops, y0, u, z_T, f)
 
 
 class TestLinearSystem:
