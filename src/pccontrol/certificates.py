@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,16 +122,43 @@ def _ops_or_build(system: LinearSystem, grid: TimeGrid, ops: StepOperator | None
     return ops if ops is not None else build_propagator(system, grid)
 
 
-def _singular_values_and_v(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and the complete right singular basis (cols x cols),
-    without forming the large left factor of tall matrices: M = Q R, and R
-    (cols x cols) has the singular values and right vectors of M."""
+class _Verdict(NamedTuple):
+    """Singular-value verdict on the injectivity of a map (see :func:`_sv_verdict`)."""
+
+    holds: bool
+    sigma_min: float
+    rank: int  # singular values above the cutoff, a prefix of s
+    s: np.ndarray  # singular values, descending
+    vt: np.ndarray | None  # complete right singular basis (cols x cols)
+
+
+def _sv_verdict(
+    M: np.ndarray,
+    tol: float | None = None,
+    rtol: float = KERNEL_RTOL,
+    floor: float = 1e-300,
+    vectors: bool = True,
+) -> _Verdict:
+    """Decide whether M is injective from its singular values.
+
+    sigma_min is +inf for a map without columns and 0 for one with fewer
+    rows than columns.  The map holds (is injective) when sigma_min exceeds
+    the cutoff: the absolute ``tol`` when given, else
+    ``rtol * max(sigma_max, floor)``.  With ``vectors``, tall maps take
+    their singular values and right vectors from the R of a QR, without the
+    rows x cols left factor; without, ``vt`` is None.
+    """
     rows, cols = M.shape
-    if rows >= cols:
+    vt = None
+    if not vectors:
+        s = np.linalg.svd(M, compute_uv=False)
+    elif rows >= cols:
         _, s, vt = np.linalg.svd(np.linalg.qr(M, mode="r"))
     else:
-        _, s, vt = np.linalg.svd(M, full_matrices=True)
-    return s, vt
+        _, s, vt = np.linalg.svd(M)
+    sigma_min = math.inf if cols == 0 else (float(s[-1]) if rows >= cols else 0.0)
+    cutoff = tol if tol is not None else rtol * max(float(s[0]) if s.size else 0.0, floor)
+    return _Verdict(sigma_min > cutoff, sigma_min, int(np.sum(s > cutoff)), s, vt)
 
 
 def _check_spaces(system: LinearSystem, grid: TimeGrid, G: Subspace, W: Subspace):
@@ -140,10 +168,28 @@ def _check_spaces(system: LinearSystem, grid: TimeGrid, G: Subspace, W: Subspace
             raise ShapeError(f"{name} must be a signal subspace of dimension {dim} on the grid")
 
 
-def _observation_columns(system, ops, z_T, f, sqrt_dt) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(dt)-scaled B* z signal (flattened) and z(0) for one adjoint solve."""
-    z = adjoint_solve(system, ops, z_T, f)
-    return sqrt_dt * (z.interval_averages @ system.B).ravel(), z.initial
+def _observe(system: LinearSystem, ops: StepOperator, Z_T: np.ndarray, F: np.ndarray):
+    """One batched adjoint solve for k right-hand sides, final data Z_T (k, n)
+    and sources F (N, k, n): the sqrt(dt)-scaled B* z signals, flattened
+    time-major into columns (N*m, k), and the nodes of z, (N+1, n, k), so
+    that z(0) is ``nodes[0]``."""
+    z = adjoint_solve(system, ops, Z_T, F)
+    # (m, n) times each (n, k) block gives (N, m, k), already in column layout
+    obs = np.matmul(math.sqrt(ops.dt) * system.B.T, z.interval_averages.transpose(0, 2, 1))
+    return obs.reshape(-1, Z_T.shape[0]), z.node_values.transpose(0, 2, 1)
+
+
+def _uc_columns(system: LinearSystem, ops: StepOperator, G_basis, W_basis) -> np.ndarray:
+    """(z_T, g, w) -> B* z - g over the horizon of the bases (p, N, dim),
+    from one batched solve.  The g columns ride along as zero right-hand
+    sides, so the solve returns the map in its final column order."""
+    n, m, p_g, N = system.n, system.m, G_basis.shape[0], W_basis.shape[1]
+    k = n + p_g + W_basis.shape[0]
+    F = np.zeros((N, k, n))
+    F[:, n + p_g:] = W_basis.transpose(1, 0, 2)
+    M, _ = _observe(system, ops, np.eye(k, n), F)
+    M[:, n:n + p_g] = -math.sqrt(ops.dt) * G_basis.reshape(p_g, N * m).T
+    return M
 
 
 def assemble_uc_map(
@@ -160,22 +206,7 @@ def assemble_uc_map(
     property holds at the discrete level iff this map has trivial kernel.
     """
     _check_spaces(system, grid, G, W)
-    ops = _ops_or_build(system, grid, ops)
-    n, m, N = system.n, system.m, grid.n_steps
-    sqrt_dt = math.sqrt(grid.dt)
-    zero_f = np.zeros((N, n))
-    cols: list[np.ndarray] = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        obs, _ = _observation_columns(system, ops, e, zero_f, sqrt_dt)
-        cols.append(obs)
-    for j in range(G.dim):
-        cols.append(-sqrt_dt * G.basis[j].ravel())
-    for j in range(W.dim):
-        obs, _ = _observation_columns(system, ops, np.zeros(n), W.basis[j], sqrt_dt)
-        cols.append(obs)
-    return np.column_stack(cols) if cols else np.zeros((N * m, 0))
+    return _uc_columns(system, _ops_or_build(system, grid, ops), G.basis, W.basis)
 
 
 def uc_check(
@@ -186,40 +217,26 @@ def uc_check(
     """SVD verdict on an assembled uniqueness map."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     rows, cols = M.shape
-    if cols == 0:
-        return UCReport(math.inf, True, None, (rows, cols), block_dims)
-    if rows == 0:
-        witness = np.zeros(cols)
-        witness[0] = 1.0
-        return UCReport(0.0, False, witness, (rows, cols), block_dims)
-    s, vt = _singular_values_and_v(M)
-    if rows < cols:
-        sigma_min = 0.0
-    else:
-        sigma_min = float(s[-1])
-    holds = sigma_min > tol_uc
-    witness = None if holds else vt[-1].copy()
-    return UCReport(sigma_min, holds, witness, (rows, cols), block_dims)
-
-
-def _homogeneous_observation_matrix(system, grid, ops) -> tuple[np.ndarray, np.ndarray]:
-    """Columns sqrt(dt) B* z per unit z_T, plus the map z_T -> z(0)."""
-    n, m, N = system.n, system.m, grid.n_steps
-    sqrt_dt = math.sqrt(grid.dt)
-    zero_f = np.zeros((N, n))
-    theta = np.zeros((N * m, n))
-    z0_map = np.zeros((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        theta[:, i], z0_map[:, i] = _observation_columns(system, ops, e, zero_f, sqrt_dt)
-    return theta, z0_map
+    v = _sv_verdict(M, tol=tol_uc)
+    witness = None
+    if not v.holds:
+        # every vector is in the kernel of a map without rows: take the first
+        witness = v.vt[-1].copy() if rows else np.eye(cols)[0]
+    return UCReport(v.sigma_min, v.holds, witness, (rows, cols), block_dims)
 
 
 def _general_maps(system, grid, G, W, ops, want_initial: bool, cap: int):
     """Stacked observation map over (z_T, g, w, f) and, optionally, the
     measured map (z(0), g, w, f); f enters in sqrt(dt)-scaled coordinates.
-    Refuses before allocating when the maps exceed ``cap`` float64 entries."""
+    Refuses before allocating when the maps exceed ``cap`` float64 entries.
+
+    The n*N columns of unit sources are time shifts: a unit source on
+    interval k, component i, observes on intervals j <= k what one on the
+    last interval observes on interval j + N-1-k, and its z(0) is that
+    response's node N-1-k.  One batched solve gives the n responses to the
+    last interval together with the n columns of z_T, and the source
+    columns are filled block-Toeplitz from them.
+    """
     n, m, N = system.n, system.m, grid.n_steps
     p_g, p_w = G.dim, W.dim
     sqrt_dt = math.sqrt(grid.dt)
@@ -230,42 +247,24 @@ def _general_maps(system, grid, G, W, ops, want_initial: bool, cap: int):
         raise ProblemTooLargeError(
             f"dense observability assembly needs {entries} float64 entries, cap is {cap}"
         )
+    F = np.zeros((N, 2 * n, n))
+    F[N - 1, n:] = np.eye(n) / sqrt_dt  # unit norm in sqrt(dt)-scaled coordinates
+    obs, nodes = _observe(system, ops, np.vstack([np.eye(n), np.zeros((n, n))]), F)
+    f0 = n + p_g + p_w  # first source column
     M = np.zeros((obs_rows, n_cols))
-    D = np.zeros((n_cols, n_cols)) if want_initial else None
-    zero_f = np.zeros((N, n))
-
-    def fill(col, a_signal, b_signal, z0):
-        M[:N * m, col] = a_signal
-        M[N * m:, col] = b_signal
-        if D is not None:
-            D[:n, col] = z0
-
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        obs, z0 = _observation_columns(system, ops, e, zero_f, sqrt_dt)
-        fill(i, obs, np.zeros(N * n), z0)
-    for j in range(p_g):
-        col = n + j
-        fill(col, sqrt_dt * G.basis[j].ravel(), np.zeros(N * n), np.zeros(n))
-        if D is not None:
-            D[n + j, col] = 1.0
-    for j in range(p_w):
-        col = n + p_g + j
-        fill(col, np.zeros(N * m), sqrt_dt * W.basis[j].ravel(), np.zeros(n))
-        if D is not None:
-            D[n + p_g + j, col] = 1.0
-    inv_sqrt_dt = 1.0 / sqrt_dt
+    M[:N * m, :n] = obs[:, :n]
+    M[:N * m, n:n + p_g] = sqrt_dt * G.basis.reshape(p_g, N * m).T
+    M[N * m:, n + p_g:f0] = sqrt_dt * W.basis.reshape(p_w, N * n).T
+    diag = np.arange(N * n)
+    M[N * m + diag, f0 + diag] = 1.0
+    last = obs[:, n:]
     for k in range(N):
-        for i in range(n):
-            col = n + p_g + p_w + k * n + i
-            f = np.zeros((N, n))
-            f[k, i] = inv_sqrt_dt  # unit norm in sqrt(dt)-scaled coordinates
-            obs, z0 = _observation_columns(system, ops, np.zeros(n), f, sqrt_dt)
-            b = sqrt_dt * f.ravel()
-            fill(col, obs, b, z0)
-            if D is not None:
-                D[n + p_g + p_w + k * n + i, col] = 1.0
+        M[:(k + 1) * m, f0 + k * n:f0 + (k + 1) * n] = last[(N - 1 - k) * m:]
+    D = None
+    if want_initial:
+        D = np.eye(n_cols)
+        D[:n, :n] = nodes[0, :, :n]
+        D[:n, f0:] = nodes[N - 1::-1, :, n:].transpose(1, 0, 2).reshape(n, N * n)
     return M, D
 
 
@@ -275,22 +274,13 @@ def _split_constant(M: np.ndarray, D: np.ndarray, kernel_rtol: float) -> tuple[f
     Returns (C, sigma) with sigma = 1/C the smallest generalized singular
     value; C = +inf when M has a kernel direction that D does not annihilate.
     """
-    s, vt = _singular_values_and_v(M)
-    cols = M.shape[1]
-    n_sing = s.shape[0]
-    smax = float(s[0]) if n_sing else 0.0
-    cutoff = kernel_rtol * max(smax, 1e-300)
-    keep = [i for i in range(n_sing) if s[i] > cutoff]
-    null_idx = [i for i in range(cols) if i >= n_sing or s[i] <= cutoff]
+    v = _sv_verdict(M, rtol=kernel_rtol)
     d_scale = max(float(np.linalg.norm(D, 2)), 1e-300)
-    if null_idx:
-        V0 = vt[null_idx].T
-        if float(np.linalg.norm(D @ V0, 2)) > kernel_rtol * d_scale:
-            return math.inf, 0.0
-    if not keep:
+    if not v.holds and float(np.linalg.norm(D @ v.vt[v.rank:].T, 2)) > kernel_rtol * d_scale:
+        return math.inf, 0.0
+    if v.rank == 0:
         return 0.0, math.inf  # M and D both vanish; inequality is trivial
-    Vp = vt[keep].T
-    C = float(np.linalg.norm((D @ Vp) / s[keep], 2))
+    C = float(np.linalg.norm((D @ v.vt[:v.rank].T) / v.s[:v.rank], 2))
     if C == 0.0:
         return 0.0, math.inf
     return C, 1.0 / C
@@ -324,32 +314,20 @@ def observability_constant(
     ops = _ops_or_build(system, grid, ops)
     n, N = system.n, grid.n_steps
     if kind in ("final_state", "initial_state", "tilde_T"):
-        theta, z0_map = _homogeneous_observation_matrix(system, grid, ops)
-        if kind == "final_state":
-            svals = np.linalg.svd(theta, compute_uv=False)
-            smax = float(svals[0]) if svals.size else 0.0
-            smin = float(svals[-1]) if (svals.size and theta.shape[0] >= n) else 0.0
-            if smin <= kernel_rtol * max(smax, 1e-300):
-                return ObservabilityReport(kind, math.inf, 0.0)
-            return ObservabilityReport(kind, 1.0 / smin, smin)
-        if kind == "initial_state":
-            D = z0_map
-        else:
+        M, nodes = _observe(system, ops, np.eye(n), np.zeros((N, n, n)))
+        D = nodes[0]
+        if kind == "tilde_T":
             if t_tilde is None:
                 raise ShapeError("kind 'tilde_T' requires t_tilde")
             k_t = grid.node_index(t_tilde)
             D = np.linalg.matrix_power(ops.E.T, N - k_t)
-        C, sigma = _split_constant(theta, D, kernel_rtol)
-        return ObservabilityReport(kind, C, sigma)
-    want_initial = kind == "general_initial"
-    M, D = _general_maps(system, grid, G, W, ops, want_initial, cap)
-    if not want_initial:
-        svals = np.linalg.svd(M, compute_uv=False)
-        smax = float(svals[0]) if svals.size else 0.0
-        smin = float(svals[-1]) if (svals.size and M.shape[0] >= M.shape[1]) else 0.0
-        if smin <= kernel_rtol * max(smax, 1e-300):
+    else:
+        M, D = _general_maps(system, grid, G, W, ops, kind == "general_initial", cap)
+    if kind in ("final_state", "general_final"):
+        v = _sv_verdict(M, rtol=kernel_rtol, vectors=False)
+        if not v.holds:
             return ObservabilityReport(kind, math.inf, 0.0)
-        return ObservabilityReport(kind, 1.0 / smin, smin)
+        return ObservabilityReport(kind, 1.0 / v.sigma_min, v.sigma_min)
     C, sigma = _split_constant(M, D, kernel_rtol)
     return ObservabilityReport(kind, C, sigma)
 
@@ -369,26 +347,9 @@ def kernel_N(
     """
     ops = _ops_or_build(system, grid, ops)
     n = system.n
-    theta, z0_map = _homogeneous_observation_matrix(system, grid, ops)
-    M = np.vstack([theta, z0_map])
-    s, vt = _singular_values_and_v(M)
-    smax = float(s[0]) if s.size else 0.0
-    if smax == 0.0:
-        return np.eye(n)
-    null_rows = [i for i in range(n) if i >= s.shape[0] or s[i] <= threshold * smax]
-    if not null_rows:
-        return np.zeros((n, 0))
-    return vt[null_rows].T.copy()
-
-
-def _restriction_injective(space: Subspace, k_cut: int, dt: float) -> bool:
-    if space.dim == 0:
-        return True
-    cols = math.sqrt(dt) * space.basis[:, :k_cut, :].reshape(space.dim, -1).T
-    s = np.linalg.svd(cols, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
-    smin = float(s[-1]) if (s.size and cols.shape[0] >= cols.shape[1]) else 0.0
-    return smin > 1e-10 * max(smax, 1e-300)
+    theta, nodes = _observe(system, ops, np.eye(n), np.zeros((grid.n_steps, n, n)))
+    v = _sv_verdict(np.vstack([theta, nodes[0]]), rtol=threshold)
+    return v.vt[v.rank:].T.copy()
 
 
 def two_time_check(
@@ -417,25 +378,14 @@ def two_time_check(
     if not (0.0 < t_tilde <= grid.horizon):
         raise ShapeError(f"t_tilde must lie in (0, T], got {t_tilde}")
     k_cut = grid.node_index(t_tilde)
-    n, m = system.n, system.m
     sqrt_dt = math.sqrt(grid.dt)
-    restriction_ok = _restriction_injective(G, k_cut, grid.dt) and _restriction_injective(
-        W, k_cut, grid.dt
+    restriction_ok = all(
+        S.dim == 0
+        or _sv_verdict(sqrt_dt * S.basis[:, :k_cut].reshape(S.dim, -1).T, vectors=False).holds
+        for S in (G, W)
     )
-    zero_f = np.zeros((k_cut, n))
-    cols: list[np.ndarray] = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        obs, _ = _observation_columns(system, ops, e, zero_f, sqrt_dt)
-        cols.append(obs)
-    for j in range(G.dim):
-        cols.append(-sqrt_dt * G.basis[j][:k_cut].ravel())
-    for j in range(W.dim):
-        obs, _ = _observation_columns(system, ops, np.zeros(n), W.basis[j][:k_cut], sqrt_dt)
-        cols.append(obs)
-    M = np.column_stack(cols) if cols else np.zeros((k_cut * m, 0))
-    uc_tilde = uc_check(M, tol_uc, block_dims=(n, G.dim, W.dim))
+    M = _uc_columns(system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])
+    uc_tilde = uc_check(M, tol_uc, block_dims=(system.n, G.dim, W.dim))
     obs_tilde = observability_constant(system, grid, G, W, "tilde_T", t_tilde=t_tilde, ops=ops)
     certified = restriction_ok and uc_tilde.holds and math.isfinite(obs_tilde.constant_C)
     return TwoTimeReport(restriction_ok, uc_tilde, obs_tilde, certified)
@@ -469,24 +419,15 @@ def restriction_kernel_check(W: Subspace, omega_mask, G: Subspace | None = None)
             axis=1,
         )
         cols *= math.sqrt(h)
-        return _full_column_rank(cols)
-    if not isinstance(G.ambient, SignalAmbient):
-        raise ShapeError("G must be a signal subspace")
-    if W.dim == 0 and G.dim == 0:
-        return True
-    rows = _weak_stacked_map(W, G, omega_mask, grid)
-    return _full_column_rank(rows)
-
-
-def _full_column_rank(Mat: np.ndarray) -> bool:
-    if Mat.shape[1] == 0:
-        return True
-    s = np.linalg.svd(Mat, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
-    smin = float(s[-1]) if (s.size and Mat.shape[0] >= Mat.shape[1]) else 0.0
-    # the max(smax, 1) floor keeps an all-zero map (every column annihilated)
-    # from passing the relative test vacuously
-    return smin > 1e-10 * max(smax, 1.0)
+    else:
+        if not isinstance(G.ambient, SignalAmbient):
+            raise ShapeError("G must be a signal subspace")
+        if W.dim == 0 and G.dim == 0:
+            return True
+        cols = _weak_stacked_map(W, G, omega_mask, grid)
+    # the floor of 1 keeps an all-zero map (every column annihilated) from
+    # passing the relative test vacuously
+    return _sv_verdict(cols, floor=1.0, vectors=False).holds
 
 
 def _weak_stacked_map(W: Subspace, G: Subspace, mask, grid: TimeGrid) -> np.ndarray:
@@ -598,18 +539,10 @@ def _vector_basis(space, dim: int, name: str) -> np.ndarray:
     return sub.basis.T.copy()
 
 
-def _kernel_verdict(M: np.ndarray) -> tuple[bool, float, np.ndarray | None]:
-    s = np.linalg.svd(M, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
-    if M.shape[0] >= M.shape[1] and s.size:
-        smin = float(s[-1])
-    else:
-        smin = 0.0
-    ok = smin > 1e-10 * max(smax, 1e-300)
-    if ok:
-        return True, smin, None
-    _, vt = _singular_values_and_v(M)
-    return False, smin, vt[-1].copy()
+def _modal_check(value: float, role: str, M: np.ndarray) -> ModalFrequencyCheck:
+    v = _sv_verdict(M)
+    witness = None if v.holds else v.vt[-1].copy()
+    return ModalFrequencyCheck(value, role, v.holds, v.sigma_min, witness)
 
 
 def modal_uc_check(system: LinearSystem, mus=(), rhos=()) -> ModalUCReport:
@@ -653,12 +586,10 @@ def modal_uc_check(system: LinearSystem, mus=(), rhos=()) -> ModalUCReport:
         else:
             bottom = Bt
             role = "mu"
-        ok, smin, wit = _kernel_verdict(np.vstack([top, bottom]))
-        checks.append(ModalFrequencyCheck(mu, role, ok, smin, wit))
+        checks.append(_modal_check(mu, role, np.vstack([top, bottom])))
     for rho, G_j in rho_left:
         Gb = _vector_basis(G_j, m, "G_j")
         top = rho * np.eye(n) + At
         bottom = Bt - Gb @ (Gb.T @ Bt)
-        ok, smin, wit = _kernel_verdict(np.vstack([top, bottom]))
-        checks.append(ModalFrequencyCheck(rho, "rho", ok, smin, wit))
+        checks.append(_modal_check(rho, "rho", np.vstack([top, bottom])))
     return ModalUCReport(ok=all(c.ok for c in checks), checks=checks)

@@ -56,8 +56,7 @@ def _write_csv(path: Path, header: list[str], rows: np.ndarray):
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for row in np.atleast_2d(rows):
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            np.savetxt(fh, np.atleast_2d(rows), fmt="%.17g", delimiter=",")
     except OSError as exc:
         raise PccontrolError(f"cannot write {path}: {exc}") from exc
 
@@ -76,28 +75,36 @@ def _json_ready(value):
     return value
 
 
-def _run_checks(build: BuildResult) -> tuple[dict, bool]:
-    """Run the requested certifications; returns (report section, all passed)."""
+def _uc_report(build: BuildResult) -> certificates.UCReport:
+    """Assemble the uniqueness map of the configured problem and decide it."""
+    problem = build.problem
+    M = certificates.assemble_uc_map(
+        build.system, build.grid, problem.G, problem.W, ops=problem.ops
+    )
+    return certificates.uc_check(
+        M, build.checks["tol_uc"], block_dims=(build.system.n, problem.G.dim, problem.W.dim)
+    )
+
+
+def _run_checks(build: BuildResult) -> tuple[dict, bool, certificates.UCReport | None]:
+    """Run the requested certifications; returns (report section, all passed,
+    the uniqueness verdict when that check ran)."""
     checks = build.checks
     problem = build.problem
     section: dict = {}
     passed = True
+    uc = None
     if checks["uc"]:
-        M = certificates.assemble_uc_map(
-            build.system, build.grid, problem.G, problem.W, ops=problem.ops
-        )
-        rep = certificates.uc_check(
-            M, checks["tol_uc"], block_dims=(build.system.n, problem.G.dim, problem.W.dim)
-        )
+        uc = _uc_report(build)
         entry = {
-            "sigma_min": rep.sigma_min,
-            "holds": rep.holds,
-            "map_dims": list(rep.map_dims),
-            "witness": None if rep.witness is None else rep.witness,
+            "sigma_min": uc.sigma_min,
+            "holds": uc.holds,
+            "map_dims": list(uc.map_dims),
+            "witness": uc.witness,
         }
-        if not rep.holds:
+        if not uc.holds:
             passed = False
-            entry["infeasibility_radius"] = certify_infeasibility(problem, rep.witness_parts())
+            entry["infeasibility_radius"] = certify_infeasibility(problem, uc.witness_parts())
         section["uc"] = entry
     if checks["observability"]:
         obs = {}
@@ -133,7 +140,7 @@ def _run_checks(build: BuildResult) -> tuple[dict, bool]:
         # these verdicts speak about the discretized system on its grid, not
         # about any continuous limit
         section["certificate_level"] = "discrete"
-    return section, passed
+    return section, passed, uc
 
 
 def emit_report(
@@ -199,7 +206,7 @@ def run_config(config_path, out_dir) -> int:
     log.info("model %s built, grid T=%s n_steps=%s", build.system.name,
              build.grid.horizon, build.grid.n_steps)
     try:
-        checks_section, checks_passed = _run_checks(build)
+        checks_section, checks_passed, uc = _run_checks(build)
     except PccontrolError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
@@ -216,12 +223,7 @@ def run_config(config_path, out_dir) -> int:
     solution = recover_primal(problem, v)
     extra = None
     if diag.verdict == "diverged_infeasible":
-        M = certificates.assemble_uc_map(
-            build.system, build.grid, problem.G, problem.W, ops=problem.ops
-        )
-        rep = certificates.uc_check(
-            M, build.checks["tol_uc"], block_dims=(build.system.n, problem.G.dim, problem.W.dim)
-        )
+        rep = uc if uc is not None else _uc_report(build)
         infeasibility = {"sigma_min": rep.sigma_min}
         if rep.witness is not None:
             infeasibility["witness"] = rep.witness
@@ -248,13 +250,7 @@ def _cmd_check_uc(args) -> int:
     except PccontrolError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    problem = build.problem
-    M = certificates.assemble_uc_map(
-        build.system, build.grid, problem.G, problem.W, ops=problem.ops
-    )
-    rep = certificates.uc_check(
-        M, build.checks["tol_uc"], block_dims=(build.system.n, problem.G.dim, problem.W.dim)
-    )
+    rep = _uc_report(build)
     print(f"uc sigma_min = {_fmt(rep.sigma_min)}")
     print(f"uc holds = {rep.holds}")
     if rep.witness is not None:
@@ -309,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_obs.add_argument(
         "--kind",
         required=True,
-        choices=["final_state", "initial_state", "general_final", "general_initial"],
+        choices=[k for k in certificates.OBS_KINDS if k != "tilde_T"],  # tilde_T needs t_tilde
     )
     p_models = sub.add_parser("models", help="model families")
     p_models.add_argument("action", choices=["list"])

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificates import OBS_KINDS
 from .core import LinearSystem, TimeGrid
 from .errors import ConfigError
 from .functionals import APPROX_KINDS, KINDS, ProblemData
@@ -40,7 +41,7 @@ _SOLVER_KEYS = {"max_iters", "grad_tol", "divergence_bound"}
 _CHECKS_KEYS = {"uc", "observability", "two_time", "tol_uc"}
 _ENTRY_KEYS = {"rate", "vector", "coords", "signal", "support"}
 _TWO_TIME_KEYS = {"t_tilde"}
-_OBS_KIND_NAMES = {"final_state", "initial_state", "general_final", "general_initial"}
+_OBS_KIND_NAMES = {k for k in OBS_KINDS if k != "tilde_T"}  # tilde_T needs t_tilde
 
 
 def _check_keys(section: dict, allowed: set, required: set, where: str):

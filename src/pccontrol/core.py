@@ -136,7 +136,8 @@ class StepOperator:
 
 @dataclass
 class Trajectory:
-    """Node values (n_steps+1, n) and exact interval averages (n_steps, n)."""
+    """Node values (n_steps+1, n) and exact interval averages (n_steps, n);
+    a block of k adjoint solves has shapes (n_steps+1, k, n) and (n_steps, k, n)."""
 
     node_values: np.ndarray
     interval_averages: np.ndarray
@@ -196,12 +197,14 @@ def signal_norm(a: np.ndarray, dt: float) -> float:
 
 
 def _recur(M: np.ndarray, s: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Nodes of x_{k+1} = M x_k + s_k from x0, as an (N+1, n) array.
+    """Nodes of x_{k+1} = M x_k + s_k from x0, as an (N+1, ..., n) array.
 
+    States are row vectors of shape ``(..., n)``, so a block of k
+    recursions with the same M runs as one with states of shape (k, n).
     The N steps are cut into C = ceil(N/L) chunks of L steps (the input is
     padded with zeros to C*L steps).  Pass 1 runs every chunk from zero at
-    once, L-1 products of the (C, n) block with M^T, and keeps the chunk
-    ends; the true chunk starts then follow through M^L, one matrix-vector
+    once, L-1 products of the (C, ..., n) block with M^T, and keeps the chunk
+    ends; the true chunk starts then follow through M^L, one state-matrix
     product per chunk; pass 2 reruns every chunk from its true start,
     writing straight into the output.  That is about 2L + C vectorised
     steps, fewest at L = sqrt(N/2) (about 90 instead of N = 1024), for
@@ -212,21 +215,21 @@ def _recur(M: np.ndarray, s: np.ndarray, x0: np.ndarray) -> np.ndarray:
     Shorter inputs take L = 1, where both passes are empty and the chunk
     starts are the plain recursion.
     """
-    n_steps, n = s.shape
+    n_steps, n = s.shape[0], s.shape[-1]
     L = max(1, round(math.sqrt(n_steps / 2))) if n * n <= 32 * n_steps else 1
     C = -(-n_steps // L)
     if C * L != n_steps:
-        s = np.concatenate([s, np.zeros((C * L - n_steps, n))])
-    S = s.reshape(C, L, n)
+        s = np.concatenate([s, np.zeros((C * L - n_steps,) + s.shape[1:])])
+    S = s.reshape((C, L) + s.shape[1:])
     MT = M.T
     ends = S[:, 0]
     for i in range(1, L):
         ends = ends @ MT + S[:, i]
-    out = np.empty((C * L + 1, n))
+    out = np.empty((C * L + 1,) + s.shape[1:])
     out[0] = x0
-    ML = np.linalg.matrix_power(M, L)
+    MLT = np.linalg.matrix_power(M, L).T
     for j in range(C):
-        out[(j + 1) * L] = ML @ out[j * L] + ends[j]
+        out[(j + 1) * L] = out[j * L] @ MLT + ends[j]
     for i in range(1, L):
         np.add(out[i - 1:C * L:L] @ MT, S[:, i - 1], out=out[i:C * L:L])
     return out[:n_steps + 1]
@@ -275,15 +278,29 @@ def adjoint_solve(
     choice of chunk length, and the nodes are reversed back into a
     C-contiguous array.  Interval averages are (Phi^T/dt) z_{k+1} - Psi^T f_k.
     A signal of zero steps gives the single node z_T.
+
+    A block of k right-hand sides solves in one pass: ``z_T`` of shape
+    (k, n) and ``f`` of shape (N, k, n) give node values (N+1, k, n) and
+    interval averages (N, k, n), column j being the solve from z_T[j] and
+    f[:, j].  With ``f`` of shape (N, n), ``z_T`` is a single n-vector.
     """
     f = np.asarray(f, dtype=float)
-    if f.ndim != 2:
-        raise ShapeError(f"f must be a 2-d signal array, got ndim={f.ndim}")
-    n_steps = f.shape[0]
-    f = _check_signal(f, n_steps, system.n, "f")
-    z_T = _check_vector(z_T, system.n, "z_T")
-    nodes = np.ascontiguousarray(_recur(ops.E.T, -(f[::-1] @ ops.Phi), z_T)[::-1])
-    averages = nodes[1:] @ (ops.Phi / ops.dt) - f @ ops.Psi
+    if f.ndim not in (2, 3):
+        raise ShapeError(f"f must be a 2-d signal array or a 3-d block, got ndim={f.ndim}")
+    n_steps, n = f.shape[0], system.n
+    if f.ndim == 2:
+        f = _check_signal(f, n_steps, n, "f")
+        z_T = _check_vector(z_T, n, "z_T")
+    else:
+        z_T = np.asarray(z_T, dtype=float)
+        if f.shape[2] != n or z_T.shape != f.shape[1:]:
+            raise ShapeError(
+                f"a block needs z_T of shape (k, {n}) and f of shape (N, k, {n}), "
+                f"got {z_T.shape} and {f.shape}"
+            )
+    nodes = np.ascontiguousarray(_recur(ops.E.T, f[::-1] @ -ops.Phi, z_T)[::-1])
+    averages = nodes[1:] @ (ops.Phi / ops.dt)
+    averages -= f @ ops.Psi
     return Trajectory(node_values=nodes, interval_averages=averages)
 
 

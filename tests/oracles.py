@@ -14,12 +14,15 @@ exact.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from pccontrol import (
     ProblemData,
     SignalAmbient,
     TimeGrid,
+    adjoint_solve,
     make_ode,
     orthonormalize,
 )
@@ -61,6 +64,49 @@ def loop_adjoint_nodes(ops, z_T, f) -> np.ndarray:
     for k in range(f.shape[0] - 1, -1, -1):
         nodes[k] = ops.E.T @ nodes[k + 1] - ops.Phi.T @ f[k]
     return nodes
+
+
+def loop_observation(system, ops, z_T, f):
+    """sqrt(dt)-scaled B* z signal (flattened) and z(0) of one adjoint solve."""
+    z = adjoint_solve(system, ops, z_T, f)
+    return math.sqrt(ops.dt) * (z.interval_averages @ system.B).ravel(), z.initial
+
+
+def loop_uc_map(system, ops, G_basis, W_basis) -> np.ndarray:
+    """(z_T, g, w) -> B* z - g over the horizon of the bases, one adjoint
+    solve per column."""
+    n, N = system.n, W_basis.shape[1]
+    cols = [loop_observation(system, ops, e, np.zeros((N, n)))[0] for e in np.eye(n)]
+    cols += [-math.sqrt(ops.dt) * g.ravel() for g in G_basis]
+    cols += [loop_observation(system, ops, np.zeros(n), w)[0] for w in W_basis]
+    return np.column_stack(cols)
+
+
+def loop_general_maps(system, ops, G, W):
+    """The general observation map M over (z_T, g, w, f) and the measured
+    map D over (z(0), g, w, f), one adjoint solve per column; f is in
+    sqrt(dt)-scaled coordinates."""
+    n, m, N = system.n, system.m, G.basis.shape[1]
+    sqrt_dt = math.sqrt(ops.dt)
+    n_cols = n + G.dim + W.dim + n * N
+    M = np.zeros((N * m + N * n, n_cols))
+    D = np.zeros((n_cols, n_cols))
+    for i in range(n):
+        M[:N * m, i], D[:n, i] = loop_observation(system, ops, np.eye(n)[i], np.zeros((N, n)))
+    for j in range(G.dim):
+        M[:N * m, n + j] = sqrt_dt * G.basis[j].ravel()
+    for j in range(W.dim):
+        M[N * m:, n + G.dim + j] = sqrt_dt * W.basis[j].ravel()
+    for col in range(n, n_cols):
+        D[col, col] = 1.0
+    for k in range(N):
+        for i in range(n):
+            col = n + G.dim + W.dim + k * n + i
+            f = np.zeros((N, n))
+            f[k, i] = 1.0 / sqrt_dt
+            M[:N * m, col], D[:n, col] = loop_observation(system, ops, np.zeros(n), f)
+            M[N * m:, col] = sqrt_dt * f.ravel()
+    return M, D
 
 
 def primal_matrices(p: ProblemData):

@@ -10,6 +10,7 @@ from pccontrol import (
     TimeGrid,
     VectorAmbient,
     assemble_uc_map,
+    build_propagator,
     certify_infeasibility,
     exponential_profile_signal,
     kernel_N,
@@ -24,9 +25,10 @@ from pccontrol import (
     two_time_check,
     uc_check,
 )
+from pccontrol import certificates
 from pccontrol.errors import FrequencyInputError, ProblemTooLargeError, ShapeError
 
-from oracles import random_signal_subspace
+from oracles import loop_general_maps, loop_uc_map, random_signal_subspace, random_system
 
 
 def scalar_setup(n_steps=64, horizon=1.0):
@@ -148,6 +150,56 @@ class TestUCCheckMatrixExamples:
             assert abs(np.linalg.norm(M @ w) - rep.sigma_min) <= 1e-12 * s[0]
             residual = M.T @ (M @ w) - rep.sigma_min ** 2 * w
             assert np.linalg.norm(residual) <= 1e-12 * s[0] ** 2
+
+
+# (n, m, N, p_g, p_w): chunked stepping (N >= n^2/32, L > 1), single steps
+# (N < n^2/32, L = 1), empty G and W, and a control-free system
+BATCH_CASES = [(3, 2, 16, 1, 2), (4, 3, 33, 2, 1), (12, 2, 4, 1, 1), (2, 1, 9, 0, 0),
+               (1, 0, 8, 0, 1)]
+
+
+def _batch_setup(n, m, N, p_g, p_w):
+    rng = np.random.default_rng(100 * n + 10 * m + N)
+    system = random_system(rng, n, m)
+    grid = TimeGrid(1.3, N)
+    G = random_signal_subspace(rng, m, grid, p_g)
+    W = random_signal_subspace(rng, n, grid, p_w)
+    return system, grid, G, W, build_propagator(system, grid)
+
+
+def _assert_close(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
+
+
+class TestBatchedAssembly:
+    """Maps from batched adjoint solves against one solve per column."""
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_uc_map(self, case):
+        system, grid, G, W, ops = _batch_setup(*case)
+        _assert_close(assemble_uc_map(system, grid, G, W, ops=ops),
+                      loop_uc_map(system, ops, G.basis, W.basis))
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_two_time_map(self, case):
+        system, grid, G, W, ops = _batch_setup(*case)
+        k_cut = grid.n_steps // 2
+        ref = loop_uc_map(system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])
+        _assert_close(certificates._uc_columns(system, ops, G.basis[:, :k_cut],
+                                                W.basis[:, :k_cut]), ref)
+        rep = two_time_check(system, grid, G, W, k_cut * grid.dt, ops=ops)
+        s = np.linalg.svd(ref, compute_uv=False)
+        sigma = s[-1] if ref.shape[0] >= ref.shape[1] else 0.0
+        assert abs(rep.uc_tilde.sigma_min - sigma) <= 1e-12 * np.max(s, initial=0.0)
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_general_maps(self, case):
+        system, grid, G, W, ops = _batch_setup(*case)
+        M, D = certificates._general_maps(system, grid, G, W, ops, True, 2**27)
+        M_ref, D_ref = loop_general_maps(system, ops, G, W)
+        _assert_close(M, M_ref)
+        _assert_close(D, D_ref)
 
 
 class TestObservabilityConstants:

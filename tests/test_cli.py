@@ -1,10 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from pccontrol import RunConfig
-from pccontrol.cli import main, run_config
+from pccontrol.cli import _write_csv, main, run_config
 from pccontrol.errors import ConfigError
 
 
@@ -126,6 +127,18 @@ class TestSolveCommand:
         report = json.loads((out / "report.json").read_text())
         c = report["checks"]["observability"]["final_state"]["constant"]
         assert c == pytest.approx(1.0, abs=1e-10)
+
+
+class TestCsv:
+    def test_row_bytes(self, tmp_path):
+        # 17 significant digits, signed zeros, infinities, nan, the smallest
+        # subnormal and the largest double
+        row = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, 0.1, -1 / 3]
+        _write_csv(tmp_path / "x.csv", ["a", "b"], np.array(row))
+        assert (tmp_path / "x.csv").read_bytes() == (
+            b"a,b\n0,-0,inf,-inf,nan,4.9406564584124654e-324,1.7976931348623157e+308,"
+            b"0.10000000000000001,-0.33333333333333331\n"
+        )
 
 
 class TestOtherCommands:

@@ -182,6 +182,16 @@ class TestAdjointSolve:
         t = grid.nodes()
         assert np.allclose(traj.node_values[:, 0], -(1.0 - t), atol=1e-14)
 
+    def test_block_shape_errors(self):
+        system = make_ode(np.zeros((2, 2)), np.eye(2))
+        ops = build_propagator(system, TimeGrid(1.0, 4))
+        with pytest.raises(ShapeError):
+            adjoint_solve(system, ops, np.zeros((3, 2)), np.zeros((4, 2, 2)))
+        with pytest.raises(ShapeError):
+            adjoint_solve(system, ops, np.zeros(2), np.zeros((4, 1, 2)))
+        with pytest.raises(ShapeError):
+            adjoint_solve(system, ops, np.zeros((1, 3)), np.zeros((4, 1, 3)))
+
     def test_backward_decay(self):
         system = scalar_system(-1.0)
         ops = build_propagator(system, TimeGrid(1.0, 16))
@@ -201,7 +211,8 @@ def stepping_cases(draw):
                              st.integers(1, 300)))
     horizon = draw(st.floats(0.05, 3.0))
     seed = draw(st.integers(0, 2**32 - 1))
-    return n, m, n_steps, horizon, seed
+    k = draw(st.integers(1, 4))
+    return n, m, n_steps, horizon, seed, k
 
 
 def _rel_err(got, ref):
@@ -213,7 +224,7 @@ class TestSteppingKernel:
 
     @given(stepping_cases())
     def test_matches_loop(self, case):
-        n, m, n_steps, horizon, seed = case
+        n, m, n_steps, horizon, seed, k = case
         rng = np.random.default_rng(seed)
         system = make_ode(rng.normal(size=(n, n)), rng.normal(size=(n, m)))
         # The steppers take the step count from the signal; the grid only sets dt.
@@ -224,6 +235,15 @@ class TestSteppingKernel:
         z = adjoint_solve(system, ops, z_T, f).node_values
         assert _rel_err(y, loop_forward_nodes(system, ops, y0, u)) <= 1e-12
         assert _rel_err(z, loop_adjoint_nodes(ops, z_T, f)) <= 1e-12
+        # a block of k right-hand sides equals k single solves
+        Z_T, F = rng.normal(size=(k, n)), rng.normal(size=(n_steps, k, n))
+        block = adjoint_solve(system, ops, Z_T, F)
+        assert block.node_values.shape == (n_steps + 1, k, n)
+        assert block.interval_averages.shape == (n_steps, k, n)
+        for j in range(k):
+            single = adjoint_solve(system, ops, Z_T[j], F[:, j])
+            assert _rel_err(block.node_values[:, j], single.node_values) <= 1e-12
+            assert _rel_err(block.interval_averages[:, j], single.interval_averages) <= 1e-12
 
     @pytest.mark.parametrize("n_steps", [0, 1, 2, 3])
     def test_short_signals(self, n_steps):
