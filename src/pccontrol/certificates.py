@@ -12,8 +12,15 @@ Every report produced here is a discrete-level certificate: it speaks
 about the discretized system on its grid, not about any continuous limit.
 
 Coordinates are orthonormal everywhere (Euclidean state coordinates,
-orthonormal subspace coefficients, and signals scaled by sqrt(dt)), so
-singular values measure exactly the norms used by the inequalities.
+orthonormal subspace coefficients), so singular values measure exactly the
+norms used by the inequalities.  Control signals are observed in one
+orthonormal output frame: with B^T = Q R (Q of shape (m, r), r = min(m, n)),
+each interval of a sqrt(dt)-scaled signal g contributes its r coordinates
+g Q, and the G columns add p_g rows for their part outside range(B^T).
+B* z = Q R z lies in that range, so an assembled map has N*r + p_g signal
+rows instead of N*m and differs from the map in plain coordinates only by
+an orthogonal transform of its rows: singular values and right singular
+vectors are the same.
 """
 
 from __future__ import annotations
@@ -170,25 +177,42 @@ def _check_spaces(system: LinearSystem, grid: TimeGrid, G: Subspace, W: Subspace
 
 def _observe(system: LinearSystem, ops: StepOperator, Z_T: np.ndarray, F: np.ndarray):
     """One batched adjoint solve for k right-hand sides, final data Z_T (k, n)
-    and sources F (N, k, n): the sqrt(dt)-scaled B* z signals, flattened
-    time-major into columns (N*m, k), and the nodes of z, (N+1, n, k), so
-    that z(0) is ``nodes[0]``."""
+    and sources F (N, k, n): the sqrt(dt)-scaled B* z signals in the output
+    frame, R z per interval flattened time-major into columns (N*r, k), and
+    the nodes of z, (N+1, n, k), so that z(0) is ``nodes[0]``."""
     z = adjoint_solve(system, ops, Z_T, F)
-    # (m, n) times each (n, k) block gives (N, m, k), already in column layout
-    obs = np.matmul(math.sqrt(ops.dt) * system.B.T, z.interval_averages.transpose(0, 2, 1))
+    R = np.linalg.qr(system.B.T)[1]
+    # (r, n) times each (n, k) block gives (N, r, k), already in column layout
+    obs = np.matmul(math.sqrt(ops.dt) * R, z.interval_averages.transpose(0, 2, 1))
     return obs.reshape(-1, Z_T.shape[0]), z.node_values.transpose(0, 2, 1)
+
+
+def _framed_signals(system: LinearSystem, basis: np.ndarray, dt: float) -> np.ndarray:
+    """The sqrt(dt)-scaled control signals of ``basis`` (p, N, m) as output
+    frame columns (N*r + p, p): the coordinates X Q of each interval, then
+    the R of a QR of the part outside range(B^T).  The rows of the last
+    block are orthonormal coordinates of that part, so the columns keep
+    their inner products with each other and with every B* z column."""
+    p, N, m = basis.shape
+    Q = np.linalg.qr(system.B.T)[0]
+    X = math.sqrt(dt) * basis
+    frame = X @ Q  # (p, N, r)
+    rest = (X - frame @ Q.T).reshape(p, N * m)
+    return np.vstack([frame.reshape(p, N * Q.shape[1]).T, np.linalg.qr(rest.T, mode="r")])
 
 
 def _uc_columns(system: LinearSystem, ops: StepOperator, G_basis, W_basis) -> np.ndarray:
     """(z_T, g, w) -> B* z - g over the horizon of the bases (p, N, dim),
-    from one batched solve.  The g columns ride along as zero right-hand
-    sides, so the solve returns the map in its final column order."""
-    n, m, p_g, N = system.n, system.m, G_basis.shape[0], W_basis.shape[1]
+    from one batched solve, in the output frame with N*r + p_g rows.  The g
+    columns ride along as zero right-hand sides, so the solve returns the
+    map in its final column order."""
+    n, p_g, N = system.n, G_basis.shape[0], W_basis.shape[1]
     k = n + p_g + W_basis.shape[0]
     F = np.zeros((N, k, n))
     F[:, n + p_g:] = W_basis.transpose(1, 0, 2)
-    M, _ = _observe(system, ops, np.eye(k, n), F)
-    M[:, n:n + p_g] = -math.sqrt(ops.dt) * G_basis.reshape(p_g, N * m).T
+    obs, _ = _observe(system, ops, np.eye(k, n), F)
+    M = np.vstack([obs, np.zeros((p_g, k))])
+    M[:, n:n + p_g] = -_framed_signals(system, G_basis, ops.dt)
     return M
 
 
@@ -202,8 +226,11 @@ def assemble_uc_map(
     """Matrix of (z_T, g, w) -> B* z - g, with z driven by the source w.
 
     Domain coordinates are orthonormal (state Euclidean, subspace
-    coefficients); the output signal is scaled by sqrt(dt).  The uniqueness
-    property holds at the discrete level iff this map has trivial kernel.
+    coefficients).  The output signal is scaled by sqrt(dt) and written in
+    the output frame of the module docstring: N*r rows of interval
+    coordinates (r = min(m, n)), then p_g rows for the part of the g
+    columns outside range(B^T).  The uniqueness property holds at the
+    discrete level iff this map has trivial kernel.
     """
     _check_spaces(system, grid, G, W)
     return _uc_columns(system, _ops_or_build(system, grid, ops), G.basis, W.basis)
@@ -228,7 +255,9 @@ def uc_check(
 def _general_maps(system, grid, G, W, ops, want_initial: bool, cap: int):
     """Stacked observation map over (z_T, g, w, f) and, optionally, the
     measured map (z(0), g, w, f); f enters in sqrt(dt)-scaled coordinates.
-    Refuses before allocating when the maps exceed ``cap`` float64 entries.
+    M has N*r + p_g signal rows in the output frame, then N*n rows of
+    f + w.  Refuses before allocating when the maps exceed ``cap`` float64
+    entries.
 
     The n*N columns of unit sources are time shifts: a unit source on
     interval k, component i, observes on intervals j <= k what one on the
@@ -237,12 +266,13 @@ def _general_maps(system, grid, G, W, ops, want_initial: bool, cap: int):
     last interval together with the n columns of z_T, and the source
     columns are filled block-Toeplitz from them.
     """
-    n, m, N = system.n, system.m, grid.n_steps
+    n, N = system.n, grid.n_steps
     p_g, p_w = G.dim, W.dim
+    r = min(system.m, n)
     sqrt_dt = math.sqrt(grid.dt)
     n_cols = n + p_g + p_w + n * N
-    obs_rows = N * m + N * n
-    entries = obs_rows * n_cols + (n_cols * n_cols if want_initial else 0)
+    sig_rows = N * r + p_g  # signal rows in the output frame
+    entries = (sig_rows + N * n) * n_cols + (n_cols * n_cols if want_initial else 0)
     if entries > cap:
         raise ProblemTooLargeError(
             f"dense observability assembly needs {entries} float64 entries, cap is {cap}"
@@ -251,15 +281,15 @@ def _general_maps(system, grid, G, W, ops, want_initial: bool, cap: int):
     F[N - 1, n:] = np.eye(n) / sqrt_dt  # unit norm in sqrt(dt)-scaled coordinates
     obs, nodes = _observe(system, ops, np.vstack([np.eye(n), np.zeros((n, n))]), F)
     f0 = n + p_g + p_w  # first source column
-    M = np.zeros((obs_rows, n_cols))
-    M[:N * m, :n] = obs[:, :n]
-    M[:N * m, n:n + p_g] = sqrt_dt * G.basis.reshape(p_g, N * m).T
-    M[N * m:, n + p_g:f0] = sqrt_dt * W.basis.reshape(p_w, N * n).T
+    M = np.zeros((sig_rows + N * n, n_cols))
+    M[:N * r, :n] = obs[:, :n]
+    M[:sig_rows, n:n + p_g] = _framed_signals(system, G.basis, grid.dt)
+    M[sig_rows:, n + p_g:f0] = sqrt_dt * W.basis.reshape(p_w, N * n).T
     diag = np.arange(N * n)
-    M[N * m + diag, f0 + diag] = 1.0
+    M[sig_rows + diag, f0 + diag] = 1.0
     last = obs[:, n:]
     for k in range(N):
-        M[:(k + 1) * m, f0 + k * n:f0 + (k + 1) * n] = last[(N - 1 - k) * m:]
+        M[:(k + 1) * r, f0 + k * n:f0 + (k + 1) * n] = last[(N - 1 - k) * r:]
     D = None
     if want_initial:
         D = np.eye(n_cols)
@@ -268,14 +298,30 @@ def _general_maps(system, grid, G, W, ops, want_initial: bool, cap: int):
     return M, D
 
 
-def _split_constant(M: np.ndarray, D: np.ndarray, kernel_rtol: float) -> tuple[float, float]:
-    """Best C with ||D x|| <= C ||M x||, via an SVD split of M.
+def _identity_tail_norm(D: np.ndarray, n: int) -> float:
+    """||D||_2 of a square D that equals the identity outside its first n rows.
+
+    Off span(e_1..e_n, rows of D[:n]), D acts as the identity, so the norm
+    is max(1, ||D U||) for an orthonormal U whose span contains that span.
+    U below has min(2n, size) columns: either it spans everything, or its
+    span holds a unit x with x[:n] = 0, where ||D x|| >= 1.  Either way the
+    norm is ||D U||.
+    """
+    U = np.linalg.qr(np.hstack([np.eye(D.shape[0], n), D[:n].T]))[0]
+    return float(np.linalg.norm(D @ U, 2))
+
+
+def _split_constant(
+    M: np.ndarray, D: np.ndarray, n: int, kernel_rtol: float
+) -> tuple[float, float]:
+    """Best C with ||D x|| <= C ||M x||, via an SVD split of M; D equals the
+    identity outside its first n rows.
 
     Returns (C, sigma) with sigma = 1/C the smallest generalized singular
     value; C = +inf when M has a kernel direction that D does not annihilate.
     """
     v = _sv_verdict(M, rtol=kernel_rtol)
-    d_scale = max(float(np.linalg.norm(D, 2)), 1e-300)
+    d_scale = max(_identity_tail_norm(D, n), 1e-300)
     if not v.holds and float(np.linalg.norm(D @ v.vt[v.rank:].T, 2)) > kernel_rtol * d_scale:
         return math.inf, 0.0
     if v.rank == 0:
@@ -328,7 +374,7 @@ def observability_constant(
         if not v.holds:
             return ObservabilityReport(kind, math.inf, 0.0)
         return ObservabilityReport(kind, 1.0 / v.sigma_min, v.sigma_min)
-    C, sigma = _split_constant(M, D, kernel_rtol)
+    C, sigma = _split_constant(M, D, n, kernel_rtol)
     return ObservabilityReport(kind, C, sigma)
 
 
@@ -348,7 +394,8 @@ def kernel_N(
     ops = _ops_or_build(system, grid, ops)
     n = system.n
     theta, nodes = _observe(system, ops, np.eye(n), np.zeros((grid.n_steps, n, n)))
-    v = _sv_verdict(np.vstack([theta, nodes[0]]), rtol=threshold)
+    # the R of theta has its singular values and right vectors, in <= n rows
+    v = _sv_verdict(np.vstack([np.linalg.qr(theta, mode="r"), nodes[0]]), rtol=threshold)
     return v.vt[v.rank:].T.copy()
 
 

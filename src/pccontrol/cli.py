@@ -99,7 +99,7 @@ def _run_checks(build: BuildResult) -> tuple[dict, bool, certificates.UCReport |
         entry = {
             "sigma_min": uc.sigma_min,
             "holds": uc.holds,
-            "map_dims": list(uc.map_dims),
+            "map_dims": list(uc.map_dims),  # N*min(m, n) + p_g rows: the frame of B^T
             "witness": uc.witness,
         }
         if not uc.holds:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pccontrol import (
     ProblemData,
@@ -152,14 +154,26 @@ class TestUCCheckMatrixExamples:
             assert np.linalg.norm(residual) <= 1e-12 * s[0] ** 2
 
 
+@st.composite
+def uc_cases(draw):
+    """(n, m, N, p_g, p_w, seed) with fewer, as many or more controls than states."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.one_of(st.integers(0, n - 1), st.just(n), st.integers(n + 1, 3 * n + 2)))
+    N = draw(st.integers(2, 40))
+    p_g = draw(st.integers(0, min(2, N * m)))
+    p_w = draw(st.integers(0, 2))
+    return n, m, N, p_g, p_w, draw(st.integers(0, 2**32 - 1))
+
+
 # (n, m, N, p_g, p_w): chunked stepping (N >= n^2/32, L > 1), single steps
-# (N < n^2/32, L = 1), empty G and W, and a control-free system
+# (N < n^2/32, L = 1), empty G and W, a control-free system, and more
+# controls than states (m > n, so B^T has a nontrivial cokernel)
 BATCH_CASES = [(3, 2, 16, 1, 2), (4, 3, 33, 2, 1), (12, 2, 4, 1, 1), (2, 1, 9, 0, 0),
-               (1, 0, 8, 0, 1)]
+               (1, 0, 8, 0, 1), (2, 6, 16, 1, 1), (3, 9, 40, 2, 1)]
 
 
-def _batch_setup(n, m, N, p_g, p_w):
-    rng = np.random.default_rng(100 * n + 10 * m + N)
+def _batch_setup(n, m, N, p_g, p_w, seed=None):
+    rng = np.random.default_rng(100 * n + 10 * m + N if seed is None else seed)
     system = random_system(rng, n, m)
     grid = TimeGrid(1.3, N)
     G = random_signal_subspace(rng, m, grid, p_g)
@@ -167,27 +181,64 @@ def _batch_setup(n, m, N, p_g, p_w):
     return system, grid, G, W, build_propagator(system, grid)
 
 
-def _assert_close(got, ref):
+def _assert_close(got, ref, scale=None):
     assert got.shape == ref.shape
-    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
+    if scale is None:
+        scale = np.max(np.abs(ref), initial=0.0)
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * scale
+
+
+def _padded_singular_values(M):
+    s = np.linalg.svd(M, compute_uv=False)
+    return np.concatenate([s, np.zeros(M.shape[1] - s.size)])
+
+
+def _assert_same_singular_values(got, ref):
+    s_got, s_ref = _padded_singular_values(got), _padded_singular_values(ref)
+    assert np.max(np.abs(s_got - s_ref), initial=0.0) <= 1e-12 * np.max(s_ref, initial=0.0)
+
+
+def _assert_in_frame(got, ref, system, N, p_g):
+    """``got`` is ``ref`` with its N*m signal rows in the output frame of
+    B^T = Q R: N*r rows (I_N x Q^T) ref, then p_g rows that vanish outside
+    the G columns (n .. n + p_g) and whose Gram matrix on them is Y^T Y, Y
+    the part of the G columns outside the frame.  Later rows are compared
+    entry by entry."""
+    m, cols, g_cols = system.m, ref.shape[1], slice(system.n, system.n + p_g)
+    Q = np.linalg.qr(system.B.T)[0]
+    r = Q.shape[1]
+    sig = ref[:N * m].reshape(N, m, cols)
+    frame = np.einsum("mr,jmc->jrc", Q, sig)
+    _assert_close(got[:N * r], frame.reshape(N * r, cols))
+    rest = got[N * r:N * r + p_g]
+    assert not np.delete(rest, g_cols, axis=1).any()
+    X = sig[:, :, g_cols].reshape(N * m, p_g)
+    Y = X - np.einsum("mr,jrc->jmc", Q, frame[:, :, g_cols]).reshape(N * m, p_g)
+    R_g = rest[:, g_cols]
+    _assert_close(R_g.T @ R_g, Y.T @ Y, scale=np.max(np.abs(X.T @ X), initial=0.0))
+    _assert_close(got[N * r + p_g:], ref[N * m:])
+    _assert_same_singular_values(got, ref)
 
 
 class TestBatchedAssembly:
-    """Maps from batched adjoint solves against one solve per column."""
+    """Maps from batched adjoint solves against one solve per column; the
+    oracles assemble in plain coordinates, N*m signal rows."""
 
     @pytest.mark.parametrize("case", BATCH_CASES)
     def test_uc_map(self, case):
         system, grid, G, W, ops = _batch_setup(*case)
-        _assert_close(assemble_uc_map(system, grid, G, W, ops=ops),
-                      loop_uc_map(system, ops, G.basis, W.basis))
+        _assert_in_frame(assemble_uc_map(system, grid, G, W, ops=ops),
+                         loop_uc_map(system, ops, G.basis, W.basis),
+                         system, grid.n_steps, G.dim)
 
     @pytest.mark.parametrize("case", BATCH_CASES)
     def test_two_time_map(self, case):
         system, grid, G, W, ops = _batch_setup(*case)
         k_cut = grid.n_steps // 2
         ref = loop_uc_map(system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])
-        _assert_close(certificates._uc_columns(system, ops, G.basis[:, :k_cut],
-                                                W.basis[:, :k_cut]), ref)
+        _assert_in_frame(certificates._uc_columns(system, ops, G.basis[:, :k_cut],
+                                                   W.basis[:, :k_cut]),
+                         ref, system, k_cut, G.dim)
         rep = two_time_check(system, grid, G, W, k_cut * grid.dt, ops=ops)
         s = np.linalg.svd(ref, compute_uv=False)
         sigma = s[-1] if ref.shape[0] >= ref.shape[1] else 0.0
@@ -198,8 +249,14 @@ class TestBatchedAssembly:
         system, grid, G, W, ops = _batch_setup(*case)
         M, D = certificates._general_maps(system, grid, G, W, ops, True, 2**27)
         M_ref, D_ref = loop_general_maps(system, ops, G, W)
-        _assert_close(M, M_ref)
+        _assert_in_frame(M, M_ref, system, grid.n_steps, G.dim)
         _assert_close(D, D_ref)
+
+    @given(uc_cases())
+    def test_uc_singular_values_match_loop(self, case):
+        system, grid, G, W, ops = _batch_setup(*case)
+        _assert_same_singular_values(assemble_uc_map(system, grid, G, W, ops=ops),
+                                     loop_uc_map(system, ops, G.basis, W.basis))
 
 
 class TestObservabilityConstants:
@@ -286,6 +343,34 @@ class TestObservabilityConstants:
         for kind in ("general_final", "general_initial"):
             with pytest.raises(ProblemTooLargeError):
                 observability_constant(system, grid, G, W, kind)
+
+    @pytest.mark.parametrize("case", [(3, 2, 16, 1, 2), (2, 6, 16, 1, 1)])
+    def test_size_guard_counts_compressed_entries(self, case):
+        # M has N*min(m, n) + p_g signal rows and N*n source rows; D is square
+        system, grid, G, W, ops = _batch_setup(*case)
+        n, N = system.n, grid.n_steps
+        cols = n + G.dim + W.dim + n * N
+        M_entries = (N * min(system.m, n) + G.dim + N * n) * cols
+        for kind, entries in (("general_final", M_entries),
+                              ("general_initial", M_entries + cols * cols)):
+            rep = observability_constant(system, grid, G, W, kind, cap=entries, ops=ops)
+            assert rep.sigma_min > 0.0
+            with pytest.raises(ProblemTooLargeError):
+                observability_constant(system, grid, G, W, kind, cap=entries - 1, ops=ops)
+
+    @pytest.mark.parametrize("n, n_cols", [(1, 1), (2, 3), (3, 6), (3, 40), (6, 584)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0])
+    @pytest.mark.parametrize("top_cols", [None, "first_n"])
+    def test_identity_tail_norm(self, n, n_cols, scale, top_cols):
+        # D is the identity outside its first n rows, as the measured map of
+        # general_initial; small top rows confined to the first n columns
+        # leave the identity part alone to set the norm
+        rng = np.random.default_rng(n * n_cols)
+        D = np.eye(n_cols)
+        width = n if top_cols == "first_n" else n_cols
+        D[:n, :width] = scale * rng.normal(size=(n, width))
+        ref = np.linalg.norm(D, 2)
+        assert abs(certificates._identity_tail_norm(D, n) - ref) <= 1e-14 * ref
 
     def test_unknown_kind(self):
         system, grid, G, W = scalar_setup()

@@ -260,6 +260,33 @@ class TestHeatConfigEndToEnd:
         assert len(ctrl[0].split(",")) == 1 + report_control_dim(report)
 
 
+class TestUcMapDims:
+    # the uniqueness map has N*min(m, n) + p_g rows (the output frame of
+    # B^T) and one column per state, G and W coordinate
+    @pytest.mark.parametrize("model, n, G, N, dims", [
+        # m = 1 < n = 3, no G
+        ({"family": "ode", "A": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]],
+          "B": [[0.0], [0.0], [1.0]]}, 3, [], 16, [16 * 1 + 0, 3 + 0 + 1]),
+        # m = 80 quadrature nodes > n = 4 modes, one G generator
+        ({"family": "heat1d", "n_modes": 4, "omega": [0.3, 0.7], "n_quad": 201},
+         4, [{"rate": 1.0, "coords": [[0, 1.0]]}], 32, [32 * 4 + 1, 4 + 1 + 1]),
+    ])
+    def test_map_dims(self, tmp_path, model, n, G, N, dims):
+        cfg = {
+            "model": model,
+            "grid": {"T": 1.0, "n_steps": N},
+            "problem": {"kind": "null", "y0": [1.0] + [0.0] * (n - 1), "G": G,
+                        "W": [{"rate": 0.0, "vector": [1.0] + [0.0] * (n - 1)}]},
+            "solver": {"grad_tol": 1e-10, "max_iters": 5000},
+            "checks": {"uc": True},
+        }
+        out = tmp_path / "out"
+        assert run_config(write(tmp_path, cfg), out) == 0
+        uc = json.loads((out / "report.json").read_text())["checks"]["uc"]
+        assert uc["holds"]
+        assert uc["map_dims"] == dims
+
+
 def report_control_dim(report):
     model = report["config"]["model"]
     assert model["family"] == "heat1d"
