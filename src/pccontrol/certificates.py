@@ -175,30 +175,32 @@ def _check_spaces(system: LinearSystem, grid: TimeGrid, G: Subspace, W: Subspace
             raise ShapeError(f"{name} must be a signal subspace of dimension {dim} on the grid")
 
 
-def _observe(system: LinearSystem, ops: StepOperator, Z_T: np.ndarray, F: np.ndarray):
+def _observe(system: LinearSystem, ops: StepOperator, R: np.ndarray, Z_T: np.ndarray,
+             F: np.ndarray):
     """One batched adjoint solve for k right-hand sides, final data Z_T (k, n)
     and sources F (N, k, n): the sqrt(dt)-scaled B* z signals in the output
-    frame, R z per interval flattened time-major into columns (N*r, k), and
-    the nodes of z, (N+1, n, k), so that z(0) is ``nodes[0]``."""
+    frame of B^T = Q R, R z per interval flattened time-major into columns
+    (N*r, k), and the nodes of z, (N+1, n, k), so that z(0) is ``nodes[0]``."""
     z = adjoint_solve(system, ops, Z_T, F)
-    R = np.linalg.qr(system.B.T)[1]
     # (r, n) times each (n, k) block gives (N, r, k), already in column layout
     obs = np.matmul(math.sqrt(ops.dt) * R, z.interval_averages.transpose(0, 2, 1))
     return obs.reshape(-1, Z_T.shape[0]), z.node_values.transpose(0, 2, 1)
 
 
-def _framed_signals(system: LinearSystem, basis: np.ndarray, dt: float) -> np.ndarray:
-    """The sqrt(dt)-scaled control signals of ``basis`` (p, N, m) as output
-    frame columns (N*r + p, p): the coordinates X Q of each interval, then
-    the R of a QR of the part outside range(B^T).  The rows of the last
-    block are orthonormal coordinates of that part, so the columns keep
-    their inner products with each other and with every B* z column."""
+def _framed_signals(Q: np.ndarray, basis: np.ndarray, dt: float) -> np.ndarray:
+    """The sqrt(dt)-scaled control signals of ``basis`` (p, N, m) as columns
+    (N*r + p, p) in the output frame of B^T = Q R: the coordinates X Q of
+    each interval, then the R of a QR of the part outside range(B^T), zero
+    rows below it when that part has fewer than p rows.  The last p rows
+    are orthonormal coordinates of that part, so the columns keep their
+    inner products with each other and with every B* z column."""
     p, N, m = basis.shape
-    Q = np.linalg.qr(system.B.T)[0]
     X = math.sqrt(dt) * basis
     frame = X @ Q  # (p, N, r)
-    rest = (X - frame @ Q.T).reshape(p, N * m)
-    return np.vstack([frame.reshape(p, N * Q.shape[1]).T, np.linalg.qr(rest.T, mode="r")])
+    R = np.linalg.qr((X - frame @ Q.T).reshape(p, N * m).T, mode="r")
+    rest = np.zeros((p, p))
+    rest[:R.shape[0]] = R
+    return np.vstack([frame.reshape(p, N * Q.shape[1]).T, rest])
 
 
 def _uc_columns(system: LinearSystem, ops: StepOperator, G_basis, W_basis) -> np.ndarray:
@@ -210,9 +212,10 @@ def _uc_columns(system: LinearSystem, ops: StepOperator, G_basis, W_basis) -> np
     k = n + p_g + W_basis.shape[0]
     F = np.zeros((N, k, n))
     F[:, n + p_g:] = W_basis.transpose(1, 0, 2)
-    obs, _ = _observe(system, ops, np.eye(k, n), F)
+    Q, R = np.linalg.qr(system.B.T)
+    obs, _ = _observe(system, ops, R, np.eye(k, n), F)
     M = np.vstack([obs, np.zeros((p_g, k))])
-    M[:, n:n + p_g] = -_framed_signals(system, G_basis, ops.dt)
+    M[:, n:n + p_g] = -_framed_signals(Q, G_basis, ops.dt)
     return M
 
 
@@ -268,7 +271,8 @@ def _general_maps(system, grid, G, W, ops, want_initial: bool, cap: int):
     """
     n, N = system.n, grid.n_steps
     p_g, p_w = G.dim, W.dim
-    r = min(system.m, n)
+    Q, R = np.linalg.qr(system.B.T)
+    r = Q.shape[1]
     sqrt_dt = math.sqrt(grid.dt)
     n_cols = n + p_g + p_w + n * N
     sig_rows = N * r + p_g  # signal rows in the output frame
@@ -279,11 +283,11 @@ def _general_maps(system, grid, G, W, ops, want_initial: bool, cap: int):
         )
     F = np.zeros((N, 2 * n, n))
     F[N - 1, n:] = np.eye(n) / sqrt_dt  # unit norm in sqrt(dt)-scaled coordinates
-    obs, nodes = _observe(system, ops, np.vstack([np.eye(n), np.zeros((n, n))]), F)
+    obs, nodes = _observe(system, ops, R, np.vstack([np.eye(n), np.zeros((n, n))]), F)
     f0 = n + p_g + p_w  # first source column
     M = np.zeros((sig_rows + N * n, n_cols))
     M[:N * r, :n] = obs[:, :n]
-    M[:sig_rows, n:n + p_g] = _framed_signals(system, G.basis, grid.dt)
+    M[:sig_rows, n:n + p_g] = _framed_signals(Q, G.basis, grid.dt)
     M[sig_rows:, n + p_g:f0] = sqrt_dt * W.basis.reshape(p_w, N * n).T
     diag = np.arange(N * n)
     M[sig_rows + diag, f0 + diag] = 1.0
@@ -298,32 +302,17 @@ def _general_maps(system, grid, G, W, ops, want_initial: bool, cap: int):
     return M, D
 
 
-def _identity_tail_norm(D: np.ndarray, n: int) -> float:
-    """||D||_2 of a square D that equals the identity outside its first n rows.
-
-    Off span(e_1..e_n, rows of D[:n]), D acts as the identity, so the norm
-    is max(1, ||D U||) for an orthonormal U whose span contains that span.
-    U below has min(2n, size) columns: either it spans everything, or its
-    span holds a unit x with x[:n] = 0, where ||D x|| >= 1.  Either way the
-    norm is ||D U||.
-    """
-    U = np.linalg.qr(np.hstack([np.eye(D.shape[0], n), D[:n].T]))[0]
-    return float(np.linalg.norm(D @ U, 2))
-
-
-def _split_constant(
-    M: np.ndarray, D: np.ndarray, n: int, kernel_rtol: float
-) -> tuple[float, float]:
-    """Best C with ||D x|| <= C ||M x||, via an SVD split of M; D equals the
-    identity outside its first n rows.
+def _split_constant(M: np.ndarray, D: np.ndarray, kernel_rtol: float) -> tuple[float, float]:
+    """Best C with ||D x|| <= C ||M x||, via an SVD split of M.
 
     Returns (C, sigma) with sigma = 1/C the smallest generalized singular
     value; C = +inf when M has a kernel direction that D does not annihilate.
     """
     v = _sv_verdict(M, rtol=kernel_rtol)
-    d_scale = max(_identity_tail_norm(D, n), 1e-300)
-    if not v.holds and float(np.linalg.norm(D @ v.vt[v.rank:].T, 2)) > kernel_rtol * d_scale:
-        return math.inf, 0.0
+    if not v.holds:
+        d_scale = max(float(np.linalg.norm(D, 2)), 1e-300)
+        if float(np.linalg.norm(D @ v.vt[v.rank:].T, 2)) > kernel_rtol * d_scale:
+            return math.inf, 0.0
     if v.rank == 0:
         return 0.0, math.inf  # M and D both vanish; inequality is trivial
     C = float(np.linalg.norm((D @ v.vt[:v.rank].T) / v.s[:v.rank], 2))
@@ -360,7 +349,8 @@ def observability_constant(
     ops = _ops_or_build(system, grid, ops)
     n, N = system.n, grid.n_steps
     if kind in ("final_state", "initial_state", "tilde_T"):
-        M, nodes = _observe(system, ops, np.eye(n), np.zeros((N, n, n)))
+        R = np.linalg.qr(system.B.T)[1]
+        M, nodes = _observe(system, ops, R, np.eye(n), np.zeros((N, n, n)))
         D = nodes[0]
         if kind == "tilde_T":
             if t_tilde is None:
@@ -374,7 +364,7 @@ def observability_constant(
         if not v.holds:
             return ObservabilityReport(kind, math.inf, 0.0)
         return ObservabilityReport(kind, 1.0 / v.sigma_min, v.sigma_min)
-    C, sigma = _split_constant(M, D, n, kernel_rtol)
+    C, sigma = _split_constant(M, D, kernel_rtol)
     return ObservabilityReport(kind, C, sigma)
 
 
@@ -393,7 +383,8 @@ def kernel_N(
     """
     ops = _ops_or_build(system, grid, ops)
     n = system.n
-    theta, nodes = _observe(system, ops, np.eye(n), np.zeros((grid.n_steps, n, n)))
+    R = np.linalg.qr(system.B.T)[1]
+    theta, nodes = _observe(system, ops, R, np.eye(n), np.zeros((grid.n_steps, n, n)))
     # the R of theta has its singular values and right vectors, in <= n rows
     v = _sv_verdict(np.vstack([np.linalg.qr(theta, mode="r"), nodes[0]]), rtol=threshold)
     return v.vt[v.rank:].T.copy()

@@ -358,20 +358,6 @@ class TestObservabilityConstants:
             with pytest.raises(ProblemTooLargeError):
                 observability_constant(system, grid, G, W, kind, cap=entries - 1, ops=ops)
 
-    @pytest.mark.parametrize("n, n_cols", [(1, 1), (2, 3), (3, 6), (3, 40), (6, 584)])
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0])
-    @pytest.mark.parametrize("top_cols", [None, "first_n"])
-    def test_identity_tail_norm(self, n, n_cols, scale, top_cols):
-        # D is the identity outside its first n rows, as the measured map of
-        # general_initial; small top rows confined to the first n columns
-        # leave the identity part alone to set the norm
-        rng = np.random.default_rng(n * n_cols)
-        D = np.eye(n_cols)
-        width = n if top_cols == "first_n" else n_cols
-        D[:n, :width] = scale * rng.normal(size=(n, width))
-        ref = np.linalg.norm(D, 2)
-        assert abs(certificates._identity_tail_norm(D, n) - ref) <= 1e-14 * ref
-
     def test_unknown_kind(self):
         system, grid, G, W = scalar_setup()
         with pytest.raises(ShapeError):
@@ -427,6 +413,23 @@ class TestTwoTime:
         G = orthonormalize([], SignalAmbient(0, grid))
         W = orthonormalize([], SignalAmbient(1, grid))
         rep = two_time_check(system, grid, G, W, 0.5)
+        assert not rep.uc_tilde.holds
+        assert not rep.certified
+
+    @pytest.mark.parametrize("case", [(2, 1, 8, 2, 0), (1, 1, 8, 2, 0), (2, 1, 8, 2, 1)])
+    def test_cut_shorter_than_G(self, case):
+        # one control and two G generators cut to one interval: the part of
+        # G outside range(B^T) has fewer rows than generators, the map keeps
+        # its N*r + p_g rows, and the restriction of G is not injective
+        system, grid, G, W, ops = _batch_setup(*case)
+        n, p_g, p_w = system.n, G.dim, W.dim
+        assert p_g == 2
+        _assert_in_frame(certificates._uc_columns(system, ops, G.basis[:, :1], W.basis[:, :1]),
+                         loop_uc_map(system, ops, G.basis[:, :1], W.basis[:, :1]),
+                         system, 1, p_g)
+        rep = two_time_check(system, grid, G, W, grid.dt, ops=ops)
+        assert rep.uc_tilde.map_dims == (1 + p_g, n + p_g + p_w)
+        assert not rep.restriction_ok
         assert not rep.uc_tilde.holds
         assert not rep.certified
 
