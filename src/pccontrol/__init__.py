@@ -29,7 +29,6 @@ from .functionals import (
     ControlSolution,
     DualVariable,
     ProblemData,
-    ProxTerm,
     SolutionResiduals,
     apply_quadratic,
     dual_dot,
@@ -75,7 +74,7 @@ __all__ = [
     "control_observation", "signal_inner", "signal_norm",
     "VectorAmbient", "SignalAmbient", "Subspace", "orthonormalize",
     "KINDS", "APPROX_KINDS", "QUADRATIC_KINDS",
-    "DualVariable", "ProblemData", "ControlSolution", "SolutionResiduals", "ProxTerm",
+    "DualVariable", "ProblemData", "ControlSolution", "SolutionResiduals",
     "eval_J", "eval_smooth", "nonsmooth_value", "grad_smooth", "apply_quadratic",
     "recover_primal", "dual_dot", "dual_norm",
     "SolverOptions", "SolveDiagnostics", "minimize", "certify_infeasibility",

@@ -54,7 +54,6 @@ __all__ = [
     "ProblemData",
     "ControlSolution",
     "SolutionResiduals",
-    "ProxTerm",
     "eval_J",
     "eval_smooth",
     "nonsmooth_value",
@@ -120,17 +119,6 @@ def dual_dot(v: DualVariable, w: DualVariable, dt: float) -> float:
 
 def dual_norm(v: DualVariable, dt: float) -> float:
     return math.sqrt(max(dual_dot(v, v, dt), 0.0))
-
-
-@dataclass(frozen=True)
-class ProxTerm:
-    """One nonsmooth block eps * ||.|| to be handled by a proximal step.
-
-    ``block`` is 'z_T_perp_E' (component of z_T orthogonal to E) or 'w_coef'.
-    """
-
-    block: str
-    weight: float
 
 
 @dataclass
@@ -289,17 +277,30 @@ def eval_J(p: ProblemData, v: DualVariable) -> float:
     return val
 
 
-def _prox_terms(p: ProblemData) -> tuple[ProxTerm, ...]:
-    if p.kind not in APPROX_KINDS:
-        return ()
-    terms = [ProxTerm("z_T_perp_E", p.epsilon)]
-    if p.kind == "approx_relaxed":
-        terms.append(ProxTerm("w_coef", p.epsilon))
-    return tuple(terms)
+def _transpose_chain(p: ProblemData, v: DualVariable, affine: bool) -> DualVariable:
+    """One adjoint solve for B* z, then one forward solve under B* z + g.
+
+    With ``affine`` the forward solve starts from y0 under B* z + g + g*,
+    and y1 and w* enter the z_T and f blocks; without it every datum is
+    zero and the result is the homogeneous quadratic part alone.
+    """
+    p.check_variable(v)
+    _, q = _observation(p, v)
+    qg = q + p.G.lift(v.g_coef)
+    fw = v.f + p.W.lift(v.w_coef)
+    if affine:
+        y0, u, f = p.y0, qg + p.g_star, fw + p.w_star
+    else:
+        y0, u, f = np.zeros(p.system.n), qg, fw
+    yhat = forward_solve(p.system, p.ops, y0, u)
+    z_T = yhat.final.copy()
+    if affine and p.kind != "null":
+        z_T -= p.y1
+    return DualVariable(z_T, p.G.coords(qg), p.W.coords(fw), f - yhat.interval_averages)
 
 
-def grad_smooth(p: ProblemData, v: DualVariable) -> tuple[DualVariable, tuple[ProxTerm, ...]]:
-    """Exact gradient of the smooth part, plus the nonsmooth block descriptor.
+def grad_smooth(p: ProblemData, v: DualVariable) -> DualVariable:
+    """Exact gradient of the smooth part.
 
     One adjoint solve gives B* z; one forward solve from y0 under the
     candidate control B* z + g + g* gives every gradient block:
@@ -312,22 +313,7 @@ def grad_smooth(p: ProblemData, v: DualVariable) -> tuple[DualVariable, tuple[Pr
     These blocks are precisely the primal residuals of the candidate
     control, so a small gradient certifies the recovered solution.
     """
-    p.check_variable(v)
-    _, q = _observation(p, v)
-    g = p.G.lift(v.g_coef)
-    w = p.W.lift(v.w_coef)
-    u_candidate = q + g + p.g_star
-    yhat = forward_solve(p.system, p.ops, p.y0, u_candidate)
-    grad_zT = yhat.final.copy()
-    if p.kind != "null":
-        grad_zT -= p.y1
-    grad = DualVariable(
-        z_T=grad_zT,
-        g_coef=p.G.coords(q + g),
-        w_coef=p.W.coords(v.f + w),
-        f=v.f + w + p.w_star - yhat.interval_averages,
-    )
-    return grad, _prox_terms(p)
+    return _transpose_chain(p, v, affine=True)
 
 
 def apply_quadratic(p: ProblemData, v: DualVariable) -> DualVariable:
@@ -336,17 +322,7 @@ def apply_quadratic(p: ProblemData, v: DualVariable) -> DualVariable:
     Same transpose chain as :func:`grad_smooth` with y0, y1, g*, w* set to
     zero; self-adjoint and positive semidefinite in the dual inner product.
     """
-    p.check_variable(v)
-    _, q = _observation(p, v)
-    g = p.G.lift(v.g_coef)
-    w = p.W.lift(v.w_coef)
-    yhat = forward_solve(p.system, p.ops, np.zeros(p.system.n), q + g)
-    return DualVariable(
-        z_T=yhat.final.copy(),
-        g_coef=p.G.coords(q + g),
-        w_coef=p.W.coords(v.f + w),
-        f=v.f + w - yhat.interval_averages,
-    )
+    return _transpose_chain(p, v, affine=False)
 
 
 def recover_primal(p: ProblemData, v_opt: DualVariable) -> ControlSolution:

@@ -5,10 +5,17 @@ conjugate gradients on the normal-equations operator (the gradient of the
 homogeneous quadratic part), with exact line search.  The approximate kinds
 carry nonsmooth eps-weighted norm blocks and are minimized by proximal
 gradient with Barzilai-Borwein steps, backtracking, and block soft
-shrinkage, warm-started at the minimizer of the smooth part and
-accelerated by direction-freezing linearized solves; the objective history
-is monotone by construction and the stopping test is the proximal
-fixed-point residual, so the eps terms are never smoothed.
+shrinkage, warm-started at the minimizer of the smooth part.  Every
+``_PROX_BURST`` iterations, but never after the last one, a linearized
+solve with the norm directions frozen proposes a point that is kept only
+if it lowers the objective.  The objective history is monotone by
+construction and the stopping test is the proximal fixed-point residual,
+so the eps terms are never smoothed.  Every linear solve (the quadratic
+kinds, the warm start and the frozen-direction candidate) runs through
+one CG routine on :func:`~pccontrol.functionals.apply_quadratic`,
+restricted where needed to the subspace its iterates live in: the
+quotient by the kernel for the null kind, the frozen blocks for the
+candidate.
 
 Non-coercive instances (the uniqueness hypothesis fails, so the quadratic
 form has a kernel the data pairs against) show up as diverging iterates;
@@ -46,6 +53,7 @@ __all__ = ["SolverOptions", "SolveDiagnostics", "minimize", "certify_infeasibili
 _RESIDUAL_REFRESH = 50
 _MAX_BACKTRACKS = 60
 _PROX_BURST = 25
+_MAX_ACCELERATIONS = 50
 
 
 @dataclass(frozen=True)
@@ -95,50 +103,53 @@ def _divergence_bound(p: ProblemData, opts: SolverOptions) -> float:
 
 
 def minimize(
-    p: ProblemData,
-    opts: SolverOptions | None = None,
-    kernel_basis: np.ndarray | None = None,
+    p: ProblemData, opts: SolverOptions | None = None
 ) -> tuple[DualVariable, SolveDiagnostics]:
     """Minimize the dual functional of ``p``.
 
     For the null kind, directions invisible to both the observation and the
     initial trace are quotiented out: the iterates are kept orthogonal to
-    the kernel computed by :func:`pccontrol.certificates.kernel_N` (or to
-    ``kernel_basis`` if supplied, which tests use to inject a degenerate
-    propagator).  For every propagator built from a matrix exponential that
-    kernel is empty.
+    the kernel computed by :func:`pccontrol.certificates.kernel_N` from the
+    problem's step operator.  For every propagator built from a matrix
+    exponential that kernel is empty; a degenerate one can be supplied
+    through ``ProblemData(ops=...)``.
     """
     opts = opts or SolverOptions()
     if p.kind in APPROX_KINDS:
         return _minimize_prox(p, opts)
-    if p.kind == "null" and kernel_basis is None:
-        from .certificates import kernel_N
-
-        kernel_basis = kernel_N(p.system, p.grid, ops=p.ops)
-    return _minimize_cg(p, opts, kernel_basis)
+    return _minimize_cg(p, opts)
 
 
 # ---------------------------------------------------------------------------
 # conjugate gradients
 
 
-def _cg_core(apply_S, b: DualVariable, x0: DualVariable, dt: float, tol: float,
-             max_iters: int, bound: float):
-    """CG for S x = b from x0 on the dual space.
+def _cg_core(p: ProblemData, b: DualVariable, x0: DualVariable, tol: float, max_iters: int,
+             bound: float, restrict=None):
+    """CG for P S P x = P b from P x0, with S = ``apply_quadratic`` and P = ``restrict``.
 
+    ``restrict`` (None for the identity) maps the dual space onto the
+    subspace the iterates live in; the returned x is restricted too.
     Returns (x, residual_norm, iterations, verdict, objective_increments)
     where the increments reproduce the exact decrease of the quadratic
     model per iteration.  Verdict 'diverged_infeasible' is raised by iterate
     blowup or by a vanishing-curvature direction against a nonzero
     residual (a numerically exposed kernel the data pairs against).
     """
-    x = x0.copy()
+    dt = p.grid.dt
+    P = restrict or (lambda x: x)
+
+    def apply_S(x: DualVariable) -> DualVariable:
+        return P(apply_quadratic(p, P(x)))
+
+    b = P(b)
+    x = P(x0).copy()
     Sx0 = apply_S(x)
     r = b - Sx0
     rr = dual_dot(r, r, dt)
     decrements: list[float] = []
     if math.sqrt(rr) <= tol:
-        return x, math.sqrt(rr), 0, "converged", decrements
+        return P(x), math.sqrt(rr), 0, "converged", decrements
     pdir = r.copy()
     curvature_scale = 0.0
     verdict = "max_iters"
@@ -171,35 +182,25 @@ def _cg_core(apply_S, b: DualVariable, x0: DualVariable, dt: float, tol: float,
         beta = rr_new / rr
         rr = rr_new
         pdir = r + beta * pdir
-    return x, math.sqrt(rr), iters, verdict, decrements
+    return P(x), math.sqrt(rr), iters, verdict, decrements
 
 
-def _project_out(v: DualVariable, kernel: np.ndarray | None):
-    if kernel is not None and kernel.size:
-        v.z_T -= kernel @ (kernel.T @ v.z_T)
+def _minimize_cg(p: ProblemData, opts: SolverOptions) -> tuple[DualVariable, SolveDiagnostics]:
+    restrict = None
+    if p.kind == "null":
+        from .certificates import kernel_N
 
+        kernel = kernel_N(p.system, p.grid, ops=p.ops)
+        if kernel.size:
+            def restrict(x: DualVariable) -> DualVariable:
+                out = x.copy()
+                out.z_T -= kernel @ (kernel.T @ out.z_T)
+                return out
 
-def _minimize_cg(
-    p: ProblemData, opts: SolverOptions, kernel: np.ndarray | None
-) -> tuple[DualVariable, SolveDiagnostics]:
-    dt = p.grid.dt
-    bound = _divergence_bound(p, opts)
-
-    def apply_S(x: DualVariable) -> DualVariable:
-        if kernel is not None and kernel.size:
-            x = x.copy()
-            _project_out(x, kernel)
-        out = apply_quadratic(p, x)
-        _project_out(out, kernel)
-        return out
-
-    grad0, _ = grad_smooth(p, p.zero_variable())
-    b = -1.0 * grad0
-    _project_out(b, kernel)
     v, res, iters, verdict, decrements = _cg_core(
-        apply_S, b, p.zero_variable(), dt, opts.grad_tol, opts.max_iters, bound
+        p, -1.0 * grad_smooth(p, p.zero_variable()), p.zero_variable(), opts.grad_tol,
+        opts.max_iters, _divergence_bound(p, opts), restrict,
     )
-    _project_out(v, kernel)
     history = [0.0]
     for dec in decrements:
         history.append(history[-1] - dec)
@@ -217,38 +218,19 @@ def _shrink(x: np.ndarray, amount: float) -> np.ndarray:
     return (1.0 - amount / nrm) * x
 
 
-def _apply_prox(p: ProblemData, v: DualVariable, terms, tau: float) -> DualVariable:
+def _apply_prox(p: ProblemData, v: DualVariable, tau: float) -> DualVariable:
+    """Proximal step of tau * eps * (||(I - P_E) z_T|| [+ ||w|| if relaxed])."""
     out = v.copy()
-    for term in terms:
-        amount = tau * term.weight
-        if term.block == "z_T_perp_E":
-            z_in = p.E.project(out.z_T)
-            out.z_T = z_in + _shrink(out.z_T - z_in, amount)
-        elif term.block == "w_coef":
-            out.w_coef = _shrink(out.w_coef, amount)
-        else:  # pragma: no cover - descriptor blocks are fixed by the kind
-            raise ConfigError(f"unknown prox block {term.block!r}")
+    amount = tau * p.epsilon
+    z_in = p.E.project(out.z_T)
+    out.z_T = z_in + _shrink(out.z_T - z_in, amount)
+    if p.kind == "approx_relaxed":
+        out.w_coef = _shrink(out.w_coef, amount)
     return out
 
 
-def _frozen_subgradient(p: ProblemData, v: DualVariable, terms):
-    """Directions of the active norm blocks, or None per frozen (zero) block."""
-    d_z = None
-    d_w = None
-    for term in terms:
-        if term.block == "z_T_perp_E":
-            z_perp = v.z_T - p.E.project(v.z_T)
-            nrm = float(np.linalg.norm(z_perp))
-            if nrm > 1e-14 * max(1.0, float(np.linalg.norm(v.z_T))):
-                d_z = z_perp / nrm
-        elif term.block == "w_coef":
-            nrm = float(np.linalg.norm(v.w_coef))
-            if nrm > 1e-14:
-                d_w = v.w_coef / nrm
-    return d_z, d_w
-
-
-def _accelerated_candidate(p, v, terms, ell, dt, bound, tol, max_iters):
+def _accelerated_candidate(p: ProblemData, v: DualVariable, ell: DualVariable, bound: float,
+                           tol: float, max_iters: int) -> DualVariable | None:
     """Solve the stationarity system with the norm directions frozen.
 
     Away from the nondifferentiable points the optimality condition reads
@@ -257,52 +239,44 @@ def _accelerated_candidate(p, v, terms, ell, dt, bound, tol, max_iters):
     currently at zero are constrained to stay there).  The caller accepts
     the candidate only if it decreases the full objective.
     """
-    d_z, d_w = _frozen_subgradient(p, v, terms)
-    has_w_term = any(t.block == "w_coef" for t in terms)
+    rhs = -1.0 * ell
+    z_perp = v.z_T - p.E.project(v.z_T)
+    nz = float(np.linalg.norm(z_perp))
+    free_z = nz > 1e-14 * max(1.0, float(np.linalg.norm(v.z_T)))
+    if free_z:
+        rhs.z_T = rhs.z_T - p.epsilon * (z_perp / nz)
+    free_w = True
+    if p.kind == "approx_relaxed":
+        nw = float(np.linalg.norm(v.w_coef))
+        free_w = nw > 1e-14
+        if free_w:
+            rhs.w_coef = rhs.w_coef - p.epsilon * (v.w_coef / nw)
 
     def restrict(x: DualVariable) -> DualVariable:
         out = x.copy()
-        if d_z is None:
+        if not free_z:
             out.z_T = p.E.project(out.z_T)
-        if has_w_term and d_w is None:
+        if not free_w:
             out.w_coef = np.zeros_like(out.w_coef)
         return out
 
-    def apply_S(x: DualVariable) -> DualVariable:
-        return restrict(apply_quadratic(p, restrict(x)))
-
-    rhs = -1.0 * ell
-    for term in terms:
-        if term.block == "z_T_perp_E" and d_z is not None:
-            rhs.z_T = rhs.z_T - term.weight * d_z
-        if term.block == "w_coef" and d_w is not None:
-            rhs.w_coef = rhs.w_coef - term.weight * d_w
-    rhs = restrict(rhs)
-    x, _, _, verdict, _ = _cg_core(apply_S, rhs, restrict(v), dt, tol, max_iters, bound)
-    if verdict == "diverged_infeasible":
-        return None
-    return restrict(x)
+    x, _, _, verdict, _ = _cg_core(p, rhs, v, tol, max_iters, bound, restrict)
+    return None if verdict == "diverged_infeasible" else x
 
 
 def _minimize_prox(p: ProblemData, opts: SolverOptions) -> tuple[DualVariable, SolveDiagnostics]:
     dt = p.grid.dt
     bound = _divergence_bound(p, opts)
-    ell, terms = grad_smooth(p, p.zero_variable())
+    ell = grad_smooth(p, p.zero_variable())
 
     warm, _, _, warm_verdict, _ = _cg_core(
-        lambda x: apply_quadratic(p, x),
-        -1.0 * ell,
-        p.zero_variable(),
-        dt,
-        max(opts.grad_tol, 1e-12),
-        opts.max_iters,
-        bound,
+        p, -1.0 * ell, p.zero_variable(), max(opts.grad_tol, 1e-12), opts.max_iters, bound
     )
     # A non-coercive smooth part does not decide the full functional (the
     # eps terms may restore coercivity), so fall back to the origin.
     v = p.zero_variable() if warm_verdict == "diverged_infeasible" else warm
 
-    grad, _ = grad_smooth(p, v)
+    grad = grad_smooth(p, v)
     J_v = eval_smooth(p, v)
     F_v = J_v + nonsmooth_value(p, v)
     history = [F_v]
@@ -314,77 +288,61 @@ def _minimize_prox(p: ProblemData, opts: SolverOptions) -> tuple[DualVariable, S
     prev_Sstep: DualVariable | None = None
     residual = math.inf
     verdict = "max_iters"
-    iters = 0
-    it = 0
-    accel_budget = 50
-    while it < opts.max_iters:
-        stop = False
-        for _ in range(_PROX_BURST):
-            if it >= opts.max_iters:
+    for it in range(1, opts.max_iters + 1):
+        if prev_step is not None:
+            denom = dual_dot(prev_step, prev_Sstep, dt)
+            if denom > 0.0:
+                tau = min(max(dual_dot(prev_step, prev_step, dt) / denom, 1e-12), 1e12)
+        for _ in range(_MAX_BACKTRACKS):
+            trial = _apply_prox(p, v - tau * grad, tau)
+            step = trial - v
+            step_sq = dual_dot(step, step, dt)
+            if step_sq == 0.0:
+                Sstep = None
                 break
-            it += 1
-            iters = it
-            if prev_step is not None:
-                denom = dual_dot(prev_step, prev_Sstep, dt)
-                if denom > 0.0:
-                    tau = min(max(dual_dot(prev_step, prev_step, dt) / denom, 1e-12), 1e12)
-            accepted = None
-            for _ in range(_MAX_BACKTRACKS):
-                trial = _apply_prox(p, v - tau * grad, terms, tau)
-                step = trial - v
-                step_sq = dual_dot(step, step, dt)
-                if step_sq == 0.0:
-                    accepted = (trial, step, step_sq, None)
-                    break
-                Sstep = apply_quadratic(p, step)
-                curvature = dual_dot(step, Sstep, dt)
-                if tau * curvature <= step_sq * (1.0 + 1e-12):
-                    accepted = (trial, step, step_sq, Sstep)
-                    break
-                tau = 0.8 * step_sq / curvature
-            if accepted is None:  # pragma: no cover - reachable only on NaNs
-                stop = True
+            Sstep = apply_quadratic(p, step)
+            curvature = dual_dot(step, Sstep, dt)
+            if tau * curvature <= step_sq * (1.0 + 1e-12):
                 break
-            trial, step, step_sq, Sstep = accepted
-            residual = math.sqrt(step_sq) / tau
-            if Sstep is None:
-                history.append(F_v)
-                verdict = "converged"
-                stop = True
-                break
-            J_v += dual_dot(grad, step, dt) + 0.5 * dual_dot(step, Sstep, dt)
-            v = trial
-            grad = grad + Sstep
-            F_v = J_v + nonsmooth_value(p, v)
-            history.append(F_v)
-            prev_step, prev_Sstep = step, Sstep
-            if it % _RESIDUAL_REFRESH == 0:
-                grad, _ = grad_smooth(p, v)
-                J_v = eval_smooth(p, v)
-            if dual_norm(v, dt) > bound:
-                verdict = "diverged_infeasible"
-                stop = True
-                break
-            if residual <= opts.grad_tol:
-                verdict = "converged"
-                stop = True
-                break
-        if stop:
+            tau = 0.8 * step_sq / curvature
+        else:  # pragma: no cover - reachable only on NaNs
             break
-        if accel_budget > 0:
-            accel_budget -= 1
+        residual = math.sqrt(step_sq) / tau
+        if Sstep is None:
+            history.append(F_v)
+            verdict = "converged"
+            break
+        J_v += dual_dot(grad, step, dt) + 0.5 * dual_dot(step, Sstep, dt)
+        v = trial
+        grad = grad + Sstep
+        F_v = J_v + nonsmooth_value(p, v)
+        history.append(F_v)
+        prev_step, prev_Sstep = step, Sstep
+        if it % _RESIDUAL_REFRESH == 0:
+            grad = grad_smooth(p, v)
+            J_v = eval_smooth(p, v)
+        if dual_norm(v, dt) > bound:
+            verdict = "diverged_infeasible"
+            break
+        if residual <= opts.grad_tol:
+            verdict = "converged"
+            break
+        # Every _PROX_BURST iterations (at most _MAX_ACCELERATIONS times),
+        # but never after the last one, try the frozen-direction solve.
+        burst_end = it % _PROX_BURST == 0 and it // _PROX_BURST <= _MAX_ACCELERATIONS
+        if burst_end and it < opts.max_iters:
             candidate = _accelerated_candidate(
-                p, v, terms, ell, dt, bound, 0.1 * opts.grad_tol, opts.max_iters
+                p, v, ell, bound, 0.1 * opts.grad_tol, opts.max_iters
             )
             if candidate is not None:
                 J_c = eval_smooth(p, candidate)
                 F_c = J_c + nonsmooth_value(p, candidate)
                 if F_c <= F_v:
                     v, J_v, F_v = candidate, J_c, F_c
-                    grad, _ = grad_smooth(p, v)
+                    grad = grad_smooth(p, v)
                     history.append(F_v)
                     prev_step = prev_Sstep = None
-    return v, SolveDiagnostics(iters, residual, history, verdict)
+    return v, SolveDiagnostics(it, residual, history, verdict)
 
 
 def certify_infeasibility(p: ProblemData, witness) -> float:

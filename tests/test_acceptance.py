@@ -126,7 +126,7 @@ def test_criterion_03_gradient_check():
                              rng.normal(size=p_w), rng.normal(size=(N, n)))
             d = DualVariable(rng.normal(size=n), rng.normal(size=p_g),
                              rng.normal(size=p_w), rng.normal(size=(N, n)))
-            grad, _ = grad_smooth(p, v)
+            grad = grad_smooth(p, v)
             analytic = dual_dot(grad, d, p.grid.dt)
             h = 1e-5
             fd = (eval_smooth(p, v + h * d) - eval_smooth(p, v - h * d)) / (2 * h)

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pccontrol import (
+    KINDS,
     DualVariable,
     ProblemData,
     SignalAmbient,
     SolverOptions,
     TimeGrid,
     VectorAmbient,
+    apply_quadratic,
     dual_dot,
+    dual_norm,
     eval_J,
     eval_smooth,
     grad_smooth,
@@ -19,6 +24,7 @@ from pccontrol import (
     recover_primal,
 )
 from pccontrol.errors import ShapeError
+from pccontrol.solvers import _apply_prox
 
 from oracles import random_problem
 
@@ -27,6 +33,12 @@ def scalar_null_problem(n_steps=32):
     system = make_ode([[0.0]], [[1.0]])
     grid = TimeGrid(1.0, n_steps)
     return ProblemData(kind="null", system=system, grid=grid, y0=[1.0])
+
+
+def _random_variable(rng, p):
+    n, p_g, p_w, N = p.dims
+    return DualVariable(rng.normal(size=n), rng.normal(size=p_g), rng.normal(size=p_w),
+                        rng.normal(size=(N, n)))
 
 
 class TestEvalJ:
@@ -71,9 +83,8 @@ class TestGradient:
         p = scalar_null_problem()
         v = p.zero_variable()
         v.z_T[0] = 1.0
-        grad, prox = grad_smooth(p, v)
+        grad = grad_smooth(p, v)
         assert grad.z_T[0] == pytest.approx(2.0, abs=1e-12)
-        assert prox == ()
 
     def test_zero_point_of_homogeneous_problem(self):
         rng = np.random.default_rng(3)
@@ -82,7 +93,7 @@ class TestGradient:
         p.y1 = np.zeros_like(p.y1)
         p.g_star = np.zeros_like(p.g_star)
         p.w_star = np.zeros_like(p.w_star)
-        grad, _ = grad_smooth(p, p.zero_variable())
+        grad = grad_smooth(p, p.zero_variable())
         assert np.linalg.norm(grad.z_T) == 0.0
         assert np.max(np.abs(grad.f)) == 0.0
 
@@ -96,20 +107,71 @@ class TestGradient:
                              rng.normal(size=p_w), rng.normal(size=(N, n)))
             d = DualVariable(rng.normal(size=n), rng.normal(size=p_g),
                              rng.normal(size=p_w), rng.normal(size=(N, n)))
-            grad, _ = grad_smooth(p, v)
+            grad = grad_smooth(p, v)
             analytic = dual_dot(grad, d, p.grid.dt)
             h = 1e-5
             fd = (eval_smooth(p, v + h * d) - eval_smooth(p, v - h * d)) / (2 * h)
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-10)
 
-    def test_prox_descriptor_by_kind(self):
+    def test_prox_step_by_kind(self):
+        # The step shrinks the E-complement of z_T (and w_coef for the
+        # relaxed kind) by tau * eps and leaves every other block alone.
         rng = np.random.default_rng(4)
-        _, prox = grad_smooth(*(lambda p: (p, p.zero_variable()))(random_problem(rng, "approx")))
-        assert [t.block for t in prox] == ["z_T_perp_E"]
-        p2 = random_problem(rng, "approx_relaxed")
-        _, prox2 = grad_smooth(p2, p2.zero_variable())
-        assert [t.block for t in prox2] == ["z_T_perp_E", "w_coef"]
-        assert all(t.weight == p2.epsilon for t in prox2)
+        for kind in ("approx", "approx_relaxed"):
+            p = random_problem(rng, kind)
+            v = _random_variable(rng, p)
+            perp, w_norm = p.E.complement(v.z_T), np.linalg.norm(v.w_coef)
+            tau = 0.5 * min(np.linalg.norm(perp), w_norm) / p.epsilon
+
+            def shrink(x):
+                return (1.0 - tau * p.epsilon / np.linalg.norm(x)) * x
+
+            out = _apply_prox(p, v, tau)
+            assert np.allclose(p.E.project(out.z_T), p.E.project(v.z_T), rtol=0, atol=1e-12)
+            assert np.allclose(p.E.complement(out.z_T), shrink(perp), rtol=0, atol=1e-12)
+            assert np.array_equal(out.g_coef, v.g_coef) and np.array_equal(out.f, v.f)
+            if kind == "approx":
+                assert np.array_equal(out.w_coef, v.w_coef)
+            else:
+                assert np.allclose(out.w_coef, shrink(v.w_coef), rtol=0, atol=1e-12)
+            # a step longer than a block's norm sends that block to zero
+            big = _apply_prox(p, v, 2.0 * max(np.linalg.norm(perp), w_norm) / p.epsilon)
+            assert np.linalg.norm(p.E.complement(big.z_T)) <= 1e-12
+            if kind == "approx_relaxed":
+                assert not big.w_coef.any()
+
+
+@st.composite
+def quadratic_cases(draw):
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    N = draw(st.integers(2, 24))
+    p_g = draw(st.integers(0, 2))
+    p_w = draw(st.integers(0, 2))
+    return kind, n, m, N, p_g, p_w, draw(st.integers(0, 2**32 - 1))
+
+
+class TestQuadraticOperator:
+    """apply_quadratic is the homogeneous part of grad_smooth, symmetric and PSD."""
+
+    @given(quadratic_cases())
+    def test_operator_properties(self, case):
+        kind, n, m, N, p_g, p_w, seed = case
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, kind, n=n, m=m, n_steps=N, p_g=p_g, p_w=p_w)
+        dt = p.grid.dt
+        u, w = _random_variable(rng, p), _random_variable(rng, p)
+        Su, Sw = apply_quadratic(p, u), apply_quadratic(p, w)
+        # (a) the affine data cancels in a gradient difference
+        g_u, g_0 = grad_smooth(p, u), grad_smooth(p, p.zero_variable())
+        scale = dual_norm(g_u, dt) + dual_norm(g_0, dt)
+        assert dual_norm((g_u - g_0) - Su, dt) <= 1e-12 * scale
+        # (b) symmetry in the dual inner product
+        pairing = abs(dual_dot(Su, w, dt) - dual_dot(u, Sw, dt))
+        assert pairing <= 1e-12 * dual_norm(Su, dt) * dual_norm(w, dt)
+        # (c) positive semidefinite
+        assert dual_dot(Su, u, dt) >= -1e-12 * dual_norm(Su, dt) * dual_norm(u, dt)
 
 
 class TestConvexity:

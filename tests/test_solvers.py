@@ -125,6 +125,16 @@ class TestDegeneratePropagator:
 
 
 class TestProximalKinds:
+    @pytest.mark.parametrize("kind", ["approx", "approx_relaxed"])
+    @pytest.mark.parametrize("max_iters", [3, 25])
+    def test_no_acceleration_after_last_iteration(self, kind, max_iters):
+        # One history entry per proximal iteration: the reported residual
+        # belongs to the returned point only if nothing runs after the cap.
+        p = random_problem(np.random.default_rng(15), kind)
+        _, diag = minimize(p, SolverOptions(max_iters=max_iters))
+        assert diag.verdict == "max_iters"
+        assert len(diag.objective_history) == diag.iterations + 1
+
     def test_final_state_lands_on_epsilon_sphere(self):
         rng = np.random.default_rng(13)
         p = random_problem(rng, "approx", n=3, m=2, n_steps=16)
