@@ -25,7 +25,6 @@ from .subspaces import SignalAmbient, Subspace, VectorAmbient, orthonormalize
 from .functionals import (
     APPROX_KINDS,
     KINDS,
-    QUADRATIC_KINDS,
     ControlSolution,
     DualVariable,
     ProblemData,
@@ -57,13 +56,12 @@ from .certificates import (
 )
 from .models import (
     ModelDescriptor,
-    OmegaRestriction,
     exponential_profile_signal,
     make_heat1d,
     make_ode,
     make_wave1d,
 )
-from .config import BuildResult, RunConfig, parse_config
+from .config import BuildResult, RunConfig
 from . import errors
 
 __version__ = "0.1.0"
@@ -73,7 +71,7 @@ __all__ = [
     "build_propagator", "forward_solve", "adjoint_solve", "duality_residual",
     "control_observation", "signal_inner", "signal_norm",
     "VectorAmbient", "SignalAmbient", "Subspace", "orthonormalize",
-    "KINDS", "APPROX_KINDS", "QUADRATIC_KINDS",
+    "KINDS", "APPROX_KINDS",
     "DualVariable", "ProblemData", "ControlSolution", "SolutionResiduals",
     "eval_J", "eval_smooth", "nonsmooth_value", "grad_smooth", "apply_quadratic",
     "recover_primal", "dual_dot", "dual_norm",
@@ -82,8 +80,8 @@ __all__ = [
     "SpectralClassification", "assemble_uc_map", "uc_check", "observability_constant",
     "kernel_N", "two_time_check", "restriction_kernel_check", "spectral_uc_classify",
     "modal_uc_check",
-    "ModelDescriptor", "OmegaRestriction", "make_heat1d", "make_wave1d", "make_ode",
+    "ModelDescriptor", "make_heat1d", "make_wave1d", "make_ode",
     "exponential_profile_signal",
-    "RunConfig", "BuildResult", "parse_config",
+    "RunConfig", "BuildResult",
     "errors",
 ]

@@ -33,6 +33,7 @@ import numpy as np
 
 from .core import LinearSystem, StepOperator, TimeGrid, adjoint_solve, build_propagator
 from .errors import FrequencyInputError, ProblemTooLargeError, ShapeError
+from .functionals import _check_spaces
 from .subspaces import SignalAmbient, Subspace, VectorAmbient, orthonormalize
 
 __all__ = [
@@ -168,13 +169,6 @@ def _sv_verdict(
     return _Verdict(sigma_min > cutoff, sigma_min, int(np.sum(s > cutoff)), s, vt)
 
 
-def _check_spaces(system: LinearSystem, grid: TimeGrid, G: Subspace, W: Subspace):
-    for space, dim, name in ((G, system.m, "G"), (W, system.n, "W")):
-        amb = space.ambient
-        if not isinstance(amb, SignalAmbient) or amb.dim != dim or amb.grid != grid:
-            raise ShapeError(f"{name} must be a signal subspace of dimension {dim} on the grid")
-
-
 def _observe(system: LinearSystem, ops: StepOperator, R: np.ndarray, Z_T: np.ndarray,
              F: np.ndarray):
     """One batched adjoint solve for k right-hand sides, final data Z_T (k, n)
@@ -302,16 +296,16 @@ def _general_maps(system, grid, G, W, ops, want_initial: bool, cap: int):
     return M, D
 
 
-def _split_constant(M: np.ndarray, D: np.ndarray, kernel_rtol: float) -> tuple[float, float]:
+def _split_constant(M: np.ndarray, D: np.ndarray) -> tuple[float, float]:
     """Best C with ||D x|| <= C ||M x||, via an SVD split of M.
 
     Returns (C, sigma) with sigma = 1/C the smallest generalized singular
     value; C = +inf when M has a kernel direction that D does not annihilate.
     """
-    v = _sv_verdict(M, rtol=kernel_rtol)
+    v = _sv_verdict(M)
     if not v.holds:
         d_scale = max(float(np.linalg.norm(D, 2)), 1e-300)
-        if float(np.linalg.norm(D @ v.vt[v.rank:].T, 2)) > kernel_rtol * d_scale:
+        if float(np.linalg.norm(D @ v.vt[v.rank:].T, 2)) > KERNEL_RTOL * d_scale:
             return math.inf, 0.0
     if v.rank == 0:
         return 0.0, math.inf  # M and D both vanish; inequality is trivial
@@ -330,7 +324,6 @@ def observability_constant(
     t_tilde: float | None = None,
     cap: int = 2**27,
     ops: StepOperator | None = None,
-    kernel_rtol: float = KERNEL_RTOL,
 ) -> ObservabilityReport:
     """Constant of one observability inequality, as 1/(generalized sigma_min).
 
@@ -360,11 +353,11 @@ def observability_constant(
     else:
         M, D = _general_maps(system, grid, G, W, ops, kind == "general_initial", cap)
     if kind in ("final_state", "general_final"):
-        v = _sv_verdict(M, rtol=kernel_rtol, vectors=False)
+        v = _sv_verdict(M, vectors=False)
         if not v.holds:
             return ObservabilityReport(kind, math.inf, 0.0)
         return ObservabilityReport(kind, 1.0 / v.sigma_min, v.sigma_min)
-    C, sigma = _split_constant(M, D, kernel_rtol)
+    C, sigma = _split_constant(M, D)
     return ObservabilityReport(kind, C, sigma)
 
 
@@ -372,7 +365,6 @@ def kernel_N(
     system: LinearSystem,
     grid: TimeGrid,
     ops: StepOperator | None = None,
-    threshold: float = KERNEL_RTOL,
 ) -> np.ndarray:
     """Orthonormal basis (n, k) of the invisible final data.
 
@@ -386,7 +378,7 @@ def kernel_N(
     R = np.linalg.qr(system.B.T)[1]
     theta, nodes = _observe(system, ops, R, np.eye(n), np.zeros((grid.n_steps, n, n)))
     # the R of theta has its singular values and right vectors, in <= n rows
-    v = _sv_verdict(np.vstack([np.linalg.qr(theta, mode="r"), nodes[0]]), rtol=threshold)
+    v = _sv_verdict(np.vstack([np.linalg.qr(theta, mode="r"), nodes[0]]))
     return v.vt[v.rank:].T.copy()
 
 
@@ -429,26 +421,27 @@ def two_time_check(
     return TwoTimeReport(restriction_ok, uc_tilde, obs_tilde, certified)
 
 
-def restriction_kernel_check(W: Subspace, omega_mask, G: Subspace | None = None) -> bool:
+def restriction_kernel_check(W: Subspace, model, G: Subspace | None = None) -> bool:
     """Injectivity of the spatial restriction on W (and of the stacked map).
 
-    With only W: full column rank of the restriction of W's basis to the
-    masked quadrature nodes (trapezoid weights on the model's spatial grid).
-    With G as well: the combined condition, injectivity of
-    (w, g) -> restriction(w) + (d_t + Laplace) g, is tested in weak form
-    against tensor test functions (interior time hats times interior space
-    hats on the masked grid), the space operator realized by lumped P1 mass
-    and stiffness pairings.
+    ``model`` is the :class:`~pccontrol.models.ModelDescriptor` of the
+    system W lives on.  With only W: full column rank of the restriction of
+    W's basis to the masked quadrature nodes (trapezoid weights on the
+    model's spatial grid).  With G as well: the combined condition,
+    injectivity of (w, g) -> restriction(w) + (d_t + Laplace) g, is tested
+    in weak form against tensor test functions (interior time hats times
+    interior space hats on the masked grid), the space operator realized by
+    lumped P1 mass and stiffness pairings.
     """
     amb = W.ambient
     if not isinstance(amb, SignalAmbient):
         raise ShapeError("W must be a signal subspace")
     grid = amb.grid
     dt = grid.dt
-    node_vals = omega_mask.state_values_at_masked_nodes  # (n_masked, n_state)
-    h = omega_mask.node_spacing
+    node_vals = model.state_value_matrix[model.mask]  # (n_masked, n_state)
+    h = float(model.x_full[1] - model.x_full[0])
     if W.dim and node_vals.shape[1] != amb.dim:
-        raise ShapeError("omega_mask does not match the state dimension of W")
+        raise ShapeError("model does not match the state dimension of W")
     if G is None:
         if W.dim == 0:
             return True
@@ -462,24 +455,34 @@ def restriction_kernel_check(W: Subspace, omega_mask, G: Subspace | None = None)
             raise ShapeError("G must be a signal subspace")
         if W.dim == 0 and G.dim == 0:
             return True
-        cols = _weak_stacked_map(W, G, omega_mask, grid)
+        cols = _weak_stacked_map(W, G, model, node_vals, h)
     # the floor of 1 keeps an all-zero map (every column annihilated) from
     # passing the relative test vacuously
     return _sv_verdict(cols, floor=1.0, vectors=False).holds
 
 
-def _weak_stacked_map(W: Subspace, G: Subspace, mask, grid: TimeGrid) -> np.ndarray:
+def _weak_stacked_map(W: Subspace, G: Subspace, model, node_vals: np.ndarray,
+                      h: float) -> np.ndarray:
     """Rows indexed by (interior time hat, interior space hat); columns by
     the W basis (restriction pairing) then the G basis (heat-operator
-    pairing, integrated by parts onto the test functions)."""
+    pairing, integrated by parts onto the test functions).  Controls reach
+    the masked nodes by linear interpolation of their values between the
+    omega quadrature nodes, extrapolating at the window edges so affine
+    profiles reproduce exactly."""
+    grid = W.ambient.grid
     N = grid.n_steps
     dt = grid.dt
-    h = mask.node_spacing
-    node_vals = mask.state_values_at_masked_nodes  # (n_masked, n_state)
-    interp = mask.control_to_masked_nodes  # (n_masked, m)
     n_masked = node_vals.shape[0]
     if n_masked < 3 or N < 2:
         raise ShapeError("mask/grid too coarse for the stacked restriction test")
+    xq = model.x_omega
+    x = model.x_full[model.mask]
+    left = np.clip(np.searchsorted(xq, x) - 1, 0, xq.shape[0] - 2)
+    frac = (x - xq[left]) / (xq[left + 1] - xq[left])
+    inv_sqrt_w = 1.0 / np.sqrt(model.w_omega)
+    interp = np.zeros((n_masked, xq.shape[0]))  # absorbed control coordinates -> node values
+    interp[np.arange(n_masked), left] = (1.0 - frac) * inv_sqrt_w[left]
+    interp[np.arange(n_masked), left + 1] = frac * inv_sqrt_w[left + 1]
     cols: list[np.ndarray] = []
     for j in range(W.dim):
         w_nodes = W.basis[j] @ node_vals.T  # (N, n_masked)
@@ -505,9 +508,7 @@ def spectral_uc_classify(
     mu: float,
     w_mu: np.ndarray,
     model,
-    mask=None,
     tol: float = DEFAULT_UC_TOL,
-    resonance_rtol: float = 1e-9,
 ) -> SpectralClassification:
     """Classify the stationary uniqueness question for one frequency.
 
@@ -522,22 +523,22 @@ def spectral_uc_classify(
       Z* + eigenspace; holds iff the minimized restricted norm over the
       eigenspace exceeds ``tol`` (UC_holds_inf_positive).
 
-    The restricted norm is the quadrature L2 norm over the control window.
+    The restricted norm is the quadrature L2 norm over the control window,
+    read from the model descriptor's omega quadrature; mu counts as
+    resonant within 1e-9 relative of an eigenvalue.
     """
-    if mask is None:
-        mask = model.omega_mask
     lam = np.asarray(model.eigenvalues, dtype=float)
     w_mu = np.asarray(w_mu, dtype=float).reshape(-1)
     if w_mu.shape[0] != lam.shape[0]:
         raise ShapeError("w_mu must have one coefficient per mode")
-    vals = mask.mode_values_omega  # (n_modes, n_quad_omega)
-    wq = mask.omega_weights
+    vals = model.mode_values_omega  # (n_modes, n_quad_omega)
+    wq = model.w_omega
 
     def omega_norm(coeffs: np.ndarray) -> float:
         field = coeffs @ vals
         return float(np.sqrt(np.sum(wq * field**2)))
 
-    resonant = np.abs(mu - lam) <= resonance_rtol * np.maximum(1.0, np.abs(lam))
+    resonant = np.abs(mu - lam) <= 1e-9 * np.maximum(1.0, np.abs(lam))
     if not resonant.any():
         Z = w_mu / (mu - lam)
         q = omega_norm(Z)

@@ -22,6 +22,7 @@ by the PCCONTROL_LOG environment variable only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -160,19 +161,12 @@ def emit_report(
         raise PccontrolError(f"cannot create output directory {out}: {exc}") from exc
     report: dict = {"config": config.to_dict(), "checks": checks_section}
     if diagnostics is not None:
-        res = solution.residuals
         report["solve"] = {
             "verdict": diagnostics.verdict,
             "iterations": diagnostics.iterations,
             "final_residual": diagnostics.final_residual,
             "objective": diagnostics.objective_history[-1],
-            "residuals": {
-                "final_state_error": res.final_state_error,
-                "proj_u_error": res.proj_u_error,
-                "proj_y_error": res.proj_y_error,
-                "proj_E_error": res.proj_E_error,
-                "duality_check": res.duality_check,
-            },
+            "residuals": dataclasses.asdict(solution.residuals),
         }
     if extra:
         report.update(extra)
@@ -195,14 +189,23 @@ def emit_report(
         _write_csv(out / "control.csv", ["t_mid"] + [f"u_{i + 1}" for i in range(m)], ctrl_rows)
 
 
-def run_config(config_path, out_dir) -> int:
-    """Execute certifications and the solve for one configuration."""
+def _load(config_path) -> tuple[RunConfig, BuildResult] | None:
+    """The configuration and its built problem, or None after reporting a
+    configuration error."""
     try:
         config = RunConfig.from_file(config_path)
-        build = config.build()
+        return config, config.build()
     except PccontrolError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return None
+
+
+def run_config(config_path, out_dir) -> int:
+    """Execute certifications and the solve for one configuration."""
+    loaded = _load(config_path)
+    if loaded is None:
         return _EXIT_CONFIG
+    config, build = loaded
     log.info("model %s built, grid T=%s n_steps=%s", build.system.name,
              build.grid.horizon, build.grid.n_steps)
     try:
@@ -244,13 +247,10 @@ def run_config(config_path, out_dir) -> int:
 
 
 def _cmd_check_uc(args) -> int:
-    try:
-        config = RunConfig.from_file(args.config)
-        build = config.build()
-    except PccontrolError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    loaded = _load(args.config)
+    if loaded is None:
         return _EXIT_CONFIG
-    rep = _uc_report(build)
+    rep = _uc_report(loaded[1])
     print(f"uc sigma_min = {_fmt(rep.sigma_min)}")
     print(f"uc holds = {rep.holds}")
     if rep.witness is not None:
@@ -260,9 +260,11 @@ def _cmd_check_uc(args) -> int:
 
 
 def _cmd_obs_constant(args) -> int:
+    loaded = _load(args.config)
+    if loaded is None:
+        return _EXIT_CONFIG
+    build = loaded[1]
     try:
-        config = RunConfig.from_file(args.config)
-        build = config.build()
         rep = certificates.observability_constant(
             build.system,
             build.grid,

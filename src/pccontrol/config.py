@@ -19,15 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import OBS_KINDS
+from .certificates import DEFAULT_UC_TOL, OBS_KINDS
 from .core import LinearSystem, TimeGrid
 from .errors import ConfigError
 from .functionals import APPROX_KINDS, KINDS, ProblemData
-from .models import ModelDescriptor, exponential_profile_signal, make_heat1d, make_ode, make_wave1d
+from .models import exponential_profile_signal, make_heat1d, make_ode, make_wave1d, support_mask
 from .solvers import SolverOptions
 from .subspaces import SignalAmbient, Subspace, VectorAmbient, orthonormalize
 
-__all__ = ["RunConfig", "BuildResult", "parse_config"]
+__all__ = ["RunConfig", "BuildResult"]
 
 _TOP_KEYS = {"model", "grid", "problem", "solver", "checks"}
 _MODEL_KEYS = {
@@ -102,14 +102,9 @@ class RunConfig:
         return _build(self.data)
 
 
-def parse_config(path) -> RunConfig:
-    return RunConfig.from_file(path)
-
-
 @dataclass
 class BuildResult:
     system: LinearSystem
-    descriptor: ModelDescriptor | None
     grid: TimeGrid
     problem: ProblemData
     solver: SolverOptions
@@ -218,7 +213,7 @@ def _entry_signal(entry: dict, dim: int, grid: TimeGrid, where: str) -> np.ndarr
             raise ConfigError(f"{where}.signal must have {grid.n_steps} rows")
         arr = np.array([_vector(row, dim, f"{where}.signal[{k}]") for k, row in enumerate(sig)])
         if support is not None:
-            arr = arr * _support_mask(grid, support)[:, None]
+            arr = arr * support_mask(grid, support)[:, None]
         return arr
     rate = _number(entry["rate"], f"{where}.rate")
     if "vector" in entry:
@@ -228,20 +223,10 @@ def _entry_signal(entry: dict, dim: int, grid: TimeGrid, where: str) -> np.ndarr
     return exponential_profile_signal(grid, rate, vec, support)
 
 
-def _support_mask(grid: TimeGrid, support) -> np.ndarray:
-    t0, t1 = support
-    dt = grid.dt
-    t_left = np.arange(grid.n_steps) * dt
-    tol = 1e-9 * max(1.0, grid.horizon)
-    return ((t_left >= t0 - tol) & (t_left + dt <= t1 + tol)).astype(float)
-
-
-def _build_model(model: dict) -> tuple[LinearSystem, ModelDescriptor | None]:
+def _build_model(model: dict) -> LinearSystem:
     family = model["family"]
     if family == "ode":
-        A = model["A"]
-        B = model["B"]
-        return make_ode(A, B, name=model.get("name", "ode")), None
+        return make_ode(model["A"], model["B"], name=model.get("name", "ode"))
     n_modes = _integer(model["n_modes"], "model.n_modes")
     omega = tuple(_number_list(model.get("omega", [0.3, 0.7]), "model.omega"))
     if len(omega) != 2:
@@ -250,11 +235,11 @@ def _build_model(model: dict) -> tuple[LinearSystem, ModelDescriptor | None]:
     if "n_quad" in model:
         kwargs["n_quad"] = _integer(model["n_quad"], "model.n_quad")
     maker = make_heat1d if family == "heat1d" else make_wave1d
-    return maker(n_modes, **kwargs)
+    return maker(n_modes, **kwargs)[0]
 
 
 def _build(data: dict) -> BuildResult:
-    system, descriptor = _build_model(data["model"])
+    system = _build_model(data["model"])
     grid_sec = data["grid"]
     grid = TimeGrid(
         horizon=_number(grid_sec["T"], "grid.T"),
@@ -304,16 +289,18 @@ def _build(data: dict) -> BuildResult:
     solver = SolverOptions(**solver_kwargs)
     checks_sec = data.get("checks", {})
     checks = {
-        "uc": bool(checks_sec.get("uc", False)),
+        "uc": checks_sec.get("uc", False),
         "observability": list(checks_sec.get("observability", [])),
         "two_time": None,
-        "tol_uc": _number(checks_sec["tol_uc"], "checks.tol_uc")
-        if "tol_uc" in checks_sec
-        else 1e-8,
+        "tol_uc": _number(checks_sec.get("tol_uc", DEFAULT_UC_TOL), "checks.tol_uc"),
     }
+    if not isinstance(checks["uc"], bool):
+        raise ConfigError("checks.uc must be true or false")
+    if not checks["tol_uc"] > 0.0:
+        raise ConfigError("checks.tol_uc must be positive")
     if "two_time" in checks_sec:
         checks["two_time"] = _number(checks_sec["two_time"]["t_tilde"], "checks.two_time.t_tilde")
-    return BuildResult(system, descriptor, grid, problem, solver, checks)
+    return BuildResult(system, grid, problem, solver, checks)
 
 
 def _build_subspace(entries: list, dim: int, grid: TimeGrid, where: str) -> Subspace:

@@ -25,7 +25,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -70,10 +70,10 @@ class TimeGrid:
     def midpoints(self) -> np.ndarray:
         return (np.arange(self.n_steps) + 0.5) * self.dt
 
-    def node_index(self, t: float, rtol: float = 1e-9) -> int:
+    def node_index(self, t: float) -> int:
         """Index k with t_k = t, or raise if t is off the grid."""
         k = int(round(t / self.dt))
-        if k < 0 or k > self.n_steps or abs(k * self.dt - t) > rtol * max(1.0, self.horizon):
+        if k < 0 or k > self.n_steps or abs(k * self.dt - t) > 1e-9 * max(1.0, self.horizon):
             raise GridAlignmentError(f"t={t} is not a node of the grid (dt={self.dt})")
         return k
 
@@ -88,7 +88,6 @@ class LinearSystem:
     A: np.ndarray
     B: np.ndarray
     name: str = ""
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))

@@ -49,7 +49,6 @@ from .subspaces import SignalAmbient, Subspace, VectorAmbient, orthonormalize
 __all__ = [
     "KINDS",
     "APPROX_KINDS",
-    "QUADRATIC_KINDS",
     "DualVariable",
     "ProblemData",
     "ControlSolution",
@@ -66,7 +65,6 @@ __all__ = [
 
 KINDS = ("approx", "approx_relaxed", "exact", "null")
 APPROX_KINDS = ("approx", "approx_relaxed")
-QUADRATIC_KINDS = ("exact", "null")
 
 
 @dataclass
@@ -175,8 +173,7 @@ class ProblemData:
             self.G = orthonormalize([], SignalAmbient(m, self.grid))
         if self.W is None:
             self.W = orthonormalize([], SignalAmbient(n, self.grid))
-        _require_signal_subspace(self.G, m, self.grid, "G")
-        _require_signal_subspace(self.W, n, self.grid, "W")
+        _check_spaces(self.system, self.grid, self.G, self.W)
         self.g_star = self._star_signal(self.g_star, self.G, (N, m), "g_star")
         self.w_star = self._star_signal(self.w_star, self.W, (N, n), "w_star")
         if self.ops is None:
@@ -210,10 +207,13 @@ class ProblemData:
             raise ShapeError(f"f must have shape {(N, n)}, got {v.f.shape}")
 
 
-def _require_signal_subspace(space: Subspace, dim: int, grid: TimeGrid, name: str):
-    amb = space.ambient
-    if not isinstance(amb, SignalAmbient) or amb.dim != dim or amb.grid != grid:
-        raise ShapeError(f"{name} must be a signal subspace of dimension {dim} on the grid")
+def _check_spaces(system: LinearSystem, grid: TimeGrid, G: Subspace, W: Subspace):
+    """G and W must be signal subspaces on the grid, of the control and the
+    state space."""
+    for space, dim, name in ((G, system.m, "G"), (W, system.n, "W")):
+        amb = space.ambient
+        if not isinstance(amb, SignalAmbient) or amb.dim != dim or amb.grid != grid:
+            raise ShapeError(f"{name} must be a signal subspace of dimension {dim} on the grid")
 
 
 @dataclass

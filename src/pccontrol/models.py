@@ -25,7 +25,7 @@ consistently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .errors import InvalidSystemError, ShapeError
 
 __all__ = [
     "ModelDescriptor",
-    "OmegaRestriction",
     "make_heat1d",
     "make_wave1d",
     "make_ode",
@@ -45,67 +44,16 @@ _GL_POINTS = 4
 
 
 @dataclass
-class OmegaRestriction:
-    """Everything needed to restrict states or controls to the window omega."""
-
-    node_spacing: float
-    masked_nodes: np.ndarray  # (n_masked,) positions inside omega
-    state_values_at_masked_nodes: np.ndarray  # (n_masked, n_state)
-    control_to_masked_nodes: np.ndarray  # (n_masked, m) linear interpolation
-    mode_values_omega: np.ndarray  # (n_modes, n_quad_omega) at the GL nodes
-    omega_weights: np.ndarray  # (n_quad_omega,) GL weights
-
-
-@dataclass
 class ModelDescriptor:
-    """Reporting and certification metadata for a constructed model."""
+    """Spatial quadratures and read-outs of a modal model, for certification."""
 
-    family: str
-    n_modes: int
-    omega: tuple[float, float] | None
     eigenvalues: np.ndarray
-    x_full: np.ndarray
-    w_full: np.ndarray
-    mask: np.ndarray  # bool over x_full
-    x_omega: np.ndarray
+    x_full: np.ndarray  # uniform nodes on (0, 1)
+    mask: np.ndarray  # bool over x_full: the nodes inside omega
+    x_omega: np.ndarray  # Gauss-Legendre nodes of omega, one per control coordinate
     w_omega: np.ndarray
-    mode_values_full: np.ndarray  # (n_modes, len(x_full))
     mode_values_omega: np.ndarray  # (n_modes, len(x_omega))
     state_value_matrix: np.ndarray  # (len(x_full), n_state)
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def omega_mask(self) -> OmegaRestriction:
-        x_masked = self.x_full[self.mask]
-        h = float(self.x_full[1] - self.x_full[0])
-        return OmegaRestriction(
-            node_spacing=h,
-            masked_nodes=x_masked,
-            state_values_at_masked_nodes=self.state_value_matrix[self.mask],
-            control_to_masked_nodes=self._control_interpolation(x_masked),
-            mode_values_omega=self.mode_values_omega,
-            omega_weights=self.w_omega,
-        )
-
-    def _control_interpolation(self, targets: np.ndarray) -> np.ndarray:
-        """Linear interpolation from absorbed control coordinates to node values."""
-        xq = self.x_omega
-        inv_sqrt_w = 1.0 / np.sqrt(self.w_omega)
-        m = xq.shape[0]
-        out = np.zeros((targets.shape[0], m))
-        for r, x in enumerate(targets):
-            j = int(np.clip(np.searchsorted(xq, x) - 1, 0, m - 2))
-            x0, x1 = xq[j], xq[j + 1]
-            # linear, extrapolating at the window edges so affine profiles
-            # reproduce exactly on the masked nodes
-            lam = 0.0 if x1 == x0 else (x - x0) / (x1 - x0)
-            out[r, j] = (1.0 - lam) * inv_sqrt_w[j]
-            out[r, j + 1] = lam * inv_sqrt_w[j + 1]
-        return out
-
-    def control_vector(self, profile) -> np.ndarray:
-        """Absorbed control coordinates of a spatial profile on omega."""
-        return np.sqrt(self.w_omega) * np.asarray([profile(x) for x in self.x_omega])
 
 
 def _gauss_legendre_composite(a: float, b: float, n_sub: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,26 +71,36 @@ def _dirichlet_modes(n_modes: int, x: np.ndarray) -> np.ndarray:
     return math.sqrt(2.0) * np.sin(np.outer(j, np.pi * x))
 
 
-def _check_window(omega) -> tuple[float, float]:
+def _modal_model(family: str, n_modes: int, omega, n_quad: int, assemble):
+    """Quadratures, Dirichlet modes and absorbed control rows shared by the
+    PDE families; ``assemble(lam, rows, modes_full)`` gives the family's A,
+    B and state read-out from the eigenvalues, the absorbed rows
+    sqrt(w_q) phi_j(x_q) over omega and the modes on the uniform grid."""
     a, b = float(omega[0]), float(omega[1])
     if not (0.0 <= a < b <= 1.0):
         raise ShapeError(f"omega must satisfy 0 <= a < b <= 1, got {(a, b)}")
-    return a, b
-
-
-def _quadratures(n_modes: int, omega, n_quad: int):
-    a, b = _check_window(omega)
     if n_quad < 4 * n_modes:
         raise InvalidSystemError(f"n_quad must be at least 4*n_modes = {4 * n_modes}")
     x_full = np.linspace(0.0, 1.0, n_quad)
-    w_full = np.full(n_quad, 1.0 / (n_quad - 1))
-    w_full[0] *= 0.5
-    w_full[-1] *= 0.5
     tol = 0.25 / (n_quad - 1)
     mask = (x_full >= a - tol) & (x_full <= b + tol)
     n_sub = max(n_modes, int(round((n_quad - 1) * (b - a) / 4.0)))
     x_omega, w_omega = _gauss_legendre_composite(a, b, n_sub)
-    return a, b, x_full, w_full, mask, x_omega, w_omega
+    lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
+    modes_omega = _dirichlet_modes(n_modes, x_omega)
+    rows = modes_omega * np.sqrt(w_omega)[None, :]
+    A, B, state_values = assemble(lam, rows, _dirichlet_modes(n_modes, x_full))
+    system = LinearSystem(A=A, B=B, name=f"{family}(n_modes={n_modes}, omega=({a}, {b}))")
+    descriptor = ModelDescriptor(
+        eigenvalues=lam,
+        x_full=x_full,
+        mask=mask,
+        x_omega=x_omega,
+        w_omega=w_omega,
+        mode_values_omega=modes_omega,
+        state_value_matrix=state_values,
+    )
+    return system, descriptor
 
 
 def make_heat1d(
@@ -153,33 +111,11 @@ def make_heat1d(
     A = diag(-lambda_j); B_{j,q} = sqrt(w_q) phi_j(x_q) over the omega
     quadrature nodes.
     """
-    a, b, x_full, w_full, mask, x_omega, w_omega = _quadratures(n_modes, omega, n_quad)
-    lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
-    A = np.diag(-lam)
-    modes_omega = _dirichlet_modes(n_modes, x_omega)
-    B = modes_omega * np.sqrt(w_omega)[None, :]
-    modes_full = _dirichlet_modes(n_modes, x_full)
-    system = LinearSystem(
-        A=A,
-        B=B,
-        name=f"heat1d(n_modes={n_modes}, omega=({a}, {b}))",
-        metadata={"family": "heat1d", "omega": (a, b), "eigenvalues": lam.tolist()},
-    )
-    descriptor = ModelDescriptor(
-        family="heat1d",
-        n_modes=n_modes,
-        omega=(a, b),
-        eigenvalues=lam,
-        x_full=x_full,
-        w_full=w_full,
-        mask=mask,
-        x_omega=x_omega,
-        w_omega=w_omega,
-        mode_values_full=modes_full,
-        mode_values_omega=modes_omega,
-        state_value_matrix=modes_full.T.copy(),
-    )
-    return system, descriptor
+
+    def heat(lam, rows, modes_full):
+        return np.diag(-lam), rows, modes_full.T.copy()
+
+    return _modal_model("heat1d", n_modes, omega, n_quad, heat)
 
 
 def make_wave1d(
@@ -191,50 +127,36 @@ def make_wave1d(
     acts on the velocity component with the same absorbed quadrature rows
     as the heat family.
     """
-    a, b, x_full, w_full, mask, x_omega, w_omega = _quadratures(n_modes, omega, n_quad)
-    lam = (np.arange(1, n_modes + 1) * math.pi) ** 2
-    freqs = np.sqrt(lam)
-    n = 2 * n_modes
-    A = np.zeros((n, n))
-    modes_omega = _dirichlet_modes(n_modes, x_omega)
-    rows = modes_omega * np.sqrt(w_omega)[None, :]
-    B = np.zeros((n, x_omega.shape[0]))
-    for j in range(n_modes):
-        A[2 * j, 2 * j + 1] = freqs[j]
-        A[2 * j + 1, 2 * j] = -freqs[j]
-        B[2 * j + 1, :] = rows[j]
-    modes_full = _dirichlet_modes(n_modes, x_full)
-    # displacement read-out: position coordinate 2j holds sqrt(lambda_j) a_j
-    state_values = np.zeros((x_full.shape[0], n))
-    for j in range(n_modes):
-        state_values[:, 2 * j] = modes_full[j] / freqs[j]
-    system = LinearSystem(
-        A=A,
-        B=B,
-        name=f"wave1d(n_modes={n_modes}, omega=({a}, {b}))",
-        metadata={"family": "wave1d", "omega": (a, b), "eigenvalues": lam.tolist()},
-    )
-    descriptor = ModelDescriptor(
-        family="wave1d",
-        n_modes=n_modes,
-        omega=(a, b),
-        eigenvalues=lam,
-        x_full=x_full,
-        w_full=w_full,
-        mask=mask,
-        x_omega=x_omega,
-        w_omega=w_omega,
-        mode_values_full=modes_full,
-        mode_values_omega=modes_omega,
-        state_value_matrix=state_values,
-        extras={"frequencies": freqs},
-    )
-    return system, descriptor
+
+    def wave(lam, rows, modes_full):
+        freqs = np.sqrt(lam)
+        n = 2 * n_modes
+        pos = np.arange(0, n, 2)
+        A = np.zeros((n, n))
+        A[pos, pos + 1] = freqs
+        A[pos + 1, pos] = -freqs
+        B = np.zeros((n, rows.shape[1]))
+        B[pos + 1] = rows
+        # displacement read-out: position coordinate 2j holds sqrt(lambda_j) a_j
+        state_values = np.zeros((modes_full.shape[1], n))
+        state_values[:, pos] = (modes_full / freqs[:, None]).T
+        return A, B, state_values
+
+    return _modal_model("wave1d", n_modes, omega, n_quad, wave)
 
 
 def make_ode(A, B, name: str = "ode") -> LinearSystem:
     """Explicit finite-dimensional system; validation only."""
-    return LinearSystem(A=A, B=B, name=name, metadata={"family": "ode"})
+    return LinearSystem(A=A, B=B, name=name)
+
+
+def support_mask(grid: TimeGrid, support) -> np.ndarray:
+    """Intervals lying inside the window support = (t0, t1), to a tolerance
+    of 1e-9 * max(1, T) at both ends; window ends should be grid-aligned."""
+    t0, t1 = float(support[0]), float(support[1])
+    t_left = np.arange(grid.n_steps) * grid.dt
+    tol = 1e-9 * max(1.0, grid.horizon)
+    return (t_left >= t0 - tol) & (t_left + grid.dt <= t1 + tol)
 
 
 def exponential_profile_signal(
@@ -246,19 +168,16 @@ def exponential_profile_signal(
     """Signal with exact interval averages of exp(rate * t) * vector.
 
     With a support window (t0, t1), intervals not fully inside the window
-    are zeroed (window ends should be grid-aligned for a sharp cutoff).
+    are zeroed (see :func:`support_mask`).
     """
     vector = np.asarray(vector, dtype=float).reshape(-1)
     N = grid.n_steps
     dt = grid.dt
-    t_left = np.arange(N) * dt
     if rate == 0.0:
         profile = np.ones(N)
     else:
+        t_left = np.arange(N) * dt
         profile = np.exp(rate * t_left) * (np.expm1(rate * dt) / (rate * dt))
     if support is not None:
-        t0, t1 = float(support[0]), float(support[1])
-        tol = 1e-9 * max(1.0, grid.horizon)
-        keep = (t_left >= t0 - tol) & (t_left + dt <= t1 + tol)
-        profile = np.where(keep, profile, 0.0)
+        profile = np.where(support_mask(grid, support), profile, 0.0)
     return profile[:, None] * vector[None, :]

@@ -115,11 +115,11 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-def orthonormalize(raw_basis, ambient: Ambient, rank_tol: float = RANK_TOL) -> Subspace:
+def orthonormalize(raw_basis, ambient: Ambient) -> Subspace:
     """Span of the given elements, with an orthonormal basis.
 
     Modified Gram-Schmidt with one re-orthogonalization pass; input elements
-    whose norm after deflation falls below ``rank_tol`` times the largest
+    whose norm after deflation falls below ``RANK_TOL`` times the largest
     input norm are dropped, so the span is preserved and the Gram matrix of
     the result is the identity to roundoff.
     """
@@ -136,7 +136,7 @@ def orthonormalize(raw_basis, ambient: Ambient, rank_tol: float = RANK_TOL) -> S
             for b in kept:
                 v = v - ambient.inner(v, b) * b
         norm = float(np.sqrt(ambient.inner(v, v)))
-        if norm > rank_tol * max_norm:
+        if norm > RANK_TOL * max_norm:
             kept.append(v / norm)
     if not kept:
         return Subspace(ambient, np.zeros((0,) + ambient.shape))

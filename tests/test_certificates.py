@@ -447,13 +447,13 @@ class TestRestrictionKernel:
         grid = TimeGrid(1.0, 16)
         W = orthonormalize([exponential_profile_signal(grid, 0.0, np.eye(8)[0])],
                            SignalAmbient(8, grid))
-        assert restriction_kernel_check(W, model.omega_mask)
+        assert restriction_kernel_check(W, model)
 
     def test_empty_W_vacuous(self):
         system, model = make_heat1d(4, (0.3, 0.7), 201)
         grid = TimeGrid(1.0, 16)
         W = orthonormalize([], SignalAmbient(4, grid))
-        assert restriction_kernel_check(W, model.omega_mask)
+        assert restriction_kernel_check(W, model)
 
     def test_window_blind_profile_detected(self):
         # a state profile vanishing on the masked nodes is invisible: use a
@@ -466,7 +466,7 @@ class TestRestrictionKernel:
         grid = TimeGrid(1.0, 16)
         W = orthonormalize([exponential_profile_signal(grid, 0.0, np.eye(2)[1])],
                            SignalAmbient(2, grid))
-        assert not restriction_kernel_check(W, model.omega_mask)
+        assert not restriction_kernel_check(W, model)
 
     def test_stacked_map_detects_heat_kernel_element(self):
         system, model = make_heat1d(8, (0.3, 0.7), 201)
@@ -477,12 +477,12 @@ class TestRestrictionKernel:
         affine = np.sqrt(model.w_omega) * (0.2 + 0.5 * model.x_omega)
         G_bad = orthonormalize([exponential_profile_signal(grid, 0.0, affine)],
                                SignalAmbient(system.m, grid))
-        assert not restriction_kernel_check(W, model.omega_mask, G=G_bad)
+        assert not restriction_kernel_check(W, model, G=G_bad)
         G_ok = orthonormalize(
             [exponential_profile_signal(grid, 1.0, system.B.T @ np.eye(8)[2])],
             SignalAmbient(system.m, grid),
         )
-        assert restriction_kernel_check(W, model.omega_mask, G=G_ok)
+        assert restriction_kernel_check(W, model, G=G_ok)
 
 
 class TestSpectralClassification:
@@ -556,10 +556,10 @@ class TestRestrictionAmbient:
         W = orthonormalize([exponential_profile_signal(grid, 0.0, np.ones(6))],
                            SignalAmbient(6, grid))
         with pytest.raises(ShapeError):
-            restriction_kernel_check(W, model.omega_mask)
+            restriction_kernel_check(W, model)
 
     def test_vector_subspace_rejected(self):
         _, model = make_heat1d(4, (0.3, 0.7), 201)
         W = orthonormalize([np.ones(4)], VectorAmbient(4))
         with pytest.raises(ShapeError):
-            restriction_kernel_check(W, model.omega_mask)
+            restriction_kernel_check(W, model)

@@ -224,6 +224,40 @@ class TestConfigParsing:
         build = RunConfig.from_dict(cfg).build()
         assert build.problem.G.dim == 1
 
+    @pytest.mark.parametrize("offset, last", [(1e-10, 4), (1e-6, 3)])
+    def test_signal_and_profile_support_agree(self, offset, last):
+        # the window end lies offset * T before the end of interval 4: inside
+        # the alignment tolerance that interval stays, outside it it is cut
+        T, N = 2.0, 8
+        window = [0.25, 1.25 - offset * T]
+        entries = ({"signal": [[1.5]] * N, "support": window},
+                   {"rate": 0.0, "vector": [1.5], "support": window})
+        for entry in entries:
+            cfg = scalar_null_config(n_steps=N)
+            cfg["grid"]["T"] = T
+            cfg["problem"]["G"] = [entry]
+            basis = RunConfig.from_dict(cfg).build().problem.G.basis
+            assert np.flatnonzero(basis[0, :, 0]).tolist() == list(range(1, last + 1))
+
+    @pytest.mark.parametrize("tol", [-1, 0])
+    def test_non_positive_tol_uc_rejected(self, tmp_path, capsys, tol):
+        # a cutoff at or below zero would certify the kernel of this map
+        cfg = infeasible_config()
+        cfg["checks"] = {"uc": True, "tol_uc": tol}
+        with pytest.raises(ConfigError, match="checks.tol_uc"):
+            RunConfig.from_dict(cfg).build()
+        assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
+        assert "checks.tol_uc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["false", 0, 1, None])
+    def test_uc_flag_must_be_boolean(self, tmp_path, capsys, flag):
+        cfg = infeasible_config()
+        cfg["checks"] = {"uc": flag}
+        with pytest.raises(ConfigError, match="checks.uc"):
+            RunConfig.from_dict(cfg).build()
+        assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
+        assert "checks.uc" in capsys.readouterr().err
+
     def test_grid_type_checks(self):
         cfg = scalar_null_config()
         cfg["grid"]["n_steps"] = 8.5
