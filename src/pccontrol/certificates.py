@@ -55,7 +55,8 @@ __all__ = [
 
 DEFAULT_UC_TOL = 1e-8
 KERNEL_RTOL = 1e-10
-OBS_KINDS = ("final_state", "initial_state", "general_final", "general_initial", "tilde_T")
+OBS_KINDS = ("final_state", "initial_state", "general_final", "general_initial")
+DENSE_CAP = 2**27  # float64 entries the 'general_*' maps may hold (1 GiB)
 
 
 @dataclass
@@ -126,10 +127,6 @@ class SpectralClassification:
     quantity: float
 
 
-def _ops_or_build(system: LinearSystem, grid: TimeGrid, ops: StepOperator | None) -> StepOperator:
-    return ops if ops is not None else build_propagator(system, grid)
-
-
 class _Verdict(NamedTuple):
     """Singular-value verdict on the injectivity of a map (see :func:`_sv_verdict`)."""
 
@@ -143,7 +140,6 @@ class _Verdict(NamedTuple):
 def _sv_verdict(
     M: np.ndarray,
     tol: float | None = None,
-    rtol: float = KERNEL_RTOL,
     floor: float = 1e-300,
     vectors: bool = True,
 ) -> _Verdict:
@@ -152,7 +148,7 @@ def _sv_verdict(
     sigma_min is +inf for a map without columns and 0 for one with fewer
     rows than columns.  The map holds (is injective) when sigma_min exceeds
     the cutoff: the absolute ``tol`` when given, else
-    ``rtol * max(sigma_max, floor)``.  With ``vectors``, tall maps take
+    ``KERNEL_RTOL * max(sigma_max, floor)``.  With ``vectors``, tall maps take
     their singular values and right vectors from the R of a QR, without the
     rows x cols left factor; without, ``vt`` is None.
     """
@@ -165,7 +161,7 @@ def _sv_verdict(
     else:
         _, s, vt = np.linalg.svd(M)
     sigma_min = math.inf if cols == 0 else (float(s[-1]) if rows >= cols else 0.0)
-    cutoff = tol if tol is not None else rtol * max(float(s[0]) if s.size else 0.0, floor)
+    cutoff = tol if tol is not None else KERNEL_RTOL * max(float(s[0]) if s.size else 0.0, floor)
     return _Verdict(sigma_min > cutoff, sigma_min, int(np.sum(s > cutoff)), s, vt)
 
 
@@ -230,7 +226,7 @@ def assemble_uc_map(
     discrete level iff this map has trivial kernel.
     """
     _check_spaces(system, grid, G, W)
-    return _uc_columns(system, _ops_or_build(system, grid, ops), G.basis, W.basis)
+    return _uc_columns(system, ops or build_propagator(system, grid), G.basis, W.basis)
 
 
 def uc_check(
@@ -249,12 +245,12 @@ def uc_check(
     return UCReport(v.sigma_min, v.holds, witness, (rows, cols), block_dims)
 
 
-def _general_maps(system, grid, G, W, ops, want_initial: bool, cap: int):
+def _general_maps(system, grid, G, W, ops, want_initial: bool):
     """Stacked observation map over (z_T, g, w, f) and, optionally, the
     measured map (z(0), g, w, f); f enters in sqrt(dt)-scaled coordinates.
     M has N*r + p_g signal rows in the output frame, then N*n rows of
-    f + w.  Refuses before allocating when the maps exceed ``cap`` float64
-    entries.
+    f + w.  Refuses before allocating when the maps exceed ``DENSE_CAP``
+    float64 entries.
 
     The n*N columns of unit sources are time shifts: a unit source on
     interval k, component i, observes on intervals j <= k what one on the
@@ -271,9 +267,9 @@ def _general_maps(system, grid, G, W, ops, want_initial: bool, cap: int):
     n_cols = n + p_g + p_w + n * N
     sig_rows = N * r + p_g  # signal rows in the output frame
     entries = (sig_rows + N * n) * n_cols + (n_cols * n_cols if want_initial else 0)
-    if entries > cap:
+    if entries > DENSE_CAP:
         raise ProblemTooLargeError(
-            f"dense observability assembly needs {entries} float64 entries, cap is {cap}"
+            f"dense observability assembly needs {entries} float64 entries, cap is {DENSE_CAP}"
         )
     F = np.zeros((N, 2 * n, n))
     F[N - 1, n:] = np.eye(n) / sqrt_dt  # unit norm in sqrt(dt)-scaled coordinates
@@ -296,12 +292,23 @@ def _general_maps(system, grid, G, W, ops, want_initial: bool, cap: int):
     return M, D
 
 
-def _split_constant(M: np.ndarray, D: np.ndarray) -> tuple[float, float]:
-    """Best C with ||D x|| <= C ||M x||, via an SVD split of M.
+def _theta(system: LinearSystem, ops: StepOperator, N: int):
+    """The homogeneous observation: B* z signals (N*r, n) per unit z_T and
+    the nodes (N+1, n, n) of z, from one batched solve (see :func:`_observe`)."""
+    n = system.n
+    return _observe(system, ops, np.linalg.qr(system.B.T)[1], np.eye(n), np.zeros((N, n, n)))
+
+
+def _split_constant(M: np.ndarray, D: np.ndarray | None) -> tuple[float, float]:
+    """Best C with ||D x|| <= C ||M x||, via an SVD split of M; D = None
+    stands for the identity, where C = 1/sigma_min(M).
 
     Returns (C, sigma) with sigma = 1/C the smallest generalized singular
     value; C = +inf when M has a kernel direction that D does not annihilate.
     """
+    if D is None:
+        v = _sv_verdict(M, vectors=False)
+        return (1.0 / v.sigma_min, v.sigma_min) if v.holds else (math.inf, 0.0)
     v = _sv_verdict(M)
     if not v.holds:
         d_scale = max(float(np.linalg.norm(D, 2)), 1e-300)
@@ -321,44 +328,29 @@ def observability_constant(
     G: Subspace,
     W: Subspace,
     kind: str,
-    t_tilde: float | None = None,
-    cap: int = 2**27,
     ops: StepOperator | None = None,
 ) -> ObservabilityReport:
     """Constant of one observability inequality, as 1/(generalized sigma_min).
 
-    Kinds 'final_state', 'initial_state' and 'tilde_T' quantify over the
-    homogeneous backward solutions (G, W do not enter).  The 'general_*'
-    kinds quantify over (z_T, g, w, f) with f ranging over the whole signal
-    space; the observed pair is (B* z + g, f + w) stacked in the product
-    norm, which bounds the sum-of-norms form of the inequality as well.
-    Dense assembly; the 'general_*' kinds refuse, before allocating, when
-    their maps (M, plus D for 'general_initial') would hold more than
-    ``cap`` float64 entries (the default 2**27 entries is 1 GiB).
+    Kinds 'final_state' and 'initial_state' quantify over the homogeneous
+    backward solutions (G, W do not enter).  The 'general_*' kinds quantify
+    over (z_T, g, w, f) with f ranging over the whole signal space; the
+    observed pair is (B* z + g, f + w) stacked in the product norm, which
+    bounds the sum-of-norms form of the inequality as well.  Dense
+    assembly; the 'general_*' kinds refuse, before allocating, when their
+    maps (M, plus D for 'general_initial') would hold more than
+    ``DENSE_CAP`` float64 entries.
     """
     if kind not in OBS_KINDS:
         raise ShapeError(f"kind must be one of {OBS_KINDS}, got {kind!r}")
     _check_spaces(system, grid, G, W)
-    ops = _ops_or_build(system, grid, ops)
-    n, N = system.n, grid.n_steps
-    if kind in ("final_state", "initial_state", "tilde_T"):
-        R = np.linalg.qr(system.B.T)[1]
-        M, nodes = _observe(system, ops, R, np.eye(n), np.zeros((N, n, n)))
-        D = nodes[0]
-        if kind == "tilde_T":
-            if t_tilde is None:
-                raise ShapeError("kind 'tilde_T' requires t_tilde")
-            k_t = grid.node_index(t_tilde)
-            D = np.linalg.matrix_power(ops.E.T, N - k_t)
+    ops = ops or build_propagator(system, grid)
+    if kind.startswith("general_"):
+        M, D = _general_maps(system, grid, G, W, ops, kind == "general_initial")
     else:
-        M, D = _general_maps(system, grid, G, W, ops, kind == "general_initial", cap)
-    if kind in ("final_state", "general_final"):
-        v = _sv_verdict(M, vectors=False)
-        if not v.holds:
-            return ObservabilityReport(kind, math.inf, 0.0)
-        return ObservabilityReport(kind, 1.0 / v.sigma_min, v.sigma_min)
-    C, sigma = _split_constant(M, D)
-    return ObservabilityReport(kind, C, sigma)
+        M, nodes = _theta(system, ops, grid.n_steps)
+        D = nodes[0] if kind == "initial_state" else None
+    return ObservabilityReport(kind, *_split_constant(M, D))
 
 
 def kernel_N(
@@ -373,10 +365,7 @@ def kernel_N(
     so this is empty for every finite-dimensional system; a degenerate
     injected propagator can make it nontrivial.
     """
-    ops = _ops_or_build(system, grid, ops)
-    n = system.n
-    R = np.linalg.qr(system.B.T)[1]
-    theta, nodes = _observe(system, ops, R, np.eye(n), np.zeros((grid.n_steps, n, n)))
+    theta, nodes = _theta(system, ops or build_propagator(system, grid), grid.n_steps)
     # the R of theta has its singular values and right vectors, in <= n rows
     v = _sv_verdict(np.vstack([np.linalg.qr(theta, mode="r"), nodes[0]]))
     return v.vt[v.rank:].T.copy()
@@ -399,15 +388,16 @@ def two_time_check(
     the source restricted to (0, t~) and the subspace coefficients measured
     over the whole of (0, T), must have trivial kernel; and the
     intermediate-time trace must be observable from the full-horizon
-    observation.  All three together certify the general initial-trace
-    observability inequality at the discrete level, which is what the
-    null-control solve needs.
+    observation: the constant of kind 'tilde_T' bounds z(t~) = (E^T)^(N-k) z_T
+    by the homogeneous B* z signal.  All three together certify the general
+    initial-trace observability inequality at the discrete level, which is
+    what the null-control solve needs.
     """
     _check_spaces(system, grid, G, W)
-    ops = _ops_or_build(system, grid, ops)
+    ops = ops or build_propagator(system, grid)
     if not (0.0 < t_tilde <= grid.horizon):
         raise ShapeError(f"t_tilde must lie in (0, T], got {t_tilde}")
-    k_cut = grid.node_index(t_tilde)
+    N, k_cut = grid.n_steps, grid.node_index(t_tilde)
     sqrt_dt = math.sqrt(grid.dt)
     restriction_ok = all(
         S.dim == 0
@@ -416,7 +406,10 @@ def two_time_check(
     )
     M = _uc_columns(system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])
     uc_tilde = uc_check(M, tol_uc, block_dims=(system.n, G.dim, W.dim))
-    obs_tilde = observability_constant(system, grid, G, W, "tilde_T", t_tilde=t_tilde, ops=ops)
+    theta = _theta(system, ops, N)[0]
+    obs_tilde = ObservabilityReport(
+        "tilde_T", *_split_constant(theta, np.linalg.matrix_power(ops.E.T, N - k_cut))
+    )
     certified = restriction_ok and uc_tilde.holds and math.isfinite(obs_tilde.constant_C)
     return TwoTimeReport(restriction_ok, uc_tilde, obs_tilde, certified)
 
@@ -440,15 +433,12 @@ def restriction_kernel_check(W: Subspace, model, G: Subspace | None = None) -> b
     dt = grid.dt
     node_vals = model.state_value_matrix[model.mask]  # (n_masked, n_state)
     h = float(model.x_full[1] - model.x_full[0])
-    if W.dim and node_vals.shape[1] != amb.dim:
+    if node_vals.shape[1] != amb.dim:
         raise ShapeError("model does not match the state dimension of W")
     if G is None:
         if W.dim == 0:
             return True
-        cols = np.stack(
-            [math.sqrt(dt) * (W.basis[j] @ node_vals.T).ravel() for j in range(W.dim)],
-            axis=1,
-        )
+        cols = math.sqrt(dt) * (W.basis @ node_vals.T).reshape(W.dim, -1).T
         cols *= math.sqrt(h)
     else:
         if not isinstance(G.ambient, SignalAmbient):
@@ -483,25 +473,16 @@ def _weak_stacked_map(W: Subspace, G: Subspace, model, node_vals: np.ndarray,
     interp = np.zeros((n_masked, xq.shape[0]))  # absorbed control coordinates -> node values
     interp[np.arange(n_masked), left] = (1.0 - frac) * inv_sqrt_w[left]
     interp[np.arange(n_masked), left + 1] = frac * inv_sqrt_w[left + 1]
-    cols: list[np.ndarray] = []
-    for j in range(W.dim):
-        w_nodes = W.basis[j] @ node_vals.T  # (N, n_masked)
-        rows = []
-        for r in range(1, N):
-            pair = 0.5 * dt * h * (w_nodes[r - 1] + w_nodes[r])
-            rows.append(pair[1:-1])
-        cols.append(np.concatenate(rows))
-    for j in range(G.dim):
-        g_nodes = G.basis[j] @ interp.T  # (N, n_masked)
-        lap = np.zeros_like(g_nodes)
-        lap[:, 1:-1] = (g_nodes[:, :-2] - 2.0 * g_nodes[:, 1:-1] + g_nodes[:, 2:]) / h
-        rows = []
-        for r in range(1, N):
-            time_deriv = h * (g_nodes[r] - g_nodes[r - 1])
-            stiffness = 0.5 * dt * (lap[r - 1] + lap[r])
-            rows.append((time_deriv + stiffness)[1:-1])
-        cols.append(np.concatenate(rows))
-    return np.column_stack(cols)
+    w = (W.basis @ node_vals.T)[:, :, 1:-1]  # (p_w, N, n_masked - 2): interior nodes
+    g_nodes = G.basis @ interp.T  # (p_g, N, n_masked)
+    g = g_nodes[:, :, 1:-1]
+    lap = (g_nodes[:, :, :-2] - 2.0 * g + g_nodes[:, :, 2:]) / h
+    blocks = [
+        0.5 * dt * h * (w[:, :-1] + w[:, 1:]),
+        h * (g[:, 1:] - g[:, :-1]) + 0.5 * dt * (lap[:, :-1] + lap[:, 1:]),
+    ]
+    # one column per basis element, its (time hat, space hat) rows time-major
+    return np.concatenate(blocks).reshape(W.dim + G.dim, -1).T
 
 
 def spectral_uc_classify(
@@ -533,20 +514,12 @@ def spectral_uc_classify(
         raise ShapeError("w_mu must have one coefficient per mode")
     vals = model.mode_values_omega  # (n_modes, n_quad_omega)
     wq = model.w_omega
-
-    def omega_norm(coeffs: np.ndarray) -> float:
-        field = coeffs @ vals
-        return float(np.sqrt(np.sum(wq * field**2)))
-
     resonant = np.abs(mu - lam) <= 1e-9 * np.maximum(1.0, np.abs(lam))
-    if not resonant.any():
-        Z = w_mu / (mu - lam)
-        q = omega_norm(Z)
-        verdict = "UC_holds_nonresonant" if q > tol else "UC_fails"
-        return SpectralClassification(verdict, q)
     p_eig = float(np.linalg.norm(w_mu[resonant]))
-    if p_eig > tol:
+    if resonant.any() and p_eig > tol:
         return SpectralClassification("UC_holds_no_solution", p_eig)
+    # Z* solves off the eigenspace; minimize the restricted norm of Z* plus
+    # eigenspace elements, an empty minimization off the spectrum
     Z_star = np.zeros_like(w_mu)
     off = ~resonant
     Z_star[off] = w_mu[off] / (mu - lam[off])
@@ -557,8 +530,8 @@ def spectral_uc_classify(
     coeffs, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
     best = base + coeffs @ V
     q = float(np.sqrt(np.sum(wq * best**2)))
-    verdict = "UC_holds_inf_positive" if q > tol else "UC_fails"
-    return SpectralClassification(verdict, q)
+    holds = "UC_holds_inf_positive" if resonant.any() else "UC_holds_nonresonant"
+    return SpectralClassification(holds if q > tol else "UC_fails", q)
 
 
 def _vector_basis(space, dim: int, name: str) -> np.ndarray:
@@ -576,12 +549,6 @@ def _vector_basis(space, dim: int, name: str) -> np.ndarray:
         raise ShapeError(f"{name} basis must have {dim}-dimensional columns")
     sub = orthonormalize(list(arr.T), VectorAmbient(dim))
     return sub.basis.T.copy()
-
-
-def _modal_check(value: float, role: str, M: np.ndarray) -> ModalFrequencyCheck:
-    v = _sv_verdict(M)
-    witness = None if v.holds else v.vt[-1].copy()
-    return ModalFrequencyCheck(value, role, v.holds, v.sigma_min, witness)
 
 
 def modal_uc_check(system: LinearSystem, mus=(), rhos=()) -> ModalUCReport:
@@ -606,29 +573,27 @@ def modal_uc_check(system: LinearSystem, mus=(), rhos=()) -> ModalUCReport:
 
     _check_distinct([v for v, _ in mus], "mu")
     _check_distinct([v for v, _ in rhos], "rho")
-    At = system.A.T
-    Bt = system.B.T
+    # (value, W_k, G_j, role); a missing space is {0}: no projection
+    cases = []
     rho_left = list(rhos)
-    checks: list[ModalFrequencyCheck] = []
     for mu, W_k in mus:
-        Wb = _vector_basis(W_k, n, "W_k")
         partner = next(
             (pair for pair in rho_left if abs(pair[0] - mu) <= 1e-12 * max(1.0, abs(mu))), None
         )
-        shifted = mu * np.eye(n) + At
-        top = shifted - Wb @ (Wb.T @ shifted)
-        if partner is not None:
-            rho_left.remove(partner)
-            Gb = _vector_basis(partner[1], m, "G_j")
-            bottom = Bt - Gb @ (Gb.T @ Bt)
-            role = "combined"
+        if partner is None:
+            cases.append((mu, W_k, None, "mu"))
         else:
-            bottom = Bt
-            role = "mu"
-        checks.append(_modal_check(mu, role, np.vstack([top, bottom])))
-    for rho, G_j in rho_left:
+            rho_left.remove(partner)
+            cases.append((mu, W_k, partner[1], "combined"))
+    cases += [(rho, None, G_j, "rho") for rho, G_j in rho_left]
+    At = system.A.T
+    Bt = system.B.T
+    checks: list[ModalFrequencyCheck] = []
+    for value, W_k, G_j, role in cases:
+        Wb = _vector_basis(W_k, n, "W_k")
         Gb = _vector_basis(G_j, m, "G_j")
-        top = rho * np.eye(n) + At
-        bottom = Bt - Gb @ (Gb.T @ Bt)
-        checks.append(_modal_check(rho, "rho", np.vstack([top, bottom])))
+        shifted = value * np.eye(n) + At
+        v = _sv_verdict(np.vstack([shifted - Wb @ (Wb.T @ shifted), Bt - Gb @ (Gb.T @ Bt)]))
+        witness = None if v.holds else v.vt[-1].copy()
+        checks.append(ModalFrequencyCheck(value, role, v.holds, v.sigma_min, witness))
     return ModalUCReport(ok=all(c.ok for c in checks), checks=checks)

@@ -14,9 +14,11 @@ models list
     List the available model families.
 
 Exit codes: 0 success, 1 configuration error, 2 certification failure
-(witness serialized into the report), 3 non-coercive minimization
-(diverged_infeasible), 4 iteration cap reached.  Verbosity is controlled
-by the PCCONTROL_LOG environment variable only.
+(witness serialized into the report), 3 diverged minimization
+(diverged_infeasible; certified non-coercive only when the report's
+infeasibility section holds a uniqueness witness), 4 iteration cap
+reached.  Verbosity is controlled by the PCCONTROL_LOG environment
+variable only.
 """
 
 from __future__ import annotations
@@ -238,7 +240,11 @@ def run_config(config_path, out_dir) -> int:
         print(f"output error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     if diag.verdict == "diverged_infeasible":
-        print("minimization diverged: problem certified non-coercive", file=sys.stderr)
+        if "witness" in extra["infeasibility"]:
+            print("minimization diverged: problem certified non-coercive", file=sys.stderr)
+        else:
+            print("minimization diverged; not certified: the uniqueness map has no witness",
+                  file=sys.stderr)
         return _EXIT_INFEASIBLE
     if diag.verdict == "max_iters":
         print("iteration cap reached before the tolerance", file=sys.stderr)
@@ -304,11 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_uc.add_argument("--config", required=True)
     p_obs = sub.add_parser("obs-constant", help="one observability constant")
     p_obs.add_argument("--config", required=True)
-    p_obs.add_argument(
-        "--kind",
-        required=True,
-        choices=[k for k in certificates.OBS_KINDS if k != "tilde_T"],  # tilde_T needs t_tilde
-    )
+    p_obs.add_argument("--kind", required=True, choices=certificates.OBS_KINDS)
     p_models = sub.add_parser("models", help="model families")
     p_models.add_argument("action", choices=["list"])
     return parser

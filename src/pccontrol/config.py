@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,6 @@ _SOLVER_KEYS = {"max_iters", "grad_tol", "divergence_bound"}
 _CHECKS_KEYS = {"uc", "observability", "two_time", "tol_uc"}
 _ENTRY_KEYS = {"rate", "vector", "coords", "signal", "support"}
 _TWO_TIME_KEYS = {"t_tilde"}
-_OBS_KIND_NAMES = {k for k in OBS_KINDS if k != "tilde_T"}  # tilde_T needs t_tilde
 
 
 def _check_keys(section: dict, allowed: set, required: set, where: str):
@@ -58,7 +58,13 @@ def _check_keys(section: dict, allowed: set, required: set, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be a finite number")
+    return number
 
 
 def _integer(value, where: str) -> int:
@@ -157,7 +163,7 @@ def _validate(raw: dict):
             if not isinstance(kinds, list):
                 raise ConfigError("checks.observability must be a list of kinds")
             for k in kinds:
-                if k not in _OBS_KIND_NAMES:
+                if k not in OBS_KINDS:
                     raise ConfigError(f"unknown observability kind {k!r}")
         if "two_time" in checks:
             _check_keys(checks["two_time"], _TWO_TIME_KEYS, _TWO_TIME_KEYS, "checks.two_time")

@@ -109,6 +109,43 @@ def loop_general_maps(system, ops, G, W):
     return M, D
 
 
+def loop_weak_stacked_map(W, G, model, node_vals, h):
+    """The weak-form stacked restriction map, one basis element and one
+    interior time hat at a time: rows (time hat, interior space hat), W
+    columns (trapezoid restriction pairing) then G columns (d_t + Laplace
+    pairing on linearly interpolated node values)."""
+    grid = W.ambient.grid
+    N, dt = grid.n_steps, grid.dt
+    n_masked = node_vals.shape[0]
+    xq = model.x_omega
+    x = model.x_full[model.mask]
+    left = np.clip(np.searchsorted(xq, x) - 1, 0, xq.shape[0] - 2)
+    frac = (x - xq[left]) / (xq[left + 1] - xq[left])
+    inv_sqrt_w = 1.0 / np.sqrt(model.w_omega)
+    interp = np.zeros((n_masked, xq.shape[0]))
+    interp[np.arange(n_masked), left] = (1.0 - frac) * inv_sqrt_w[left]
+    interp[np.arange(n_masked), left + 1] = frac * inv_sqrt_w[left + 1]
+    cols = []
+    for j in range(W.dim):
+        w_nodes = W.basis[j] @ node_vals.T
+        rows = []
+        for r in range(1, N):
+            pair = 0.5 * dt * h * (w_nodes[r - 1] + w_nodes[r])
+            rows.append(pair[1:-1])
+        cols.append(np.concatenate(rows))
+    for j in range(G.dim):
+        g_nodes = G.basis[j] @ interp.T
+        lap = np.zeros_like(g_nodes)
+        lap[:, 1:-1] = (g_nodes[:, :-2] - 2.0 * g_nodes[:, 1:-1] + g_nodes[:, 2:]) / h
+        rows = []
+        for r in range(1, N):
+            time_deriv = h * (g_nodes[r] - g_nodes[r - 1])
+            stiffness = 0.5 * dt * (lap[r - 1] + lap[r])
+            rows.append((time_deriv + stiffness)[1:-1])
+        cols.append(np.concatenate(rows))
+    return np.column_stack(cols)
+
+
 def primal_matrices(p: ProblemData):
     """Dense maps u -> (trajectory averages, final state) plus free responses."""
     n, m, N = p.system.n, p.system.m, p.grid.n_steps

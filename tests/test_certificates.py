@@ -18,6 +18,7 @@ from pccontrol import (
     kernel_N,
     make_heat1d,
     make_ode,
+    make_wave1d,
     minimize,
     modal_uc_check,
     observability_constant,
@@ -30,7 +31,13 @@ from pccontrol import (
 from pccontrol import certificates
 from pccontrol.errors import FrequencyInputError, ProblemTooLargeError, ShapeError
 
-from oracles import loop_general_maps, loop_uc_map, random_signal_subspace, random_system
+from oracles import (
+    loop_general_maps,
+    loop_uc_map,
+    loop_weak_stacked_map,
+    random_signal_subspace,
+    random_system,
+)
 
 
 def scalar_setup(n_steps=64, horizon=1.0):
@@ -247,7 +254,7 @@ class TestBatchedAssembly:
     @pytest.mark.parametrize("case", BATCH_CASES)
     def test_general_maps(self, case):
         system, grid, G, W, ops = _batch_setup(*case)
-        M, D = certificates._general_maps(system, grid, G, W, ops, True, 2**27)
+        M, D = certificates._general_maps(system, grid, G, W, ops, True)
         M_ref, D_ref = loop_general_maps(system, ops, G, W)
         _assert_in_frame(M, M_ref, system, grid.n_steps, G.dim)
         _assert_close(D, D_ref)
@@ -321,10 +328,11 @@ class TestObservabilityConstants:
         c_initial = observability_constant(system, grid, G, W, "initial_state").constant_C
         assert c_initial < c_final
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         system, grid, G, W = scalar_setup(n_steps=64)
+        monkeypatch.setattr(certificates, "DENSE_CAP", 10)
         with pytest.raises(ProblemTooLargeError):
-            observability_constant(system, grid, G, W, "general_final", cap=10)
+            observability_constant(system, grid, G, W, "general_final")
 
     def test_size_guard_counts_map_entries(self, monkeypatch):
         # n * N = 20000, yet the general maps would hold 220000 x 20010
@@ -345,7 +353,7 @@ class TestObservabilityConstants:
                 observability_constant(system, grid, G, W, kind)
 
     @pytest.mark.parametrize("case", [(3, 2, 16, 1, 2), (2, 6, 16, 1, 1)])
-    def test_size_guard_counts_compressed_entries(self, case):
+    def test_size_guard_counts_compressed_entries(self, case, monkeypatch):
         # M has N*min(m, n) + p_g signal rows and N*n source rows; D is square
         system, grid, G, W, ops = _batch_setup(*case)
         n, N = system.n, grid.n_steps
@@ -353,10 +361,12 @@ class TestObservabilityConstants:
         M_entries = (N * min(system.m, n) + G.dim + N * n) * cols
         for kind, entries in (("general_final", M_entries),
                               ("general_initial", M_entries + cols * cols)):
-            rep = observability_constant(system, grid, G, W, kind, cap=entries, ops=ops)
+            monkeypatch.setattr(certificates, "DENSE_CAP", entries)
+            rep = observability_constant(system, grid, G, W, kind, ops=ops)
             assert rep.sigma_min > 0.0
+            monkeypatch.setattr(certificates, "DENSE_CAP", entries - 1)
             with pytest.raises(ProblemTooLargeError):
-                observability_constant(system, grid, G, W, kind, cap=entries - 1, ops=ops)
+                observability_constant(system, grid, G, W, kind, ops=ops)
 
     def test_unknown_kind(self):
         system, grid, G, W = scalar_setup()
@@ -484,6 +494,21 @@ class TestRestrictionKernel:
         )
         assert restriction_kernel_check(W, model, G=G_ok)
 
+    @pytest.mark.parametrize("make", [make_heat1d, make_wave1d])
+    @pytest.mark.parametrize("p_w, p_g", [(2, 0), (0, 2), (1, 3)])
+    def test_weak_map_matches_loop(self, make, p_w, p_g):
+        system, model = make(4, (0.3, 0.7), 101)
+        grid = TimeGrid(1.0, 12)
+        rng = np.random.default_rng(10 * p_w + p_g)
+        W = random_signal_subspace(rng, system.n, grid, p_w)
+        G = random_signal_subspace(rng, system.m, grid, p_g)
+        node_vals = model.state_value_matrix[model.mask]
+        h = float(model.x_full[1] - model.x_full[0])
+        got = certificates._weak_stacked_map(W, G, model, node_vals, h)
+        ref = loop_weak_stacked_map(W, G, model, node_vals, h)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
 
 class TestSpectralClassification:
     def setup_method(self):
@@ -548,15 +573,28 @@ class TestModalCheck:
         assert [c.role for c in rep.checks] == ["combined"]
         assert not rep.ok  # e2 is invisible and (2I + A^T) e2 = 0
 
+    def test_mixed_order_roles(self):
+        # an unpaired mu, a shared value, then the unpaired rho
+        system = make_ode(np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]))
+        rep = modal_uc_check(system, mus=[(1, None), (2, None)], rhos=[(3, None), (2, None)])
+        assert [c.role for c in rep.checks] == ["mu", "combined", "rho"]
+        assert [c.value for c in rep.checks] == [1, 2, 3]
+
 
 class TestRestrictionAmbient:
     def test_dimension_mismatch_rejected(self):
-        _, model = make_heat1d(4, (0.3, 0.7), 201)
+        system, model = make_heat1d(4, (0.3, 0.7), 201)
         grid = TimeGrid(1.0, 8)
         W = orthonormalize([exponential_profile_signal(grid, 0.0, np.ones(6))],
                            SignalAmbient(6, grid))
         with pytest.raises(ShapeError):
             restriction_kernel_check(W, model)
+        # an empty W must live on the model's state space as well
+        empty = orthonormalize([], SignalAmbient(6, grid))
+        G = orthonormalize([exponential_profile_signal(grid, 0.0, np.ones(system.m))],
+                           SignalAmbient(system.m, grid))
+        with pytest.raises(ShapeError):
+            restriction_kernel_check(empty, model, G=G)
 
     def test_vector_subspace_rejected(self):
         _, model = make_heat1d(4, (0.3, 0.7), 201)

@@ -61,10 +61,11 @@ class TestSolveCommand:
             -math.cosh(1.0 - float(row0[0])) / math.sinh(1.0), abs=1e-4
         )
 
-    def test_infeasible_exits_3_with_radius(self, tmp_path):
+    def test_infeasible_exits_3_with_radius(self, tmp_path, capsys):
         path = write(tmp_path, infeasible_config())
         out = tmp_path / "out"
         assert run_config(path, out) == 3
+        assert "problem certified non-coercive" in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
         info = report["infeasibility"]
         assert info["sigma_min"] <= 1e-12
@@ -258,6 +259,18 @@ class TestConfigParsing:
         assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
         assert "checks.uc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "int_beyond_float"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, value):
+        # json.load parses NaN and +-Infinity; a NaN y0 used to run to the
+        # iteration cap and write NaN into report.json
+        cfg = scalar_null_config(n_steps=16)
+        cfg["problem"]["y0"] = [value]
+        with pytest.raises(ConfigError, match=r"problem\.y0\[0\] must be a finite number"):
+            RunConfig.from_dict(cfg).build()
+        assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
+        assert "problem.y0[0]" in capsys.readouterr().err
+
     def test_grid_type_checks(self):
         cfg = scalar_null_config()
         cfg["grid"]["n_steps"] = 8.5
@@ -337,6 +350,19 @@ class TestExitCodes:
         cfg["solver"] = {"max_iters": 1, "grad_tol": 1e-14}
         path = write(tmp_path, cfg)
         assert run_config(path, tmp_path / "out") == 4
+
+    def test_divergence_without_witness_is_not_certified(self, tmp_path, capsys):
+        # the bound stops CG on a problem whose uniqueness map holds: exit 3
+        # stays, but nothing certifies non-coercivity
+        cfg = scalar_null_config(checks={"uc": True})
+        cfg["solver"]["divergence_bound"] = 1e-3
+        out = tmp_path / "out"
+        assert run_config(write(tmp_path, cfg), out) == 3
+        err = capsys.readouterr().err
+        assert "not certified" in err and "certified non-coercive" not in err
+        report = json.loads((out / "report.json").read_text())
+        assert report["checks"]["uc"]["holds"]
+        assert "witness" not in report["infeasibility"]
 
     def test_unwritable_output_reports_io_error(self, tmp_path):
         path = write(tmp_path, scalar_null_config(n_steps=8))
