@@ -107,7 +107,7 @@ def _run_checks(build: BuildResult) -> tuple[dict, bool, certificates.UCReport |
         }
         if not uc.holds:
             passed = False
-            entry["infeasibility_radius"] = certify_infeasibility(problem, uc.witness_parts())
+            entry["infeasibility_radius"] = certify_infeasibility(uc.witness_parts())
         section["uc"] = entry
     if checks["observability"]:
         obs = {}
@@ -232,7 +232,7 @@ def run_config(config_path, out_dir) -> int:
         infeasibility = {"sigma_min": rep.sigma_min}
         if rep.witness is not None:
             infeasibility["witness"] = rep.witness
-            infeasibility["radius"] = certify_infeasibility(problem, rep.witness_parts())
+            infeasibility["radius"] = certify_infeasibility(rep.witness_parts())
         extra = {"infeasibility": infeasibility}
     try:
         emit_report(out_dir, config, checks_section, solution, diag, build.grid, extra)

@@ -79,6 +79,17 @@ def _number_list(value, where: str) -> list[float]:
     return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
+def _matrix(value, where: str) -> np.ndarray:
+    """A nonempty list of equal-length rows of numbers (rows may be empty)."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a nonempty list of rows")
+    rows = [_number_list(row, f"{where}[{i}]") for i, row in enumerate(value)]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ConfigError(f"{where}[{i}] must have {len(rows[0])} entries, got {len(row)}")
+    return np.array(rows)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A validated configuration; holds the normalized document verbatim."""
@@ -226,13 +237,18 @@ def _entry_signal(entry: dict, dim: int, grid: TimeGrid, where: str) -> np.ndarr
         vec = _vector(entry["vector"], dim, f"{where}.vector")
     else:
         vec = _vector({"coords": entry["coords"]}, dim, where)
-    return exponential_profile_signal(grid, rate, vec, support)
+    with np.errstate(over="ignore", invalid="ignore"):
+        signal = exponential_profile_signal(grid, rate, vec, support)
+    if not np.all(np.isfinite(signal)):
+        raise ConfigError(f"{where} is not finite on the grid (rate {rate} overflows)")
+    return signal
 
 
 def _build_model(model: dict) -> LinearSystem:
     family = model["family"]
     if family == "ode":
-        return make_ode(model["A"], model["B"], name=model.get("name", "ode"))
+        A, B = _matrix(model["A"], "model.A"), _matrix(model["B"], "model.B")
+        return make_ode(A, B, name=model.get("name", "ode"))
     n_modes = _integer(model["n_modes"], "model.n_modes")
     omega = tuple(_number_list(model.get("omega", [0.3, 0.7]), "model.omega"))
     if len(omega) != 2:

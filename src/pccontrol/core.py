@@ -82,7 +82,8 @@ class TimeGrid:
 class LinearSystem:
     """State matrix A (n x n), control matrix B (n x m), and labels.
 
-    ``m = 0`` is allowed and encodes B = 0 (control-free system).
+    A must be 2-d; a 1-d B is a single control column.  ``m = 0`` is
+    allowed and encodes B = 0 (control-free system).
     """
 
     A: np.ndarray
@@ -90,10 +91,12 @@ class LinearSystem:
     name: str = ""
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        self.A = np.asarray(self.A, dtype=float)
         self.B = np.asarray(self.B, dtype=float)
         if self.B.ndim == 1:
             self.B = self.B.reshape(-1, 1)
+        if self.A.ndim != 2 or self.B.ndim != 2:
+            raise ShapeError(f"A must be 2-d and B 1-d or 2-d, got {self.A.shape}, {self.B.shape}")
         if self.A.shape[0] != self.A.shape[1]:
             raise ShapeError(f"A must be square, got {self.A.shape}")
         if self.B.shape[0] != self.A.shape[0]:
@@ -239,14 +242,13 @@ def forward_solve(
     ops: StepOperator,
     y0: np.ndarray,
     u: np.ndarray,
-    extra_source: np.ndarray | None = None,
 ) -> Trajectory:
-    """Integrate y' = A y + B u + s exactly for piecewise-constant u, s.
+    """Integrate y' = A y + B u exactly for piecewise-constant u.
 
-    Node recursion y_{k+1} = E y_k + Phi (B u_k + s_k), run by the chunked
+    Node recursion y_{k+1} = E y_k + Phi B u_k, run by the chunked
     recursion of :func:`_recur` (chunks of about sqrt(N/2) steps when the
     N steps number at least n^2/32, single steps otherwise); interval
-    averages are (Phi/dt) y_k + Psi (B u_k + s_k), exact up to roundoff.
+    averages are (Phi/dt) y_k + Psi B u_k, exact up to roundoff.
     A signal of zero steps gives the single node y0.
     """
     u = np.asarray(u, dtype=float)
@@ -256,8 +258,6 @@ def forward_solve(
     u = _check_signal(u, n_steps, system.m, "u")
     y0 = _check_vector(y0, system.n, "y0")
     c = u @ system.B.T
-    if extra_source is not None:
-        c = c + _check_signal(extra_source, n_steps, system.n, "extra_source")
     nodes = _recur(ops.E, c @ ops.Phi.T, y0)
     averages = nodes[:-1] @ (ops.Phi.T / ops.dt) + c @ ops.Psi.T
     return Trajectory(node_values=nodes, interval_averages=averages)

@@ -7,8 +7,7 @@ solved by minimizing a convex functional of a dual variable
 z(T) = z_T:
 
     J = 1/2 ||B* z + g||^2 + 1/2 ||f + w||^2 + <y0, z(0)> - <y1, z_T>
-        + <B* z, g*> + <f, w*>            (the <y1, .> term is dropped for
-                                           the null-control kind)
+        + <B* z, g*> + <f, w*>            (y1 = 0 for the null-control kind)
       [ + eps ||(I - P_E) z_T||    for the approximate kinds ]
       [ + eps ||w||                for the relaxed approximate kind ]
 
@@ -123,9 +122,10 @@ def dual_norm(v: DualVariable, dt: float) -> float:
 class ProblemData:
     """Immutable description of one control problem.
 
-    Defaults: missing subspaces are {0}, missing g*/w* are zero, and the
-    step operator is built from (system, grid) unless supplied (tests may
-    inject a degenerate one).
+    Defaults: missing subspaces are {0} (E too, for every kind), missing
+    g*/w* are zero, the null kind has the target y1 = 0, and the step
+    operator is built from (system, grid) unless supplied (tests may inject
+    a degenerate one).
     """
 
     kind: str
@@ -151,24 +151,24 @@ class ProblemData:
         if self.kind == "null":
             if self.y1 is not None:
                 raise ShapeError("null-control problems take no target y1")
-        else:
-            if self.y1 is None:
-                raise ShapeError(f"kind {self.kind!r} requires a target y1")
-            self.y1 = np.asarray(self.y1, dtype=float).reshape(-1)
-            if self.y1.shape != (n,):
-                raise ShapeError(f"y1 must have shape ({n},)")
+            self.y1 = np.zeros(n)
+        elif self.y1 is None:
+            raise ShapeError(f"kind {self.kind!r} requires a target y1")
+        self.y1 = np.asarray(self.y1, dtype=float).reshape(-1)
+        if self.y1.shape != (n,):
+            raise ShapeError(f"y1 must have shape ({n},)")
         if self.kind in APPROX_KINDS:
             if self.epsilon is None or not (self.epsilon > 0.0):
                 raise ShapeError("approximate kinds require epsilon > 0")
-            if self.E is None:
-                self.E = orthonormalize([], VectorAmbient(n))
-            if not isinstance(self.E.ambient, VectorAmbient) or self.E.ambient.dim != n:
-                raise ShapeError("E must be a subspace of the state space")
         else:
             if self.epsilon is not None:
                 raise ShapeError(f"kind {self.kind!r} takes no epsilon")
             if self.E is not None:
                 raise ShapeError(f"kind {self.kind!r} takes no subspace E")
+        if self.E is None:
+            self.E = orthonormalize([], VectorAmbient(n))
+        if not isinstance(self.E.ambient, VectorAmbient) or self.E.ambient.dim != n:
+            raise ShapeError("E must be a subspace of the state space")
         if self.G is None:
             self.G = orthonormalize([], SignalAmbient(m, self.grid))
         if self.W is None:
@@ -262,8 +262,7 @@ def eval_smooth(p: ProblemData, v: DualVariable) -> float:
     val = 0.5 * signal_inner(q + g, q + g, dt)
     val += 0.5 * signal_inner(v.f + w, v.f + w, dt)
     val += float(p.y0 @ z.initial)
-    if p.kind != "null":
-        val -= float(p.y1 @ v.z_T)
+    val -= float(p.y1 @ v.z_T)
     val += signal_inner(q, p.g_star, dt)
     val += signal_inner(v.f, p.w_star, dt)
     return val
@@ -293,9 +292,7 @@ def _transpose_chain(p: ProblemData, v: DualVariable, affine: bool) -> DualVaria
     else:
         y0, u, f = np.zeros(p.system.n), qg, fw
     yhat = forward_solve(p.system, p.ops, y0, u)
-    z_T = yhat.final.copy()
-    if affine and p.kind != "null":
-        z_T -= p.y1
+    z_T = yhat.final - p.y1 if affine else yhat.final.copy()
     return DualVariable(z_T, p.G.coords(qg), p.W.coords(fw), f - yhat.interval_averages)
 
 
@@ -305,7 +302,7 @@ def grad_smooth(p: ProblemData, v: DualVariable) -> DualVariable:
     One adjoint solve gives B* z; one forward solve from y0 under the
     candidate control B* z + g + g* gives every gradient block:
 
-        d/dz_T = yhat(T) - y1          (yhat(T) for the null kind)
+        d/dz_T = yhat(T) - y1
         d/dg   = coords_G(B* z + g)
         d/dw   = coords_W(f + w)
         d/df   = f + w + w* - avg(yhat)
@@ -341,14 +338,10 @@ def recover_primal(p: ProblemData, v_opt: DualVariable) -> ControlSolution:
     u = q + g + p.g_star
     y = forward_solve(p.system, p.ops, p.y0, u)
     y_avg = y.interval_averages
-    target = p.y1 if p.kind != "null" else np.zeros(p.system.n)
-    final_err = float(np.linalg.norm(y.final - target))
+    final_err = float(np.linalg.norm(y.final - p.y1))
     proj_u = signal_norm(p.G.project(u) - p.g_star, dt)
     proj_y = signal_norm(p.W.project(y_avg) - p.w_star, dt)
-    if p.kind in APPROX_KINDS:
-        proj_E = float(np.linalg.norm(p.E.project(y.final - p.y1)))
-    else:
-        proj_E = 0.0
+    proj_E = float(np.linalg.norm(p.E.project(y.final - p.y1)))
     duality = signal_norm(y_avg - (v_opt.f + w + p.w_star), dt)
     res = SolutionResiduals(
         final_state_error=final_err,

@@ -76,6 +76,8 @@ def _modal_model(family: str, n_modes: int, omega, n_quad: int, assemble):
     PDE families; ``assemble(lam, rows, modes_full)`` gives the family's A,
     B and state read-out from the eigenvalues, the absorbed rows
     sqrt(w_q) phi_j(x_q) over omega and the modes on the uniform grid."""
+    if n_modes < 1:
+        raise InvalidSystemError(f"n_modes must be at least 1, got {n_modes}")
     a, b = float(omega[0]), float(omega[1])
     if not (0.0 <= a < b <= 1.0):
         raise ShapeError(f"omega must satisfy 0 <= a < b <= 1, got {(a, b)}")

@@ -13,9 +13,7 @@ construction and the stopping test is the proximal fixed-point residual,
 so the eps terms are never smoothed.  Every linear solve (the quadratic
 kinds, the warm start and the frozen-direction candidate) runs through
 one CG routine on :func:`~pccontrol.functionals.apply_quadratic`,
-restricted where needed to the subspace its iterates live in: the
-quotient by the kernel for the null kind, the frozen blocks for the
-candidate.
+restricted to the frozen blocks for the candidate.
 
 Non-coercive instances (the uniqueness hypothesis fails, so the quadratic
 form has a kernel the data pairs against) show up as diverging iterates;
@@ -86,38 +84,34 @@ class SolveDiagnostics:
     verdict: str = "converged"  # converged | max_iters | diverged_infeasible
 
 
-def _data_scale(p: ProblemData) -> float:
-    dt = p.grid.dt
-    scale = 1.0 + float(np.linalg.norm(p.y0))
-    if p.y1 is not None:
-        scale += float(np.linalg.norm(p.y1))
-    scale += math.sqrt(dt * float(np.sum(p.g_star**2)))
-    scale += math.sqrt(dt * float(np.sum(p.w_star**2)))
-    return scale
-
-
 def _divergence_bound(p: ProblemData, opts: SolverOptions) -> float:
+    """``opts.divergence_bound``, or 1e6 times the data scale
+    1 + |y0| + |y1| + ||g*|| + ||w*||."""
     if opts.divergence_bound is not None:
         return opts.divergence_bound
-    return 1e6 * _data_scale(p)
+    dt = p.grid.dt
+    scale = 1.0 + float(np.linalg.norm(p.y0)) + float(np.linalg.norm(p.y1))
+    scale += math.sqrt(dt * float(np.sum(p.g_star**2)))
+    scale += math.sqrt(dt * float(np.sum(p.w_star**2)))
+    return 1e6 * scale
 
 
 def minimize(
     p: ProblemData, opts: SolverOptions | None = None
 ) -> tuple[DualVariable, SolveDiagnostics]:
-    """Minimize the dual functional of ``p``.
-
-    For the null kind, directions invisible to both the observation and the
-    initial trace are quotiented out: the iterates are kept orthogonal to
-    the kernel computed by :func:`pccontrol.certificates.kernel_N` from the
-    problem's step operator.  For every propagator built from a matrix
-    exponential that kernel is empty; a degenerate one can be supplied
-    through ``ProblemData(ops=...)``.
-    """
+    """Minimize the dual functional of ``p``: CG from zero for the exact and
+    null kinds, proximal gradient for the approximate ones."""
     opts = opts or SolverOptions()
     if p.kind in APPROX_KINDS:
         return _minimize_prox(p, opts)
-    return _minimize_cg(p, opts)
+    v, res, iters, verdict, decrements = _cg_core(
+        p, -1.0 * grad_smooth(p, p.zero_variable()), p.zero_variable(), opts.grad_tol,
+        opts.max_iters, _divergence_bound(p, opts),
+    )
+    history = [0.0]
+    for dec in decrements:
+        history.append(history[-1] - dec)
+    return v, SolveDiagnostics(iters, res, history, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -183,28 +177,6 @@ def _cg_core(p: ProblemData, b: DualVariable, x0: DualVariable, tol: float, max_
         rr = rr_new
         pdir = r + beta * pdir
     return P(x), math.sqrt(rr), iters, verdict, decrements
-
-
-def _minimize_cg(p: ProblemData, opts: SolverOptions) -> tuple[DualVariable, SolveDiagnostics]:
-    restrict = None
-    if p.kind == "null":
-        from .certificates import kernel_N
-
-        kernel = kernel_N(p.system, p.grid, ops=p.ops)
-        if kernel.size:
-            def restrict(x: DualVariable) -> DualVariable:
-                out = x.copy()
-                out.z_T -= kernel @ (kernel.T @ out.z_T)
-                return out
-
-    v, res, iters, verdict, decrements = _cg_core(
-        p, -1.0 * grad_smooth(p, p.zero_variable()), p.zero_variable(), opts.grad_tol,
-        opts.max_iters, _divergence_bound(p, opts), restrict,
-    )
-    history = [0.0]
-    for dec in decrements:
-        history.append(history[-1] - dec)
-    return v, SolveDiagnostics(iters, res, history, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +317,7 @@ def _minimize_prox(p: ProblemData, opts: SolverOptions) -> tuple[DualVariable, S
     return v, SolveDiagnostics(it, residual, history, verdict)
 
 
-def certify_infeasibility(p: ProblemData, witness) -> float:
+def certify_infeasibility(witness) -> float:
     """Radius of a neighborhood of -z_T unreachable under the constraints.
 
     For a kernel witness (z_T, g, w) of the uniqueness map, every trajectory

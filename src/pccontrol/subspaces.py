@@ -121,12 +121,18 @@ def orthonormalize(raw_basis, ambient: Ambient) -> Subspace:
     Modified Gram-Schmidt with one re-orthogonalization pass; input elements
     whose norm after deflation falls below ``RANK_TOL`` times the largest
     input norm are dropped, so the span is preserved and the Gram matrix of
-    the result is the identity to roundoff.
+    the result is the identity to roundoff.  Every element must have a
+    finite norm.
     """
     elements = [_as_element(ambient, x, f"raw_basis[{i}]") for i, x in enumerate(raw_basis)]
     if not elements:
         return Subspace(ambient, np.zeros((0,) + ambient.shape))
-    max_norm = max(np.sqrt(ambient.inner(x, x)) for x in elements)
+    with np.errstate(over="ignore"):
+        norms = [np.sqrt(ambient.inner(x, x)) for x in elements]
+    for i, norm in enumerate(norms):
+        if not np.isfinite(norm):
+            raise ShapeError(f"raw_basis[{i}] is not finite or its norm overflows")
+    max_norm = max(norms)
     if max_norm == 0.0:
         return Subspace(ambient, np.zeros((0,) + ambient.shape))
     kept: list[np.ndarray] = []

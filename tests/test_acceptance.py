@@ -232,7 +232,7 @@ def test_criterion_07_infeasibility_detection():
     rep = uc_check(assemble_uc_map(system, grid, G, W), block_dims=(1, 1, 0))
     p = ProblemData(kind="exact", system=system, grid=grid, y0=[0.0], y1=[1.0], G=G)
     _, diag = minimize(p)
-    radius = certify_infeasibility(p, (np.array([1.0]), np.array([1.0]), np.zeros(0)))
+    radius = certify_infeasibility((np.array([1.0]), np.array([1.0]), np.zeros(0)))
     ok = (
         rep.sigma_min <= 1e-12
         and diag.verdict == "diverged_infeasible"

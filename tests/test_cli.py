@@ -277,6 +277,50 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="n_steps"):
             RunConfig.from_dict(cfg).build()
 
+    @pytest.mark.parametrize("A, B, where", [
+        ([["x"]], [[1.0]], r"model\.A\[0\]\[0\] must be a number"),
+        ([[True]], [[1.0]], r"model\.A\[0\]\[0\] must be a number"),
+        ([[1.0, 2.0], [3.0]], [[1.0], [1.0]], r"model\.A\[1\] must have 2 entries"),
+        (1.0, 1.0, r"model\.A must be a nonempty list of rows"),
+        ([[0.0]], 1.0, r"model\.B must be a nonempty list of rows"),
+        ([[0.0]], [1.0], r"model\.B\[0\] must be a list"),
+    ], ids=["string", "boolean", "ragged", "scalars", "scalar_B", "flat_B"])
+    def test_ode_matrices_read_entrywise(self, tmp_path, capsys, A, B, where):
+        cfg = scalar_null_config(n_steps=16)
+        cfg["model"].update(A=A, B=B)
+        with pytest.raises(ConfigError, match=where):
+            RunConfig.from_dict(cfg).build()
+        assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
+        assert "model." in capsys.readouterr().err
+
+    def test_ode_without_control_columns(self):
+        cfg = scalar_null_config(n_steps=16)
+        cfg["model"]["B"] = [[]]
+        assert RunConfig.from_dict(cfg).build().system.m == 0
+
+    def test_heat_without_modes_exits_1(self, tmp_path, capsys):
+        cfg = {
+            "model": {"family": "heat1d", "n_modes": 0},
+            "grid": {"T": 1.0, "n_steps": 16},
+            "problem": {"kind": "null", "y0": []},
+        }
+        assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
+        assert "n_modes must be at least 1" in capsys.readouterr().err
+
+    def test_overflowing_generator_rejected(self, tmp_path, capsys):
+        # exp(800 t) overflows on [0, 1]; it used to empty G silently
+        cfg = scalar_null_config(n_steps=16)
+        cfg["problem"]["G"] = [{"rate": 800.0, "vector": [1.0]}]
+        with pytest.raises(ConfigError, match=r"problem\.G\[0\] is not finite"):
+            RunConfig.from_dict(cfg).build()
+        assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
+        assert "problem.G[0]" in capsys.readouterr().err
+
+    def test_generator_overflowing_outside_its_window_is_kept(self):
+        cfg = scalar_null_config(n_steps=16)
+        cfg["problem"]["G"] = [{"rate": 800.0, "vector": [1.0], "support": [0.0, 0.25]}]
+        assert RunConfig.from_dict(cfg).build().problem.G.dim == 1
+
 
 class TestHeatConfigEndToEnd:
     def test_heat_null_solve_with_checks(self, tmp_path):

@@ -147,14 +147,6 @@ class TestForwardSolve:
         norms = np.linalg.norm(traj.node_values, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
 
-    def test_extra_source(self):
-        system = scalar_system(0.0, 0.0)  # B = 0 via b=0 column
-        grid = TimeGrid(1.0, 4)
-        ops = build_propagator(system, grid)
-        traj = forward_solve(system, ops, [0.0], np.zeros((4, 1)),
-                             extra_source=np.ones((4, 1)))
-        assert traj.final[0] == pytest.approx(1.0, abs=1e-14)
-
     def test_shape_errors(self):
         system = scalar_system()
         ops = build_propagator(system, TimeGrid(1.0, 4))
@@ -332,3 +324,10 @@ class TestLinearSystem:
             LinearSystem(A=np.zeros((2, 3)), B=np.zeros((2, 1)))
         with pytest.raises(ShapeError):
             LinearSystem(A=np.zeros((2, 2)), B=np.zeros((3, 1)))
+        with pytest.raises(ShapeError):
+            LinearSystem(A=np.ones((2, 2, 2)), B=np.ones((2, 1)))
+        with pytest.raises(ShapeError):
+            LinearSystem(A=np.eye(2), B=np.ones((2, 1, 3)))
+        with pytest.raises(ShapeError):
+            LinearSystem(A=np.eye(2), B=np.ones(()))
+        assert LinearSystem(A=np.eye(2), B=np.ones(2)).m == 1

@@ -49,6 +49,12 @@ class TestHeat1d:
         with pytest.raises(InvalidSystemError):
             make_heat1d(60, (0.3, 0.7), 201)
 
+    @pytest.mark.parametrize("maker", [make_heat1d, make_wave1d])
+    @pytest.mark.parametrize("n_modes, n_quad", [(0, 201), (-1, 201), (0, 1)])
+    def test_at_least_one_mode(self, maker, n_modes, n_quad):
+        with pytest.raises(InvalidSystemError, match="n_modes must be at least 1"):
+            maker(n_modes, n_quad=n_quad)
+
     def test_negative_definite(self):
         system, _ = make_heat1d(5, (0.3, 0.7), 201)
         eigs = np.linalg.eigvalsh(system.A)

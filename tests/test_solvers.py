@@ -100,6 +100,20 @@ class TestQuadraticKinds:
         assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(hist, hist[1:]))
 
 
+class TestNullIsExactAtZeroTarget:
+    def test_same_iterates_and_residuals(self):
+        for seed in range(40):
+            p = random_problem(np.random.default_rng(seed), "null")
+            q = ProblemData(kind="exact", system=p.system, grid=p.grid, y0=p.y0,
+                            y1=np.zeros(p.system.n), G=p.G, W=p.W, g_star=p.g_star,
+                            w_star=p.w_star, ops=p.ops)
+            (v, d), (w, e) = minimize(p), minimize(q)
+            for a, b in ((v.z_T, w.z_T), (v.g_coef, w.g_coef), (v.w_coef, w.w_coef), (v.f, w.f)):
+                assert np.array_equal(a, b)
+            assert d == e
+            assert recover_primal(p, v).residuals == recover_primal(q, w).residuals
+
+
 class TestDegeneratePropagator:
     def test_kernel_projection_with_injected_ops(self):
         # E = 0 with B = 0: every final datum is invisible to both the
@@ -116,6 +130,26 @@ class TestDegeneratePropagator:
         v, diag = minimize(p)
         assert diag.verdict == "converged"
         assert abs(v.z_T[0]) < 1e-12  # quotiented out
+
+    def test_null_solve_stays_off_the_kernel(self):
+        # E = diag(0, 1) hides e1 from the observation and the initial
+        # trace while the control acts on e2; the right-hand side pairs to
+        # zero with every kernel direction, so CG from zero never enters it
+        system = make_ode(np.zeros((2, 2)), [[0.0], [1.0]])
+        grid = TimeGrid(1.0, 8)
+        dt = grid.dt
+        ops = StepOperator(E=np.diag([0.0, 1.0]), Phi=dt * np.eye(2),
+                           Psi=0.5 * dt * np.eye(2), dt=dt)
+        kernel = kernel_N(system, grid, ops=ops)
+        assert kernel.shape == (2, 1)
+        assert np.allclose(np.abs(kernel[:, 0]), [1.0, 0.0], rtol=0, atol=1e-12)
+        p = ProblemData(kind="null", system=system, grid=grid, y0=[1.0, 1.0], ops=ops)
+        v, diag = minimize(p)
+        assert diag.verdict == "converged"
+        assert np.all(kernel.T @ v.z_T == 0.0)
+        sol = recover_primal(p, v)
+        assert sol.residuals.final_state_error < 1e-10
+        assert np.max(np.abs(sol.u)) == pytest.approx(1.2545, abs=1e-4)
 
     def test_regular_systems_have_empty_kernel(self):
         rng = np.random.default_rng(12)
@@ -190,28 +224,28 @@ class TestCertifyInfeasibility:
         grid = TimeGrid(1.0, 16)
         G = orthonormalize([np.ones((16, 1))], SignalAmbient(1, grid))
         p = ProblemData(kind="exact", system=system, grid=grid, y0=[0.0], y1=[1.0], G=G)
-        r = certify_infeasibility(p, (np.array([1.0]), np.array([1.0]), np.zeros(0)))
+        r = certify_infeasibility((np.array([1.0]), np.array([1.0]), np.zeros(0)))
         assert r == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_final_datum_gives_infinity(self):
         rng = np.random.default_rng(18)
         p = random_problem(rng, "exact")
-        r = certify_infeasibility(p, (np.zeros(3), np.array([1.0]), np.zeros(1)))
+        r = certify_infeasibility((np.zeros(3), np.array([1.0]), np.zeros(1)))
         assert math.isinf(r)
 
     def test_degree_one_homogeneity(self):
         rng = np.random.default_rng(19)
         p = random_problem(rng, "exact")
         w = (rng.normal(size=3), rng.normal(size=1), rng.normal(size=1))
-        r1 = certify_infeasibility(p, w)
-        r2 = certify_infeasibility(p, tuple(2.0 * part for part in w))
+        r1 = certify_infeasibility(w)
+        r2 = certify_infeasibility(tuple(2.0 * part for part in w))
         assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
 
     def test_zero_witness_rejected(self):
         rng = np.random.default_rng(20)
         p = random_problem(rng, "exact")
         with pytest.raises(InvalidWitnessError):
-            certify_infeasibility(p, (np.zeros(3), np.zeros(1), np.zeros(1)))
+            certify_infeasibility((np.zeros(3), np.zeros(1), np.zeros(1)))
 
 
 class TestScalarExactWithSinusoidG:

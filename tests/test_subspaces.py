@@ -48,6 +48,20 @@ class TestOrthonormalize:
         with pytest.raises(ShapeError):
             orthonormalize([[1.0, 0.0, 0.0]], VectorAmbient(2))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_element_rejected(self, bad):
+        # an infinite element made the largest norm infinite, which dropped
+        # every finite element too and left {0}
+        grid = TimeGrid(1.0, 16)
+        finite = np.ones((16, 1))
+        with pytest.raises(ShapeError, match=r"raw_basis\[1\]"):
+            orthonormalize([finite, np.full((16, 1), bad)], SignalAmbient(1, grid))
+
+    def test_overflowing_norm_rejected(self):
+        huge = np.full(4, 1e200)
+        with pytest.raises(ShapeError, match=r"raw_basis\[1\].*overflows"):
+            orthonormalize([np.ones(4), huge], VectorAmbient(4))
+
 
 class TestProjection:
     def test_coordinate_projection(self):
