@@ -1,19 +1,17 @@
 """Minimizers for the dual functionals, and an infeasibility certificate.
 
-The exact and null kinds are quadratic-plus-linear and are minimized by
-conjugate gradients on the normal-equations operator (the gradient of the
-homogeneous quadratic part), with exact line search.  The approximate kinds
-carry nonsmooth eps-weighted norm blocks and are minimized by proximal
-gradient with Barzilai-Borwein steps, backtracking, and block soft
-shrinkage, warm-started at the minimizer of the smooth part.  Every
-``_PROX_BURST`` iterations, but never after the last one, a linearized
-solve with the norm directions frozen proposes a point that is kept only
-if it lowers the objective.  The objective history is monotone by
-construction and the stopping test is the proximal fixed-point residual,
-so the eps terms are never smoothed.  Every linear solve (the quadratic
-kinds, the warm start and the frozen-direction candidate) runs through
-one CG routine on :func:`~pccontrol.functionals.apply_quadratic`,
-restricted to the frozen blocks for the candidate.
+Every kind is minimized by one conjugate-gradient routine on the
+normal-equations operator S (the gradient of the homogeneous quadratic
+part), with exact line search.  The exact and null kinds are
+quadratic-plus-linear and take one CG solve from zero.  The approximate
+kinds add eps-norms of the blocks Pi_1 v = (I - P_E) z_T and, for the
+relaxed kind, Pi_2 v = w.  At their minimizer S v + ell + sum_i mu_i Pi_i v
+= 0 with mu_i ||Pi_i v|| = eps, so each outer step solves the shifted system
+(S + sum_i mu_i Pi_i) v = -ell by CG, warm started, and a secant on the
+multipliers solves that secular equation (Moré & Sorensen, "Computing a
+trust region step", 1983); an infinite mu_i holds block i at zero.  The
+stopping test of the approximate kinds is the norm of the least-norm
+subgradient of the full functional, so the eps terms are never smoothed.
 
 Non-coercive instances (the uniqueness hypothesis fails, so the quadratic
 form has a kernel the data pairs against) show up as diverging iterates;
@@ -49,18 +47,17 @@ from .functionals import (
 __all__ = ["SolverOptions", "SolveDiagnostics", "minimize", "certify_infeasibility"]
 
 _RESIDUAL_REFRESH = 50
-_MAX_BACKTRACKS = 60
-_PROX_BURST = 25
-_MAX_ACCELERATIONS = 50
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Iteration limits and tolerances.
 
-    ``grad_tol`` bounds the fixed-point residual norm in the dual inner
-    product (for CG this is the gradient norm).  ``divergence_bound``
-    defaults to 1e6 times the problem data scale.
+    ``grad_tol`` bounds, in the dual inner product, the gradient norm for
+    the exact and null kinds and the least-norm subgradient norm for the
+    approximate kinds.  ``max_iters`` caps the CG iterations, and for the
+    approximate kinds both the outer steps and each CG solve in them.
+    ``divergence_bound`` defaults to 1e6 times the problem data scale.
     """
 
     max_iters: int = 5000
@@ -100,10 +97,11 @@ def minimize(
     p: ProblemData, opts: SolverOptions | None = None
 ) -> tuple[DualVariable, SolveDiagnostics]:
     """Minimize the dual functional of ``p``: CG from zero for the exact and
-    null kinds, proximal gradient for the approximate ones."""
+    null kinds, shifted CG solves on the eps-multipliers for the approximate
+    ones (:func:`_minimize_approx`)."""
     opts = opts or SolverOptions()
     if p.kind in APPROX_KINDS:
-        return _minimize_prox(p, opts)
+        return _minimize_approx(p, opts)
     v, res, iters, verdict, decrements = _cg_core(
         p, -1.0 * grad_smooth(p, p.zero_variable()), p.zero_variable(), opts.grad_tol,
         opts.max_iters, _divergence_bound(p, opts),
@@ -119,11 +117,12 @@ def minimize(
 
 
 def _cg_core(p: ProblemData, b: DualVariable, x0: DualVariable, tol: float, max_iters: int,
-             bound: float, restrict=None):
-    """CG for P S P x = P b from P x0, with S = ``apply_quadratic`` and P = ``restrict``.
+             bound: float, mu=()):
+    """CG for (S + sum_i mu_i Pi_i) x = b from x0, with S = ``apply_quadratic``.
 
-    ``restrict`` (None for the identity) maps the dual space onto the
-    subspace the iterates live in; the returned x is restricted too.
+    ``mu`` holds one multiplier per eps block Pi_i of :func:`_eps_blocks`
+    (empty for S alone); an infinite mu_i holds block i at zero, in the
+    iterates and in the returned x.
     Returns (x, residual_norm, iterations, verdict, objective_increments)
     where the increments reproduce the exact decrease of the quadratic
     model per iteration.  Verdict 'diverged_infeasible' is raised by iterate
@@ -131,10 +130,14 @@ def _cg_core(p: ProblemData, b: DualVariable, x0: DualVariable, tol: float, max_
     residual (a numerically exposed kernel the data pairs against).
     """
     dt = p.grid.dt
-    P = restrict or (lambda x: x)
+    held = [m if m == math.inf else 0.0 for m in mu]
+
+    def P(x: DualVariable) -> DualVariable:
+        return _shift(p, x, x, held) if math.inf in held else x
 
     def apply_S(x: DualVariable) -> DualVariable:
-        return P(apply_quadratic(p, P(x)))
+        Sx = apply_quadratic(p, x)
+        return _shift(p, Sx, x, mu) if mu else Sx
 
     b = P(b)
     x = P(x0).copy()
@@ -180,140 +183,134 @@ def _cg_core(p: ProblemData, b: DualVariable, x0: DualVariable, tol: float, max_
 
 
 # ---------------------------------------------------------------------------
-# proximal gradient for the approximate kinds
+# the approximate kinds: a secular equation on the eps-multipliers
 
 
-def _shrink(x: np.ndarray, amount: float) -> np.ndarray:
-    nrm = float(np.linalg.norm(x))
-    if nrm <= amount or nrm == 0.0:
-        return np.zeros_like(x)
-    return (1.0 - amount / nrm) * x
-
-
-def _apply_prox(p: ProblemData, v: DualVariable, tau: float) -> DualVariable:
-    """Proximal step of tau * eps * (||(I - P_E) z_T|| [+ ||w|| if relaxed])."""
-    out = v.copy()
-    amount = tau * p.epsilon
-    z_in = p.E.project(out.z_T)
-    out.z_T = z_in + _shrink(out.z_T - z_in, amount)
+def _eps_blocks(p: ProblemData, v: DualVariable) -> list[np.ndarray]:
+    """The blocks the eps norms act on: Pi_1 v = (I - P_E) z_T, and Pi_2 v = w
+    for the relaxed kind."""
+    blocks = [p.E.complement(v.z_T)]
     if p.kind == "approx_relaxed":
-        out.w_coef = _shrink(out.w_coef, amount)
+        blocks.append(v.w_coef)
+    return blocks
+
+
+def _put(p: ProblemData, v: DualVariable, blocks: list[np.ndarray]) -> DualVariable:
+    """v with its eps blocks replaced by ``blocks``."""
+    out = v.copy()
+    out.z_T = p.E.project(v.z_T) + blocks[0]
+    if len(blocks) > 1:
+        out.w_coef = blocks[1]
     return out
 
 
-def _accelerated_candidate(p: ProblemData, v: DualVariable, ell: DualVariable, bound: float,
-                           tol: float, max_iters: int) -> DualVariable | None:
-    """Solve the stationarity system with the norm directions frozen.
+def _shift(p: ProblemData, y: DualVariable, x: DualVariable, mu) -> DualVariable:
+    """y + sum_i mu_i Pi_i x, with the blocks of infinite mu_i set to zero."""
+    return _put(p, y, [np.zeros_like(a) if m == math.inf else a + m * c
+                       for a, c, m in zip(_eps_blocks(p, y), _eps_blocks(p, x), mu)])
 
-    Away from the nondifferentiable points the optimality condition reads
-    S v + ell + eps * (active directions) = 0; freezing the directions at
-    the current iterate gives a linear system solved by CG (blocks
-    currently at zero are constrained to stay there).  The caller accepts
-    the candidate only if it decreases the full objective.
+
+def _least_subgradient(p: ProblemData, v: DualVariable, g: DualVariable, held) -> DualVariable:
+    """Least-norm element of the subdifferential of the full functional at v.
+
+    ``g`` is ``grad_smooth(p, v)``.  A free block adds eps times its
+    direction; a block held at zero shrinks its gradient by eps.
     """
-    rhs = -1.0 * ell
-    z_perp = v.z_T - p.E.project(v.z_T)
-    nz = float(np.linalg.norm(z_perp))
-    free_z = nz > 1e-14 * max(1.0, float(np.linalg.norm(v.z_T)))
-    if free_z:
-        rhs.z_T = rhs.z_T - p.epsilon * (z_perp / nz)
-    free_w = True
-    if p.kind == "approx_relaxed":
-        nw = float(np.linalg.norm(v.w_coef))
-        free_w = nw > 1e-14
-        if free_w:
-            rhs.w_coef = rhs.w_coef - p.epsilon * (v.w_coef / nw)
-
-    def restrict(x: DualVariable) -> DualVariable:
-        out = x.copy()
-        if not free_z:
-            out.z_T = p.E.project(out.z_T)
-        if not free_w:
-            out.w_coef = np.zeros_like(out.w_coef)
-        return out
-
-    x, _, _, verdict, _ = _cg_core(p, rhs, v, tol, max_iters, bound, restrict)
-    return None if verdict == "diverged_infeasible" else x
+    parts = []
+    for x, y, at_zero in zip(_eps_blocks(p, v), _eps_blocks(p, g), held):
+        if at_zero:
+            ny = float(np.linalg.norm(y))
+            parts.append(max(0.0, 1.0 - p.epsilon / ny) * y if ny > 0.0 else y)
+        else:
+            parts.append(y + (p.epsilon / float(np.linalg.norm(x))) * x)
+    return _put(p, g, parts)
 
 
-def _minimize_prox(p: ProblemData, opts: SolverOptions) -> tuple[DualVariable, SolveDiagnostics]:
+def _minimize_approx(p: ProblemData, opts: SolverOptions) -> tuple[DualVariable, SolveDiagnostics]:
+    """The secular equation, solved for s_i = 1/mu_i (s_i = 0 holds block i).
+
+    Its residuals r_i = eps / psi_i - 1, psi_i = mu_i ||Pi_i v(mu)||, rise
+    with s_i, are linear in s_i for a single spectral component of S, and
+    are read off the gradient for a held block.  Each outer step is one
+    warm-started CG solve and one secant step per block, clipped at s_i = 0.
+    A block whose secant does not rise, or whose step would move it away
+    from its root, goes to the zero of the secant through its last free
+    point and (0, r_i at s_i = 0).  A step to or past an s whose solve
+    diverged goes halfway from the last bounded s to it; the problem is
+    ``diverged_infeasible`` once the two agree, or when a solve diverges
+    although no s_i rose.
+    """
     dt = p.grid.dt
     bound = _divergence_bound(p, opts)
-    ell = grad_smooth(p, p.zero_variable())
+    b = -1.0 * grad_smooth(p, p.zero_variable())
+    b_norm = dual_norm(b, dt)
+    v = p.zero_variable()
+    k = len(_eps_blocks(p, v))
+    residual = dual_norm(_least_subgradient(p, v, -1.0 * b, [True] * k), dt)
+    history = [0.0]
+    if residual <= opts.grad_tol:
+        return v, SolveDiagnostics(0, residual, history, "converged")
 
-    warm, _, _, warm_verdict, _ = _cg_core(
-        p, -1.0 * ell, p.zero_variable(), max(opts.grad_tol, 1e-12), opts.max_iters, bound
-    )
-    # A non-coercive smooth part does not decide the full functional (the
-    # eps terms may restore coercivity), so fall back to the origin.
-    v = p.zero_variable() if warm_verdict == "diverged_infeasible" else warm
+    def inner_tol(previous: float) -> float:
+        return 0.01 * max(opts.grad_tol, min(previous, b_norm))
 
-    grad = grad_smooth(p, v)
-    J_v = eval_smooth(p, v)
-    F_v = J_v + nonsmooth_value(p, v)
-    history = [F_v]
-    Sg = apply_quadratic(p, grad)
-    gSg = dual_dot(grad, Sg, dt)
-    gg = dual_dot(grad, grad, dt)
-    tau = gg / gSg if gSg > 0.0 else 1.0
-    prev_step: DualVariable | None = None
-    prev_Sstep: DualVariable | None = None
-    residual = math.inf
+    warm, accuracy, _, verdict, _ = _cg_core(p, b, v, inner_tol(math.inf), opts.max_iters, bound)
+    start = v if verdict == "diverged_infeasible" else warm
+    s = np.array([np.linalg.norm(x) for x in _eps_blocks(p, warm)]) / p.epsilon
+    # the last free point (s, r) of each block; ||warm|| / eps bounds s
+    s_last, r_last = np.full(k, dual_norm(warm, dt) / p.epsilon), np.zeros(k)
+    s_ok, s_bad = None, np.full(k, math.inf)
+    r_held = np.full(k, math.nan)  # r at s_i = 0, once a held solve has read it
+    s_prev, r_prev = np.zeros(k), np.full(k, math.nan)
     verdict = "max_iters"
     for it in range(1, opts.max_iters + 1):
-        if prev_step is not None:
-            denom = dual_dot(prev_step, prev_Sstep, dt)
-            if denom > 0.0:
-                tau = min(max(dual_dot(prev_step, prev_step, dt) / denom, 1e-12), 1e12)
-        for _ in range(_MAX_BACKTRACKS):
-            trial = _apply_prox(p, v - tau * grad, tau)
-            step = trial - v
-            step_sq = dual_dot(step, step, dt)
-            if step_sq == 0.0:
-                Sstep = None
+        mu = [1.0 / float(si) if si > 0.0 else math.inf for si in s]
+        w, _, _, solve_verdict, _ = _cg_core(p, b, start, inner_tol(accuracy), opts.max_iters,
+                                             bound, mu)
+        if solve_verdict == "diverged_infeasible":
+            history.append(history[-1])
+            base = np.zeros(k) if s_ok is None else s_ok
+            if not (s > base).any():  # not even a smaller s bounds the solve
+                verdict = "diverged_infeasible"
                 break
-            Sstep = apply_quadratic(p, step)
-            curvature = dual_dot(step, Sstep, dt)
-            if tau * curvature <= step_sq * (1.0 + 1e-12):
+            s_bad = np.where(s > base, np.minimum(s_bad, s), s_bad)
+            # before any bounded solve, try every block held at zero
+            new = base if s_ok is None else s
+        else:
+            v = start = w
+            s_ok = base = s
+            g = grad_smooth(p, v)
+            residual = accuracy = dual_norm(_least_subgradient(p, v, g, s == 0.0), dt)
+            history.append(eval_smooth(p, v) + nonsmooth_value(p, v))
+            if residual <= opts.grad_tol:
+                verdict = "converged"
                 break
-            tau = 0.8 * step_sq / curvature
-        else:  # pragma: no cover - reachable only on NaNs
-            break
-        residual = math.sqrt(step_sq) / tau
-        if Sstep is None:
-            history.append(F_v)
-            verdict = "converged"
-            break
-        J_v += dual_dot(grad, step, dt) + 0.5 * dual_dot(step, Sstep, dt)
-        v = trial
-        grad = grad + Sstep
-        F_v = J_v + nonsmooth_value(p, v)
-        history.append(F_v)
-        prev_step, prev_Sstep = step, Sstep
-        if it % _RESIDUAL_REFRESH == 0:
-            grad = grad_smooth(p, v)
-            J_v = eval_smooth(p, v)
-        if dual_norm(v, dt) > bound:
+            psi = np.array([np.linalg.norm(x) / si if si > 0.0 else np.linalg.norm(y)
+                            for x, y, si in zip(_eps_blocks(p, v), _eps_blocks(p, g), s)])
+            with np.errstate(divide="ignore"):
+                r = p.epsilon / psi - 1.0
+            s_last, r_last = np.where(s > 0.0, s, s_last), np.where(s > 0.0, r, r_last)
+            r_held = np.where(s > 0.0, r_held, r)
+            # the zero of each block's secant through (s_last, r_last) and
+            # (0, r_held), or (0, -1) where r_held is unknown or not below r_last
+            r0 = np.where(r_last > r_held, r_held, -1.0)
+            zero = s_last * -r0 / (r_last - r0)
+            # the secant through the last two bounded points, where it rises
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = (r - r_prev) / (s - s_prev)
+                new = np.where(slope > 0.0, np.maximum(s - r / slope, 0.0), zero)
+            new[s == 0.0] = 0.0
+            s_prev, r_prev = s, r
+            # a step that moves a block away from its root (a held block
+            # with r < 0 stays at zero) goes to its secant zero instead
+            wrong = np.where(r < 0.0, new <= s, (new >= s) & (s > 0.0))
+            new = np.where(wrong, zero, new)
+        mid = 0.5 * (base + s_bad)
+        clipped = new >= s_bad
+        if np.any(clipped & ((mid <= base) | (mid >= s_bad))):
             verdict = "diverged_infeasible"
             break
-        if residual <= opts.grad_tol:
-            verdict = "converged"
-            break
-        # Every _PROX_BURST iterations (at most _MAX_ACCELERATIONS times),
-        # but never after the last one, try the frozen-direction solve.
-        burst_end = it % _PROX_BURST == 0 and it // _PROX_BURST <= _MAX_ACCELERATIONS
-        if burst_end and it < opts.max_iters:
-            candidate = _accelerated_candidate(
-                p, v, ell, bound, 0.1 * opts.grad_tol, opts.max_iters
-            )
-            if candidate is not None:
-                J_c = eval_smooth(p, candidate)
-                F_c = J_c + nonsmooth_value(p, candidate)
-                if F_c <= F_v:
-                    v, J_v, F_v = candidate, J_c, F_c
-                    grad = grad_smooth(p, v)
-                    history.append(F_v)
-                    prev_step = prev_Sstep = None
+        s = np.where(clipped, mid, new)
     return v, SolveDiagnostics(it, residual, history, verdict)
 
 

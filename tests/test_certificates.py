@@ -89,7 +89,6 @@ class TestUCMap:
         rep = uc_check(M, block_dims=(1, 1, 0))
         residual = np.linalg.norm(M @ rep.witness)
         assert residual <= rep.sigma_min + 1e-12
-        p = ProblemData(kind="exact", system=system, grid=grid, y0=[0.0], y1=[1.0], G=G)
         radius = certify_infeasibility(rep.witness_parts())
         assert radius > 0.0
 

@@ -24,7 +24,6 @@ from pccontrol import (
     recover_primal,
 )
 from pccontrol.errors import ShapeError
-from pccontrol.solvers import _apply_prox
 
 from oracles import random_problem
 
@@ -112,33 +111,6 @@ class TestGradient:
             h = 1e-5
             fd = (eval_smooth(p, v + h * d) - eval_smooth(p, v - h * d)) / (2 * h)
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-10)
-
-    def test_prox_step_by_kind(self):
-        # The step shrinks the E-complement of z_T (and w_coef for the
-        # relaxed kind) by tau * eps and leaves every other block alone.
-        rng = np.random.default_rng(4)
-        for kind in ("approx", "approx_relaxed"):
-            p = random_problem(rng, kind)
-            v = _random_variable(rng, p)
-            perp, w_norm = p.E.complement(v.z_T), np.linalg.norm(v.w_coef)
-            tau = 0.5 * min(np.linalg.norm(perp), w_norm) / p.epsilon
-
-            def shrink(x):
-                return (1.0 - tau * p.epsilon / np.linalg.norm(x)) * x
-
-            out = _apply_prox(p, v, tau)
-            assert np.allclose(p.E.project(out.z_T), p.E.project(v.z_T), rtol=0, atol=1e-12)
-            assert np.allclose(p.E.complement(out.z_T), shrink(perp), rtol=0, atol=1e-12)
-            assert np.array_equal(out.g_coef, v.g_coef) and np.array_equal(out.f, v.f)
-            if kind == "approx":
-                assert np.array_equal(out.w_coef, v.w_coef)
-            else:
-                assert np.allclose(out.w_coef, shrink(v.w_coef), rtol=0, atol=1e-12)
-            # a step longer than a block's norm sends that block to zero
-            big = _apply_prox(p, v, 2.0 * max(np.linalg.norm(perp), w_norm) / p.epsilon)
-            assert np.linalg.norm(p.E.complement(big.z_T)) <= 1e-12
-            if kind == "approx_relaxed":
-                assert not big.w_coef.any()
 
 
 @st.composite
