@@ -46,7 +46,6 @@ from .certificates import (
     TwoTimeReport,
     UCReport,
     assemble_uc_map,
-    kernel_N,
     modal_uc_check,
     observability_constant,
     restriction_kernel_check,
@@ -78,8 +77,7 @@ __all__ = [
     "SolverOptions", "SolveDiagnostics", "minimize", "certify_infeasibility",
     "UCReport", "ObservabilityReport", "TwoTimeReport", "ModalUCReport",
     "SpectralClassification", "assemble_uc_map", "uc_check", "observability_constant",
-    "kernel_N", "two_time_check", "restriction_kernel_check", "spectral_uc_classify",
-    "modal_uc_check",
+    "two_time_check", "restriction_kernel_check", "spectral_uc_classify", "modal_uc_check",
     "ModelDescriptor", "make_heat1d", "make_wave1d", "make_ode",
     "exponential_profile_signal",
     "RunConfig", "BuildResult",

@@ -4,9 +4,10 @@ The solvability of the constrained control problems rests on a uniqueness
 property of the backward equation: if z' + A* z = w with z(T) = z_T and
 B* z = g on (0, T) for subspace elements g, w, then (z_T, g, w) = 0.  At
 the discrete level this is the kernel-freeness of an assembled linear map,
-decided by its smallest singular value against a fixed threshold; the
-companion observability constants are inverses of (generalized) smallest
-singular values.
+decided by its smallest singular value against the numerical-rank cutoff
+sigma_max * max(rows, cols) * eps_mach, so no verdict depends on the scale
+of the map; the companion observability constants are inverses of
+(generalized) smallest singular values.
 
 Every report produced here is a discrete-level certificate: it speaks
 about the discretized system on its grid, not about any continuous limit.
@@ -46,15 +47,12 @@ __all__ = [
     "assemble_uc_map",
     "uc_check",
     "observability_constant",
-    "kernel_N",
     "two_time_check",
     "restriction_kernel_check",
     "spectral_uc_classify",
     "modal_uc_check",
 ]
 
-DEFAULT_UC_TOL = 1e-8
-KERNEL_RTOL = 1e-10
 OBS_KINDS = ("final_state", "initial_state", "general_final", "general_initial")
 DENSE_CAP = 2**27  # float64 entries the 'general_*' maps may hold (1 GiB)
 
@@ -137,20 +135,24 @@ class _Verdict(NamedTuple):
     vt: np.ndarray | None  # complete right singular basis (cols x cols)
 
 
-def _sv_verdict(
-    M: np.ndarray,
-    tol: float | None = None,
-    floor: float = 1e-300,
-    vectors: bool = True,
-) -> _Verdict:
+def _rank_cutoff(shape: tuple[int, int], sigma_max: float) -> float:
+    """Numerical-rank cutoff of a map of this shape: singular values at or
+    below sigma_max * max(rows, cols) * eps_mach count as zero (Golub & Van
+    Loan, Matrix Computations, sec. 5.4; the default of
+    ``numpy.linalg.matrix_rank``)."""
+    return sigma_max * max(shape) * float(np.finfo(float).eps)
+
+
+def _sv_verdict(M: np.ndarray, floor: float = 1e-300, vectors: bool = True) -> _Verdict:
     """Decide whether M is injective from its singular values.
 
     sigma_min is +inf for a map without columns and 0 for one with fewer
     rows than columns.  The map holds (is injective) when sigma_min exceeds
-    the cutoff: the absolute ``tol`` when given, else
-    ``KERNEL_RTOL * max(sigma_max, floor)``.  With ``vectors``, tall maps take
-    their singular values and right vectors from the R of a QR, without the
-    rows x cols left factor; without, ``vt`` is None.
+    the numerical-rank cutoff of M (:func:`_rank_cutoff`); ``floor`` bounds
+    the sigma_max it scales from, so a map of rounding noise alone fails.
+    With ``vectors``, tall maps take their singular values and right vectors
+    from the R of a QR, without the rows x cols left factor; without,
+    ``vt`` is None.
     """
     rows, cols = M.shape
     vt = None
@@ -161,7 +163,7 @@ def _sv_verdict(
     else:
         _, s, vt = np.linalg.svd(M)
     sigma_min = math.inf if cols == 0 else (float(s[-1]) if rows >= cols else 0.0)
-    cutoff = tol if tol is not None else KERNEL_RTOL * max(float(s[0]) if s.size else 0.0, floor)
+    cutoff = _rank_cutoff(M.shape, max(float(s[0]) if s.size else 0.0, floor))
     return _Verdict(sigma_min > cutoff, sigma_min, int(np.sum(s > cutoff)), s, vt)
 
 
@@ -229,15 +231,13 @@ def assemble_uc_map(
     return _uc_columns(system, ops or build_propagator(system, grid), G.basis, W.basis)
 
 
-def uc_check(
-    M: np.ndarray,
-    tol_uc: float = DEFAULT_UC_TOL,
-    block_dims: tuple[int, int, int] | None = None,
-) -> UCReport:
-    """SVD verdict on an assembled uniqueness map."""
+def uc_check(M: np.ndarray, block_dims: tuple[int, int, int] | None = None) -> UCReport:
+    """SVD verdict on an assembled uniqueness map: the property holds when
+    sigma_min exceeds the numerical-rank cutoff of the map, so scaling the
+    map never changes the verdict."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     rows, cols = M.shape
-    v = _sv_verdict(M, tol=tol_uc)
+    v = _sv_verdict(M)
     witness = None
     if not v.holds:
         # every vector is in the kernel of a map without rows: take the first
@@ -311,8 +311,8 @@ def _split_constant(M: np.ndarray, D: np.ndarray | None) -> tuple[float, float]:
         return (1.0 / v.sigma_min, v.sigma_min) if v.holds else (math.inf, 0.0)
     v = _sv_verdict(M)
     if not v.holds:
-        d_scale = max(float(np.linalg.norm(D, 2)), 1e-300)
-        if float(np.linalg.norm(D @ v.vt[v.rank:].T, 2)) > KERNEL_RTOL * d_scale:
+        d_max = float(np.linalg.norm(D, 2))
+        if float(np.linalg.norm(D @ v.vt[v.rank:].T, 2)) > _rank_cutoff(D.shape, d_max):
             return math.inf, 0.0
     if v.rank == 0:
         return 0.0, math.inf  # M and D both vanish; inequality is trivial
@@ -353,31 +353,12 @@ def observability_constant(
     return ObservabilityReport(kind, *_split_constant(M, D))
 
 
-def kernel_N(
-    system: LinearSystem,
-    grid: TimeGrid,
-    ops: StepOperator | None = None,
-) -> np.ndarray:
-    """Orthonormal basis (n, k) of the invisible final data.
-
-    Kernel of z_T -> (B* z on (0, T), z(0)) for the homogeneous backward
-    solution.  A propagator built from a matrix exponential is invertible,
-    so this is empty for every finite-dimensional system; a degenerate
-    injected propagator can make it nontrivial.
-    """
-    theta, nodes = _theta(system, ops or build_propagator(system, grid), grid.n_steps)
-    # the R of theta has its singular values and right vectors, in <= n rows
-    v = _sv_verdict(np.vstack([np.linalg.qr(theta, mode="r"), nodes[0]]))
-    return v.vt[v.rank:].T.copy()
-
-
 def two_time_check(
     system: LinearSystem,
     grid: TimeGrid,
     G: Subspace,
     W: Subspace,
     t_tilde: float,
-    tol_uc: float = DEFAULT_UC_TOL,
     ops: StepOperator | None = None,
 ) -> TwoTimeReport:
     """Certify observability of the initial trace from an intermediate time.
@@ -389,9 +370,11 @@ def two_time_check(
     over the whole of (0, T), must have trivial kernel; and the
     intermediate-time trace must be observable from the full-horizon
     observation: the constant of kind 'tilde_T' bounds z(t~) = (E^T)^(N-k) z_T
-    by the homogeneous B* z signal.  All three together certify the general
-    initial-trace observability inequality at the discrete level, which is
-    what the null-control solve needs.
+    by the homogeneous B* z signal.  Each injectivity question compares a
+    smallest singular value with the numerical-rank cutoff of its own map.
+    All three together certify the general initial-trace observability
+    inequality at the discrete level, which is what the null-control solve
+    needs.
     """
     _check_spaces(system, grid, G, W)
     ops = ops or build_propagator(system, grid)
@@ -405,7 +388,7 @@ def two_time_check(
         for S in (G, W)
     )
     M = _uc_columns(system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])
-    uc_tilde = uc_check(M, tol_uc, block_dims=(system.n, G.dim, W.dim))
+    uc_tilde = uc_check(M, block_dims=(system.n, G.dim, W.dim))
     theta = _theta(system, ops, N)[0]
     obs_tilde = ObservabilityReport(
         "tilde_T", *_split_constant(theta, np.linalg.matrix_power(ops.E.T, N - k_cut))
@@ -489,7 +472,7 @@ def spectral_uc_classify(
     mu: float,
     w_mu: np.ndarray,
     model,
-    tol: float = DEFAULT_UC_TOL,
+    tol: float = 1e-8,
 ) -> SpectralClassification:
     """Classify the stationary uniqueness question for one frequency.
 

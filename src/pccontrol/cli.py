@@ -84,9 +84,7 @@ def _uc_report(build: BuildResult) -> certificates.UCReport:
     M = certificates.assemble_uc_map(
         build.system, build.grid, problem.G, problem.W, ops=problem.ops
     )
-    return certificates.uc_check(
-        M, build.checks["tol_uc"], block_dims=(build.system.n, problem.G.dim, problem.W.dim)
-    )
+    return certificates.uc_check(M, block_dims=(build.system.n, problem.G.dim, problem.W.dim))
 
 
 def _run_checks(build: BuildResult) -> tuple[dict, bool, certificates.UCReport | None]:
@@ -126,7 +124,6 @@ def _run_checks(build: BuildResult) -> tuple[dict, bool, certificates.UCReport |
             problem.G,
             problem.W,
             checks["two_time"],
-            tol_uc=checks["tol_uc"],
             ops=problem.ops,
         )
         section["two_time"] = {

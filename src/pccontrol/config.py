@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import DEFAULT_UC_TOL, OBS_KINDS
+from .certificates import OBS_KINDS
 from .core import LinearSystem, TimeGrid
 from .errors import ConfigError
 from .functionals import APPROX_KINDS, KINDS, ProblemData
@@ -39,7 +39,7 @@ _MODEL_KEYS = {
 _GRID_KEYS = {"T", "n_steps"}
 _PROBLEM_KEYS = {"kind", "y0", "y1", "epsilon", "G", "W", "E", "g_star", "w_star"}
 _SOLVER_KEYS = {"max_iters", "grad_tol", "divergence_bound"}
-_CHECKS_KEYS = {"uc", "observability", "two_time", "tol_uc"}
+_CHECKS_KEYS = {"uc", "observability", "two_time"}
 _ENTRY_KEYS = {"rate", "vector", "coords", "signal", "support"}
 _TWO_TIME_KEYS = {"t_tilde"}
 
@@ -314,12 +314,9 @@ def _build(data: dict) -> BuildResult:
         "uc": checks_sec.get("uc", False),
         "observability": list(checks_sec.get("observability", [])),
         "two_time": None,
-        "tol_uc": _number(checks_sec.get("tol_uc", DEFAULT_UC_TOL), "checks.tol_uc"),
     }
     if not isinstance(checks["uc"], bool):
         raise ConfigError("checks.uc must be true or false")
-    if not checks["tol_uc"] > 0.0:
-        raise ConfigError("checks.tol_uc must be positive")
     if "two_time" in checks_sec:
         checks["two_time"] = _number(checks_sec["two_time"]["t_tilde"], "checks.two_time.t_tilde")
     return BuildResult(system, grid, problem, solver, checks)

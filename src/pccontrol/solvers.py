@@ -237,8 +237,8 @@ def _minimize_approx(p: ProblemData, opts: SolverOptions) -> tuple[DualVariable,
     from its root, goes to the zero of the secant through its last free
     point and (0, r_i at s_i = 0).  A step to or past an s whose solve
     diverged goes halfway from the last bounded s to it; the problem is
-    ``diverged_infeasible`` once the two agree, or when a solve diverges
-    although no s_i rose.
+    ``diverged_infeasible`` once the two agree to a relative 1e-8, or when a
+    solve diverges although no s_i rose.
     """
     dt = p.grid.dt
     bound = _divergence_bound(p, opts)
@@ -307,7 +307,7 @@ def _minimize_approx(p: ProblemData, opts: SolverOptions) -> tuple[DualVariable,
             new = np.where(wrong, zero, new)
         mid = 0.5 * (base + s_bad)
         clipped = new >= s_bad
-        if np.any(clipped & ((mid <= base) | (mid >= s_bad))):
+        if np.any(clipped & ((mid <= base) | (mid >= s_bad) | (s_bad - base <= 1e-8 * s_bad))):
             verdict = "diverged_infeasible"
             break
         s = np.where(clipped, mid, new)

@@ -82,6 +82,22 @@ def loop_uc_map(system, ops, G_basis, W_basis) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def loop_invisible_final_data(system, ops, n_steps: int) -> np.ndarray:
+    """Orthonormal basis (n, k) of the final data z_T invisible to the
+    homogeneous observation: B* z = 0 on every interval and z(0) = 0.  The
+    map z_T -> (B* z on each interval, z(0)) is assembled one unit z_T and
+    one backward step at a time (interval averages (Phi^T/dt) z_{k+1});
+    its kernel is read off a full SVD at numpy's default rank."""
+    n = system.n
+    cols = []
+    for e in np.eye(n):
+        nodes = loop_adjoint_nodes(ops, e, np.zeros((n_steps, n)))
+        signal = [system.B.T @ (ops.Phi.T / ops.dt) @ z for z in nodes[1:]]
+        cols.append(np.concatenate(signal + [nodes[0]]))
+    M = np.column_stack(cols)
+    return np.linalg.svd(M)[2][np.linalg.matrix_rank(M):].T
+
+
 def loop_general_maps(system, ops, G, W):
     """The general observation map M over (z_T, g, w, f) and the measured
     map D over (z(0), g, w, f), one adjoint solve per column; f is in

@@ -15,7 +15,6 @@ from pccontrol import (
     build_propagator,
     certify_infeasibility,
     exponential_profile_signal,
-    kernel_N,
     make_heat1d,
     make_ode,
     make_wave1d,
@@ -80,6 +79,17 @@ class TestUCMap:
         assert rep.sigma_min == 0.0
         assert not rep.holds
 
+    def test_heat_48_modes_is_numerically_injective(self):
+        # sigma_min ~ 4e-11 lies below any fixed 1e-8 but far above the
+        # numerical-rank cutoff sigma_max * rows * eps ~ 1e-12 of this map
+        system, _ = make_heat1d(48)
+        grid = TimeGrid(1.0, 512)
+        G = orthonormalize([], SignalAmbient(system.m, grid))
+        W = orthonormalize([], SignalAmbient(system.n, grid))
+        rep = uc_check(assemble_uc_map(system, grid, G, W))
+        assert rep.holds
+        assert rep.sigma_min < 1e-8
+
     def test_witness_reproduces_residual(self):
         # feeding the near-kernel witness back through the map gives a
         # residual at the sigma_min level, and a positive unreachability radius
@@ -143,14 +153,24 @@ class TestUCCheckMatrixExamples:
     @pytest.mark.parametrize("rows, cols, rank", [(9, 1, 1), (64, 64, 64), (200, 7, 7),
                                                   (200, 7, 5), (3000, 12, 11)])
     def test_tall_maps_match_plain_svd(self, rows, cols, rank):
+        # the spectrum of a random rank-`rank` map, its smallest singular
+        # values planted at half and at twice the numerical-rank cutoff
+        # sigma_max * rows * eps; a one-column map is its own sigma_max, so
+        # it holds at any scale
         rng = np.random.default_rng(rows + cols + rank)
-        M = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
-        s = np.linalg.svd(M, compute_uv=False)
-        # the default threshold, and one just above sigma_min so a witness is returned
-        for tol in (1e-8, 1.5 * s[-1] + 1e-8):
-            rep = uc_check(M, tol_uc=tol)
+        spectrum = np.linalg.svd(rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols)),
+                                 compute_uv=False)
+        U = np.linalg.qr(rng.normal(size=(rows, cols)))[0]
+        V = np.linalg.qr(rng.normal(size=(cols, cols)))[0]
+        cutoff = spectrum[0] * rows * np.finfo(float).eps
+        for factor in (0.5, 2.0):
+            planted = spectrum.copy()
+            planted[min(rank, cols - 1):] = factor * cutoff
+            M = (U * planted) @ V.T
+            s = np.linalg.svd(M, compute_uv=False)
+            rep = uc_check(M)
             assert abs(rep.sigma_min - s[-1]) <= 1e-12 * s[0]
-            assert rep.holds == (s[-1] > tol)
+            assert rep.holds == (cols == 1 or factor > 1.0)
             if rep.holds:
                 continue
             w = rep.witness
@@ -158,6 +178,27 @@ class TestUCCheckMatrixExamples:
             assert abs(np.linalg.norm(M @ w) - rep.sigma_min) <= 1e-12 * s[0]
             residual = M.T @ (M @ w) - rep.sigma_min ** 2 * w
             assert np.linalg.norm(residual) <= 1e-12 * s[0] ** 2
+
+    @given(cols=st.integers(1, 8), extra_rows=st.integers(0, 30), deficient=st.booleans(),
+           k=st.integers(-12, 12), seed=st.integers(0, 2**32 - 1))
+    def test_verdicts_are_scale_invariant(self, cols, extra_rows, deficient, k, seed):
+        # a duplicated column plants an exact kernel direction; scaling the
+        # map by c changes neither verdict nor witness and divides C by c
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(cols + extra_rows, cols))
+        if deficient and cols > 1:
+            M[:, -1] = M[:, 0]
+        c = 10.0 ** k
+        base, scaled = uc_check(M), uc_check(c * M)
+        assert scaled.holds == base.holds == (not deficient or cols == 1)
+        if not base.holds:
+            assert abs(float(base.witness @ scaled.witness)) == pytest.approx(1.0, abs=1e-8)
+        C, _ = certificates._split_constant(M, None)
+        C_scaled, _ = certificates._split_constant(c * M, None)
+        if math.isfinite(C):
+            assert C_scaled == pytest.approx(C / c, rel=1e-9)
+        else:
+            assert C_scaled == math.inf
 
 
 @st.composite
@@ -371,20 +412,6 @@ class TestObservabilityConstants:
         system, grid, G, W = scalar_setup()
         with pytest.raises(ShapeError):
             observability_constant(system, grid, G, W, "nonsense")
-
-
-class TestKernelN:
-    def test_scalar_workhorse_empty(self):
-        system = make_ode([[0.0]], [[1.0]])
-        assert kernel_N(system, TimeGrid(1.0, 8)).shape == (1, 0)
-
-    def test_control_free_scalar_empty(self):
-        system = make_ode([[0.0]], np.zeros((1, 0)))
-        assert kernel_N(system, TimeGrid(1.0, 8)).shape == (1, 0)
-
-    def test_nilpotent_control_free_empty(self):
-        system = make_ode([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 0)))
-        assert kernel_N(system, TimeGrid(1.0, 8)).shape == (2, 0)
 
 
 class TestTwoTime:

@@ -240,15 +240,16 @@ class TestConfigParsing:
             basis = RunConfig.from_dict(cfg).build().problem.G.basis
             assert np.flatnonzero(basis[0, :, 0]).tolist() == list(range(1, last + 1))
 
-    @pytest.mark.parametrize("tol", [-1, 0])
-    def test_non_positive_tol_uc_rejected(self, tmp_path, capsys, tol):
-        # a cutoff at or below zero would certify the kernel of this map
+    @pytest.mark.parametrize("tol", [-1, 0, 1e-8])
+    def test_tol_uc_is_unknown_key(self, tmp_path, capsys, tol):
+        # every verdict takes the numerical-rank cutoff of its map, so there
+        # is no uniqueness threshold to configure
         cfg = infeasible_config()
         cfg["checks"] = {"uc": True, "tol_uc": tol}
-        with pytest.raises(ConfigError, match="checks.tol_uc"):
+        with pytest.raises(ConfigError, match="unknown key 'tol_uc' in checks"):
             RunConfig.from_dict(cfg).build()
         assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
-        assert "checks.tol_uc" in capsys.readouterr().err
+        assert "'tol_uc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["false", 0, 1, None])
     def test_uc_flag_must_be_boolean(self, tmp_path, capsys, flag):

@@ -14,7 +14,6 @@ from pccontrol import (
     eval_J,
     exponential_profile_signal,
     grad_smooth,
-    kernel_N,
     make_ode,
     make_wave1d,
     minimize,
@@ -23,7 +22,7 @@ from pccontrol import (
 )
 from pccontrol.errors import ConfigError, InvalidWitnessError
 
-from oracles import kkt_control, random_problem
+from oracles import kkt_control, loop_invisible_final_data, random_problem
 
 
 def scalar_system():
@@ -129,7 +128,7 @@ class TestDegeneratePropagator:
         dt = grid.dt
         ops = StepOperator(E=np.zeros((1, 1)), Phi=dt * np.eye(1),
                            Psi=0.5 * dt * np.eye(1), dt=dt)
-        basis = kernel_N(system, grid, ops=ops)
+        basis = loop_invisible_final_data(system, ops, grid.n_steps)
         assert basis.shape == (1, 1)
         p = ProblemData(kind="null", system=system, grid=grid, y0=[1.0], ops=ops)
         v, diag = minimize(p)
@@ -145,7 +144,7 @@ class TestDegeneratePropagator:
         dt = grid.dt
         ops = StepOperator(E=np.diag([0.0, 1.0]), Phi=dt * np.eye(2),
                            Psi=0.5 * dt * np.eye(2), dt=dt)
-        kernel = kernel_N(system, grid, ops=ops)
+        kernel = loop_invisible_final_data(system, ops, grid.n_steps)
         assert kernel.shape == (2, 1)
         assert np.allclose(np.abs(kernel[:, 0]), [1.0, 0.0], rtol=0, atol=1e-12)
         p = ProblemData(kind="null", system=system, grid=grid, y0=[1.0, 1.0], ops=ops)
@@ -155,12 +154,6 @@ class TestDegeneratePropagator:
         sol = recover_primal(p, v)
         assert sol.residuals.final_state_error < 1e-10
         assert np.max(np.abs(sol.u)) == pytest.approx(1.2545, abs=1e-4)
-
-    def test_regular_systems_have_empty_kernel(self):
-        rng = np.random.default_rng(12)
-        system = make_ode(rng.normal(size=(3, 3)), rng.normal(size=(3, 1)))
-        basis = kernel_N(system, TimeGrid(1.0, 8))
-        assert basis.shape == (3, 0)
 
 
 def least_subgradient_norm(p, v):
