@@ -468,28 +468,27 @@ def _weak_stacked_map(W: Subspace, G: Subspace, model, node_vals: np.ndarray,
     return np.concatenate(blocks).reshape(W.dim + G.dim, -1).T
 
 
-def spectral_uc_classify(
-    mu: float,
-    w_mu: np.ndarray,
-    model,
-    tol: float = 1e-8,
-) -> SpectralClassification:
+def spectral_uc_classify(mu: float, w_mu: np.ndarray, model) -> SpectralClassification:
     """Classify the stationary uniqueness question for one frequency.
 
     Solves (mu + Laplace) Z = w in modal coordinates, distinguishing the
     resonance cases of the Fredholm alternative:
 
-    * mu off the spectrum: unique Z; holds iff its restricted norm exceeds
-      ``tol`` (verdict UC_holds_nonresonant);
+    * mu off the spectrum: unique Z; holds iff its restricted norm is
+      nonzero (verdict UC_holds_nonresonant);
     * mu = lambda_j and the eigenspace component of w is nonzero: no
       solution exists at all (UC_holds_no_solution);
     * mu = lambda_j with w orthogonal to the eigenspace: the solutions are
       Z* + eigenspace; holds iff the minimized restricted norm over the
-      eigenspace exceeds ``tol`` (UC_holds_inf_positive).
+      eigenspace is nonzero (UC_holds_inf_positive).
 
     The restricted norm is the quadrature L2 norm over the control window,
     read from the model descriptor's omega quadrature; mu counts as
-    resonant within 1e-9 relative of an eigenvalue.
+    resonant within 1e-9 relative of an eigenvalue.  "Nonzero" is the
+    numerical-rank rule (:func:`_rank_cutoff`), so no verdict depends on the
+    scale of w: the eigenspace component counts above
+    ||w|| * n_modes * eps_mach, and the restricted norm of the minimizing Z
+    above ||Z|| * max(n_modes, n_quad_omega) * eps_mach.
     """
     lam = np.asarray(model.eigenvalues, dtype=float)
     w_mu = np.asarray(w_mu, dtype=float).reshape(-1)
@@ -499,22 +498,24 @@ def spectral_uc_classify(
     wq = model.w_omega
     resonant = np.abs(mu - lam) <= 1e-9 * np.maximum(1.0, np.abs(lam))
     p_eig = float(np.linalg.norm(w_mu[resonant]))
-    if resonant.any() and p_eig > tol:
+    if resonant.any() and p_eig > _rank_cutoff(w_mu.shape, float(np.linalg.norm(w_mu))):
         return SpectralClassification("UC_holds_no_solution", p_eig)
     # Z* solves off the eigenspace; minimize the restricted norm of Z* plus
     # eigenspace elements, an empty minimization off the spectrum
-    Z_star = np.zeros_like(w_mu)
+    Z = np.zeros_like(w_mu)
     off = ~resonant
-    Z_star[off] = w_mu[off] / (mu - lam[off])
-    base = Z_star @ vals
+    Z[off] = w_mu[off] / (mu - lam[off])
+    base = Z @ vals
     V = vals[resonant]  # eigenspace directions evaluated on the window
     gram = (V * wq) @ V.T
     rhs = -(V * wq) @ base
     coeffs, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
     best = base + coeffs @ V
+    Z[resonant] = coeffs  # Z now holds the modal coefficients of the minimizer
     q = float(np.sqrt(np.sum(wq * best**2)))
     holds = "UC_holds_inf_positive" if resonant.any() else "UC_holds_nonresonant"
-    return SpectralClassification(holds if q > tol else "UC_fails", q)
+    cutoff = _rank_cutoff(vals.shape, float(np.linalg.norm(Z)))
+    return SpectralClassification(holds if q > cutoff else "UC_fails", q)
 
 
 def _vector_basis(space, dim: int, name: str) -> np.ndarray:

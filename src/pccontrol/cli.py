@@ -13,7 +13,8 @@ obs-constant --config FILE --kind KIND
 models list
     List the available model families.
 
-Exit codes: 0 success, 1 configuration error, 2 certification failure
+Exit codes: 0 success, 1 configuration or output error (one line
+``error: <message>`` on stderr), 2 certification failure
 (witness serialized into the report), 3 diverged minimization
 (diverged_infeasible; certified non-coercive only when the report's
 infeasibility section holds a uniqueness witness), 4 iteration cap
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -37,7 +39,7 @@ import numpy as np
 from . import certificates
 from .config import BuildResult, RunConfig
 from .errors import PccontrolError
-from .functionals import ControlSolution, recover_primal
+from .functionals import ControlSolution, ProblemData, recover_primal
 from .solvers import SolveDiagnostics, certify_infeasibility, minimize
 
 __all__ = ["main", "run_config", "emit_report"]
@@ -78,13 +80,12 @@ def _json_ready(value):
     return value
 
 
-def _uc_report(build: BuildResult) -> certificates.UCReport:
+def _uc_report(problem: ProblemData) -> certificates.UCReport:
     """Assemble the uniqueness map of the configured problem and decide it."""
-    problem = build.problem
     M = certificates.assemble_uc_map(
-        build.system, build.grid, problem.G, problem.W, ops=problem.ops
+        problem.system, problem.grid, problem.G, problem.W, ops=problem.ops
     )
-    return certificates.uc_check(M, block_dims=(build.system.n, problem.G.dim, problem.W.dim))
+    return certificates.uc_check(M, block_dims=(problem.system.n, problem.G.dim, problem.W.dim))
 
 
 def _run_checks(build: BuildResult) -> tuple[dict, bool, certificates.UCReport | None]:
@@ -96,7 +97,7 @@ def _run_checks(build: BuildResult) -> tuple[dict, bool, certificates.UCReport |
     passed = True
     uc = None
     if checks["uc"]:
-        uc = _uc_report(build)
+        uc = _uc_report(problem)
         entry = {
             "sigma_min": uc.sigma_min,
             "holds": uc.holds,
@@ -111,7 +112,7 @@ def _run_checks(build: BuildResult) -> tuple[dict, bool, certificates.UCReport |
         obs = {}
         for kind in checks["observability"]:
             rep = certificates.observability_constant(
-                build.system, build.grid, problem.G, problem.W, kind, ops=problem.ops
+                problem.system, problem.grid, problem.G, problem.W, kind, ops=problem.ops
             )
             obs[kind] = {"constant": rep.constant_C, "sigma_min": rep.sigma_min}
             if not math.isfinite(rep.constant_C):
@@ -119,8 +120,8 @@ def _run_checks(build: BuildResult) -> tuple[dict, bool, certificates.UCReport |
         section["observability"] = obs
     if checks["two_time"] is not None:
         rep = certificates.two_time_check(
-            build.system,
-            build.grid,
+            problem.system,
+            problem.grid,
             problem.G,
             problem.W,
             checks["two_time"],
@@ -188,54 +189,45 @@ def emit_report(
         _write_csv(out / "control.csv", ["t_mid"] + [f"u_{i + 1}" for i in range(m)], ctrl_rows)
 
 
-def _load(config_path) -> tuple[RunConfig, BuildResult] | None:
-    """The configuration and its built problem, or None after reporting a
-    configuration error."""
-    try:
-        config = RunConfig.from_file(config_path)
-        return config, config.build()
-    except PccontrolError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return None
+def _one_error_exit(command):
+    """Run a command so that any package error ends it with one line
+    ``error: <message>`` on stderr and exit code 1."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs) -> int:
+        try:
+            return command(*args, **kwargs)
+        except PccontrolError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return _EXIT_CONFIG
+
+    return run
 
 
+@_one_error_exit
 def run_config(config_path, out_dir) -> int:
     """Execute certifications and the solve for one configuration."""
-    loaded = _load(config_path)
-    if loaded is None:
-        return _EXIT_CONFIG
-    config, build = loaded
-    log.info("model %s built, grid T=%s n_steps=%s", build.system.name,
-             build.grid.horizon, build.grid.n_steps)
-    try:
-        checks_section, checks_passed, uc = _run_checks(build)
-    except PccontrolError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
+    config = RunConfig.from_file(config_path)
+    build = config.build()
+    problem = build.problem
+    log.info("model %s built, grid T=%s n_steps=%s", problem.system.name,
+             problem.grid.horizon, problem.grid.n_steps)
+    checks_section, checks_passed, uc = _run_checks(build)
     if not checks_passed:
-        try:
-            emit_report(out_dir, config, checks_section)
-        except PccontrolError as exc:
-            print(f"output error: {exc}", file=sys.stderr)
-            return _EXIT_CONFIG
+        emit_report(out_dir, config, checks_section)
         print("certification failed; witness serialized in report.json", file=sys.stderr)
         return _EXIT_CERTIFICATION
-    problem = build.problem
     v, diag = minimize(problem, build.solver)
     solution = recover_primal(problem, v)
     extra = None
     if diag.verdict == "diverged_infeasible":
-        rep = uc if uc is not None else _uc_report(build)
+        rep = uc if uc is not None else _uc_report(problem)
         infeasibility = {"sigma_min": rep.sigma_min}
         if rep.witness is not None:
             infeasibility["witness"] = rep.witness
             infeasibility["radius"] = certify_infeasibility(rep.witness_parts())
         extra = {"infeasibility": infeasibility}
-    try:
-        emit_report(out_dir, config, checks_section, solution, diag, build.grid, extra)
-    except PccontrolError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
+    emit_report(out_dir, config, checks_section, solution, diag, problem.grid, extra)
     if diag.verdict == "diverged_infeasible":
         if "witness" in extra["infeasibility"]:
             print("minimization diverged: problem certified non-coercive", file=sys.stderr)
@@ -249,11 +241,9 @@ def run_config(config_path, out_dir) -> int:
     return _EXIT_OK
 
 
+@_one_error_exit
 def _cmd_check_uc(args) -> int:
-    loaded = _load(args.config)
-    if loaded is None:
-        return _EXIT_CONFIG
-    rep = _uc_report(loaded[1])
+    rep = _uc_report(RunConfig.from_file(args.config).build().problem)
     print(f"uc sigma_min = {_fmt(rep.sigma_min)}")
     print(f"uc holds = {rep.holds}")
     if rep.witness is not None:
@@ -262,32 +252,23 @@ def _cmd_check_uc(args) -> int:
     return _EXIT_OK
 
 
+@_one_error_exit
 def _cmd_obs_constant(args) -> int:
-    loaded = _load(args.config)
-    if loaded is None:
-        return _EXIT_CONFIG
-    build = loaded[1]
-    try:
-        rep = certificates.observability_constant(
-            build.system,
-            build.grid,
-            build.problem.G,
-            build.problem.W,
-            args.kind,
-            ops=build.problem.ops,
-        )
-    except PccontrolError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
+    problem = RunConfig.from_file(args.config).build().problem
+    rep = certificates.observability_constant(
+        problem.system,
+        problem.grid,
+        problem.G,
+        problem.W,
+        args.kind,
+        ops=problem.ops,
+    )
     print(f"{args.kind} constant = {_fmt(rep.constant_C)}")
     print(f"{args.kind} sigma_min = {_fmt(rep.sigma_min)}")
     return _EXIT_OK
 
 
-def _cmd_models(args) -> int:
-    if args.action != "list":
-        print("usage: pccontrol models list", file=sys.stderr)
-        return _EXIT_CONFIG
+def _cmd_models() -> int:
     print("heat1d    heat equation on (0,1), Dirichlet, modal truncation, control on omega")
     print("wave1d    wave equation on (0,1), first-order energy form, control on omega")
     print("ode       explicit (A, B) matrices")
@@ -323,7 +304,7 @@ def main(argv=None) -> int:
         return _cmd_check_uc(args)
     if args.command == "obs-constant":
         return _cmd_obs_constant(args)
-    return _cmd_models(args)
+    return _cmd_models()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,8 +1,13 @@
-"""Strict JSON run configurations: parsing, validation, and problem building.
+"""Strict JSON run configurations: loading, and problem building.
 
 A configuration has sections ``model``, ``grid``, ``problem`` and optional
-``solver`` and ``checks``.  Unknown keys are fatal; every error names the
-offending key.  Vectors are given literally or sparsely
+``solver`` and ``checks``.  :meth:`RunConfig.build` checks and converts the
+document in one pass: each section is checked by the function that converts
+it.  Unknown keys are fatal; every error names the offending key.  Which
+data a problem kind takes (y1, epsilon, E) is decided by
+:class:`~pccontrol.functionals.ProblemData` alone.
+
+Vectors are given literally or sparsely
 (``{"coords": [[index, value], ...]}``); subspace generators are either
 exponential profiles ``{"rate": r, "vector"|"coords": ..., "support":
 [t0, t1]}`` realized by exact interval averages, or literal grid signals
@@ -22,8 +27,8 @@ import numpy as np
 
 from .certificates import OBS_KINDS
 from .core import LinearSystem, TimeGrid
-from .errors import ConfigError
-from .functionals import APPROX_KINDS, KINDS, ProblemData
+from .errors import ConfigError, ShapeError
+from .functionals import ProblemData
 from .models import exponential_profile_signal, make_heat1d, make_ode, make_wave1d, support_mask
 from .solvers import SolverOptions
 from .subspaces import SignalAmbient, Subspace, VectorAmbient, orthonormalize
@@ -38,7 +43,7 @@ _MODEL_KEYS = {
 }
 _GRID_KEYS = {"T", "n_steps"}
 _PROBLEM_KEYS = {"kind", "y0", "y1", "epsilon", "G", "W", "E", "g_star", "w_star"}
-_SOLVER_KEYS = {"max_iters", "grad_tol", "divergence_bound"}
+_SOLVER_KEYS = {"max_iters", "grad_tol"}
 _CHECKS_KEYS = {"uc", "observability", "two_time"}
 _ENTRY_KEYS = {"rate", "vector", "coords", "signal", "support"}
 _TWO_TIME_KEYS = {"t_tilde"}
@@ -92,13 +97,13 @@ def _matrix(value, where: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated configuration; holds the normalized document verbatim."""
+    """A configuration document, held verbatim; :meth:`build` checks and
+    converts it in one pass."""
 
     data: dict
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        _validate(raw)
         return cls(copy.deepcopy(raw))
 
     @classmethod
@@ -110,88 +115,28 @@ class RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls(raw)
 
     def to_dict(self) -> dict:
         return copy.deepcopy(self.data)
 
     def build(self) -> "BuildResult":
-        return _build(self.data)
+        data = self.data
+        _check_keys(data, _TOP_KEYS, {"model", "grid", "problem"}, "config")
+        system = _build_model(data["model"])
+        grid = _build_grid(data["grid"])
+        return BuildResult(
+            _build_problem(data["problem"], system, grid),
+            _build_solver(data.get("solver", {})),
+            _build_checks(data.get("checks", {})),
+        )
 
 
 @dataclass
 class BuildResult:
-    system: LinearSystem
-    grid: TimeGrid
     problem: ProblemData
     solver: SolverOptions
     checks: dict
-
-
-def _validate(raw: dict):
-    _check_keys(raw, _TOP_KEYS, {"model", "grid", "problem"}, "config")
-    model = raw["model"]
-    if not isinstance(model, dict) or "family" not in model:
-        raise ConfigError("model section must declare a 'family'")
-    family = model["family"]
-    if family not in _MODEL_KEYS:
-        raise ConfigError(f"unknown model family {family!r}")
-    _check_keys(
-        model,
-        _MODEL_KEYS[family],
-        {"family", "A", "B"} if family == "ode" else {"family", "n_modes"},
-        "model",
-    )
-    _check_keys(raw["grid"], _GRID_KEYS, _GRID_KEYS, "grid")
-    problem = raw["problem"]
-    _check_keys(problem, _PROBLEM_KEYS, {"kind", "y0"}, "problem")
-    kind = problem.get("kind")
-    if kind not in KINDS:
-        raise ConfigError(f"problem.kind must be one of {KINDS}, got {kind!r}")
-    if kind == "null" and "y1" in problem:
-        raise ConfigError("problem.y1 is not allowed for kind 'null'")
-    if kind != "null" and "y1" not in problem:
-        raise ConfigError(f"problem.y1 is required for kind {kind!r}")
-    if kind in APPROX_KINDS and "epsilon" not in problem:
-        raise ConfigError(f"problem.epsilon is required for kind {kind!r}")
-    if kind not in APPROX_KINDS and "epsilon" in problem:
-        raise ConfigError(f"problem.epsilon is not allowed for kind {kind!r}")
-    if kind not in APPROX_KINDS and "E" in problem:
-        raise ConfigError(f"problem.E is not allowed for kind {kind!r}")
-    for name in ("G", "W"):
-        entries = problem.get(name, [])
-        if not isinstance(entries, list):
-            raise ConfigError(f"problem.{name} must be a list of generator entries")
-        for i, entry in enumerate(entries):
-            _validate_entry(entry, f"problem.{name}[{i}]")
-    if "solver" in raw:
-        _check_keys(raw["solver"], _SOLVER_KEYS, set(), "solver")
-    if "checks" in raw:
-        checks = raw["checks"]
-        _check_keys(checks, _CHECKS_KEYS, set(), "checks")
-        if "observability" in checks:
-            kinds = checks["observability"]
-            if not isinstance(kinds, list):
-                raise ConfigError("checks.observability must be a list of kinds")
-            for k in kinds:
-                if k not in OBS_KINDS:
-                    raise ConfigError(f"unknown observability kind {k!r}")
-        if "two_time" in checks:
-            _check_keys(checks["two_time"], _TWO_TIME_KEYS, _TWO_TIME_KEYS, "checks.two_time")
-
-
-def _validate_entry(entry, where: str):
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    _check_keys(entry, _ENTRY_KEYS, set(), where)
-    has_rate = "rate" in entry
-    has_signal = "signal" in entry
-    if has_rate == has_signal:
-        raise ConfigError(f"{where} must give either 'rate' (with a vector) or 'signal'")
-    if has_rate and ("vector" in entry) == ("coords" in entry):
-        raise ConfigError(f"{where} needs exactly one of 'vector' or 'coords'")
-    if has_signal and ("vector" in entry or "coords" in entry):
-        raise ConfigError(f"{where} mixes 'signal' with vector data")
 
 
 def _vector(value, dim: int, where: str) -> np.ndarray:
@@ -218,6 +163,9 @@ def _vector(value, dim: int, where: str) -> np.ndarray:
 
 
 def _entry_signal(entry: dict, dim: int, grid: TimeGrid, where: str) -> np.ndarray:
+    _check_keys(entry, _ENTRY_KEYS, set(), where)
+    if ("rate" in entry) == ("signal" in entry):
+        raise ConfigError(f"{where} must give either 'rate' (with a vector) or 'signal'")
     support = None
     if "support" in entry:
         window = _number_list(entry["support"], f"{where}.support")
@@ -225,6 +173,8 @@ def _entry_signal(entry: dict, dim: int, grid: TimeGrid, where: str) -> np.ndarr
             raise ConfigError(f"{where}.support must be [t0, t1] with t0 < t1")
         support = (window[0], window[1])
     if "signal" in entry:
+        if "vector" in entry or "coords" in entry:
+            raise ConfigError(f"{where} mixes 'signal' with vector data")
         sig = entry["signal"]
         if not isinstance(sig, list) or len(sig) != grid.n_steps:
             raise ConfigError(f"{where}.signal must have {grid.n_steps} rows")
@@ -232,6 +182,8 @@ def _entry_signal(entry: dict, dim: int, grid: TimeGrid, where: str) -> np.ndarr
         if support is not None:
             arr = arr * support_mask(grid, support)[:, None]
         return arr
+    if ("vector" in entry) == ("coords" in entry):
+        raise ConfigError(f"{where} needs exactly one of 'vector' or 'coords'")
     rate = _number(entry["rate"], f"{where}.rate")
     if "vector" in entry:
         vec = _vector(entry["vector"], dim, f"{where}.vector")
@@ -245,7 +197,17 @@ def _entry_signal(entry: dict, dim: int, grid: TimeGrid, where: str) -> np.ndarr
 
 
 def _build_model(model: dict) -> LinearSystem:
+    if not isinstance(model, dict) or "family" not in model:
+        raise ConfigError("model section must declare a 'family'")
     family = model["family"]
+    if not isinstance(family, str) or family not in _MODEL_KEYS:
+        raise ConfigError(f"unknown model family {family!r}")
+    _check_keys(
+        model,
+        _MODEL_KEYS[family],
+        {"family", "A", "B"} if family == "ode" else {"family", "n_modes"},
+        "model",
+    )
     if family == "ode":
         A, B = _matrix(model["A"], "model.A"), _matrix(model["B"], "model.B")
         return make_ode(A, B, name=model.get("name", "ode"))
@@ -260,23 +222,25 @@ def _build_model(model: dict) -> LinearSystem:
     return maker(n_modes, **kwargs)[0]
 
 
-def _build(data: dict) -> BuildResult:
-    system = _build_model(data["model"])
-    grid_sec = data["grid"]
-    grid = TimeGrid(
-        horizon=_number(grid_sec["T"], "grid.T"),
-        n_steps=_integer(grid_sec["n_steps"], "grid.n_steps"),
+def _build_grid(section: dict) -> TimeGrid:
+    _check_keys(section, _GRID_KEYS, _GRID_KEYS, "grid")
+    return TimeGrid(
+        horizon=_number(section["T"], "grid.T"),
+        n_steps=_integer(section["n_steps"], "grid.n_steps"),
     )
-    prob = data["problem"]
-    kind = prob["kind"]
+
+
+def _build_problem(prob: dict, system: LinearSystem, grid: TimeGrid) -> ProblemData:
+    """The problem section as ProblemData, which decides what each kind takes."""
+    _check_keys(prob, _PROBLEM_KEYS, {"kind", "y0"}, "problem")
     n, m = system.n, system.m
     y0 = _vector(prob["y0"], n, "problem.y0")
     y1 = _vector(prob["y1"], n, "problem.y1") if "y1" in prob else None
     G = _build_subspace(prob.get("G", []), m, grid, "problem.G")
     W = _build_subspace(prob.get("W", []), n, grid, "problem.W")
     E = None
-    if kind in APPROX_KINDS:
-        vectors = prob.get("E", [])
+    if "E" in prob:
+        vectors = prob["E"]
         if not isinstance(vectors, list):
             raise ConfigError("problem.E must be a list of state vectors")
         E = orthonormalize(
@@ -285,44 +249,55 @@ def _build(data: dict) -> BuildResult:
     g_star = _star(prob.get("g_star"), G, "problem.g_star")
     w_star = _star(prob.get("w_star"), W, "problem.w_star")
     epsilon = _number(prob["epsilon"], "problem.epsilon") if "epsilon" in prob else None
-    problem = ProblemData(
-        kind=kind,
-        system=system,
-        grid=grid,
-        y0=y0,
-        y1=y1,
-        epsilon=epsilon,
-        G=G,
-        W=W,
-        E=E,
-        g_star=g_star,
-        w_star=w_star,
-    )
-    solver_sec = data.get("solver", {})
-    solver_kwargs = {}
-    if "max_iters" in solver_sec:
-        solver_kwargs["max_iters"] = _integer(solver_sec["max_iters"], "solver.max_iters")
-    if "grad_tol" in solver_sec:
-        solver_kwargs["grad_tol"] = _number(solver_sec["grad_tol"], "solver.grad_tol")
-    if "divergence_bound" in solver_sec:
-        solver_kwargs["divergence_bound"] = _number(
-            solver_sec["divergence_bound"], "solver.divergence_bound"
+    try:
+        return ProblemData(
+            kind=prob["kind"],
+            system=system,
+            grid=grid,
+            y0=y0,
+            y1=y1,
+            epsilon=epsilon,
+            G=G,
+            W=W,
+            E=E,
+            g_star=g_star,
+            w_star=w_star,
         )
-    solver = SolverOptions(**solver_kwargs)
-    checks_sec = data.get("checks", {})
-    checks = {
-        "uc": checks_sec.get("uc", False),
-        "observability": list(checks_sec.get("observability", [])),
-        "two_time": None,
-    }
-    if not isinstance(checks["uc"], bool):
+    except ShapeError as exc:
+        raise ConfigError(f"problem: {exc}") from exc
+
+
+def _build_solver(section: dict) -> SolverOptions:
+    _check_keys(section, _SOLVER_KEYS, set(), "solver")
+    kwargs = {}
+    if "max_iters" in section:
+        kwargs["max_iters"] = _integer(section["max_iters"], "solver.max_iters")
+    if "grad_tol" in section:
+        kwargs["grad_tol"] = _number(section["grad_tol"], "solver.grad_tol")
+    return SolverOptions(**kwargs)
+
+
+def _build_checks(section: dict) -> dict:
+    _check_keys(section, _CHECKS_KEYS, set(), "checks")
+    uc = section.get("uc", False)
+    if not isinstance(uc, bool):
         raise ConfigError("checks.uc must be true or false")
-    if "two_time" in checks_sec:
-        checks["two_time"] = _number(checks_sec["two_time"]["t_tilde"], "checks.two_time.t_tilde")
-    return BuildResult(system, grid, problem, solver, checks)
+    kinds = section.get("observability", [])
+    if not isinstance(kinds, list):
+        raise ConfigError("checks.observability must be a list of kinds")
+    for k in kinds:
+        if k not in OBS_KINDS:
+            raise ConfigError(f"unknown observability kind {k!r}")
+    two_time = None
+    if "two_time" in section:
+        _check_keys(section["two_time"], _TWO_TIME_KEYS, _TWO_TIME_KEYS, "checks.two_time")
+        two_time = _number(section["two_time"]["t_tilde"], "checks.two_time.t_tilde")
+    return {"uc": uc, "observability": list(kinds), "two_time": two_time}
 
 
 def _build_subspace(entries: list, dim: int, grid: TimeGrid, where: str) -> Subspace:
+    if not isinstance(entries, list):
+        raise ConfigError(f"{where} must be a list of generator entries")
     signals = [
         _entry_signal(entry, dim, grid, f"{where}[{i}]") for i, entry in enumerate(entries)
     ]

@@ -57,20 +57,18 @@ class SolverOptions:
     the exact and null kinds and the least-norm subgradient norm for the
     approximate kinds.  ``max_iters`` caps the CG iterations, and for the
     approximate kinds both the outer steps and each CG solve in them.
-    ``divergence_bound`` defaults to 1e6 times the problem data scale.
+    A solve diverges once an iterate's norm passes 1e6 times the problem
+    data scale (:func:`_divergence_bound`).
     """
 
     max_iters: int = 5000
     grad_tol: float = 1e-9
-    divergence_bound: float | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
         if not (self.grad_tol > 0.0):
             raise ConfigError("grad_tol must be positive")
-        if self.divergence_bound is not None and not (self.divergence_bound > 0.0):
-            raise ConfigError("divergence_bound must be positive")
 
 
 @dataclass
@@ -81,11 +79,8 @@ class SolveDiagnostics:
     verdict: str = "converged"  # converged | max_iters | diverged_infeasible
 
 
-def _divergence_bound(p: ProblemData, opts: SolverOptions) -> float:
-    """``opts.divergence_bound``, or 1e6 times the data scale
-    1 + |y0| + |y1| + ||g*|| + ||w*||."""
-    if opts.divergence_bound is not None:
-        return opts.divergence_bound
+def _divergence_bound(p: ProblemData) -> float:
+    """1e6 times the data scale 1 + |y0| + |y1| + ||g*|| + ||w*||."""
     dt = p.grid.dt
     scale = 1.0 + float(np.linalg.norm(p.y0)) + float(np.linalg.norm(p.y1))
     scale += math.sqrt(dt * float(np.sum(p.g_star**2)))
@@ -104,7 +99,7 @@ def minimize(
         return _minimize_approx(p, opts)
     v, res, iters, verdict, decrements = _cg_core(
         p, -1.0 * grad_smooth(p, p.zero_variable()), p.zero_variable(), opts.grad_tol,
-        opts.max_iters, _divergence_bound(p, opts),
+        opts.max_iters, _divergence_bound(p),
     )
     history = [0.0]
     for dec in decrements:
@@ -241,7 +236,7 @@ def _minimize_approx(p: ProblemData, opts: SolverOptions) -> tuple[DualVariable,
     solve diverges although no s_i rose.
     """
     dt = p.grid.dt
-    bound = _divergence_bound(p, opts)
+    bound = _divergence_bound(p)
     b = -1.0 * grad_smooth(p, p.zero_variable())
     b_norm = dual_norm(b, dt)
     v = p.zero_variable()

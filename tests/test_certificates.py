@@ -564,6 +564,29 @@ class TestSpectralClassification:
         rep = spectral_uc_classify(math.pi**2, np.eye(4)[1], model_full)
         assert rep.verdict == "UC_holds_inf_positive"
 
+    @pytest.mark.parametrize("mu, w, verdict", [
+        (2.5, 1.0 * np.eye(8)[0], "UC_holds_nonresonant"),
+        (2.5, 1e-9 * np.eye(8)[0], "UC_holds_nonresonant"),
+        (2.5, 1e-30 * np.eye(8)[0], "UC_holds_nonresonant"),
+        (math.pi**2, 1e-12 * np.eye(8)[0], "UC_holds_no_solution"),
+        (math.pi**2, 1e-12 * np.eye(8)[1], "UC_holds_inf_positive"),
+        (2.5, np.zeros(8), "UC_fails"),
+        (math.pi**2, np.zeros(8), "UC_fails"),
+    ], ids=["unit", "1e-9", "1e-30", "resonant_1e-12", "orthogonal_1e-12", "zero", "zero_resonant"])
+    def test_small_data_keeps_its_verdict(self, mu, w, verdict):
+        # an absolute threshold on the restricted norm used to read small
+        # w_mu as a uniqueness failure; only w_mu = 0 fails
+        assert spectral_uc_classify(mu, w, self.model).verdict == verdict
+
+    @given(mode=st.one_of(st.none(), st.integers(1, 8)), mu_off=st.floats(-50.0, 700.0),
+           w=st.lists(st.integers(-3, 3), min_size=8, max_size=8), k=st.integers(-12, 12))
+    def test_verdicts_are_scale_invariant(self, mode, mu_off, w, k):
+        # the question is linear in w_mu, so scaling it must not move the verdict
+        mu = mu_off if mode is None else (mode * math.pi) ** 2
+        w = np.array(w, dtype=float)
+        base = spectral_uc_classify(mu, w, self.model).verdict
+        assert spectral_uc_classify(mu, 10.0**k * w, self.model).verdict == base
+
 
 class TestModalCheck:
     def test_nonresonant_rho_passes(self):

@@ -165,35 +165,42 @@ class TestOtherCommands:
     def test_missing_config_file(self, tmp_path):
         assert main(["check-uc", "--config", str(tmp_path / "absent.json")]) == 1
 
+    def test_obs_constant_unknown_key_exits_1(self, tmp_path, capsys):
+        cfg = scalar_null_config()
+        cfg["model"]["extra"] = 1
+        path = write(tmp_path, cfg)
+        assert main(["obs-constant", "--config", str(path), "--kind", "final_state"]) == 1
+        assert "unknown key 'extra' in model" in capsys.readouterr().err
+
 
 class TestConfigParsing:
     def test_unknown_top_level_key(self):
         cfg = scalar_null_config()
         cfg["extra"] = 1
         with pytest.raises(ConfigError, match="extra"):
-            RunConfig.from_dict(cfg)
+            RunConfig.from_dict(cfg).build()
 
     def test_null_forbids_target(self):
         cfg = scalar_null_config()
         cfg["problem"]["y1"] = [0.0]
         with pytest.raises(ConfigError, match="y1"):
-            RunConfig.from_dict(cfg)
+            RunConfig.from_dict(cfg).build()
 
     def test_approx_requires_epsilon(self):
         cfg = scalar_null_config()
         cfg["problem"]["kind"] = "approx"
         cfg["problem"]["y1"] = [0.0]
         with pytest.raises(ConfigError, match="epsilon"):
-            RunConfig.from_dict(cfg)
+            RunConfig.from_dict(cfg).build()
 
     def test_entry_shape_rules(self):
         cfg = scalar_null_config()
         cfg["problem"]["G"] = [{"rate": 0.0}]
         with pytest.raises(ConfigError):
-            RunConfig.from_dict(cfg)
+            RunConfig.from_dict(cfg).build()
         cfg["problem"]["G"] = [{"signal": [[0.0]], "rate": 1.0}]
         with pytest.raises(ConfigError):
-            RunConfig.from_dict(cfg)
+            RunConfig.from_dict(cfg).build()
 
     def test_build_heat_model_with_subspaces(self):
         cfg = {
@@ -211,7 +218,7 @@ class TestConfigParsing:
         build = RunConfig.from_dict(cfg).build()
         assert build.problem.W.dim == 1
         assert build.problem.w_star.shape == (32, 4)
-        assert build.system.n == 4
+        assert build.problem.system.n == 4
 
     def test_coords_index_out_of_range(self):
         cfg = scalar_null_config()
@@ -250,6 +257,35 @@ class TestConfigParsing:
             RunConfig.from_dict(cfg).build()
         assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
         assert "'tol_uc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, data, field", [
+        ("null", {"y1": [0.0]}, "y1"),
+        ("exact", {}, "y1"),
+        ("approx", {"y1": [0.0]}, "epsilon"),
+        ("exact", {"y1": [0.0], "epsilon": 0.1}, "epsilon"),
+        ("null", {"E": [[1.0]]}, "E"),
+    ], ids=["y1_with_null", "exact_without_y1", "approx_without_epsilon",
+            "epsilon_with_exact", "E_with_null"])
+    def test_kind_rules(self, tmp_path, capsys, kind, data, field):
+        cfg = scalar_null_config()
+        cfg["problem"] = {"kind": kind, "y0": [1.0], **data}
+        with pytest.raises(ConfigError, match=rf"^problem: .*\b{field}\b"):
+            RunConfig.from_dict(cfg).build()
+        path = write(tmp_path, cfg)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "check-uc", "obs-constant"])
+    def test_divergence_bound_is_unknown_key(self, tmp_path, capsys, command):
+        # the divergence bound is fixed at 1e6 times the data scale
+        cfg = scalar_null_config()
+        cfg["solver"]["divergence_bound"] = 1e-3
+        with pytest.raises(ConfigError, match="unknown key 'divergence_bound' in solver"):
+            RunConfig.from_dict(cfg).build()
+        extra = {"solve": ["--out", str(tmp_path / "out")], "check-uc": [],
+                 "obs-constant": ["--kind", "final_state"]}[command]
+        assert main([command, "--config", str(write(tmp_path, cfg))] + extra) == 1
+        assert "'divergence_bound'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["false", 0, 1, None])
     def test_uc_flag_must_be_boolean(self, tmp_path, capsys, flag):
@@ -297,7 +333,14 @@ class TestConfigParsing:
     def test_ode_without_control_columns(self):
         cfg = scalar_null_config(n_steps=16)
         cfg["model"]["B"] = [[]]
-        assert RunConfig.from_dict(cfg).build().system.m == 0
+        assert RunConfig.from_dict(cfg).build().problem.system.m == 0
+
+    def test_non_string_family_exits_1(self, tmp_path, capsys):
+        # a list is unhashable: the family lookup used to raise TypeError
+        cfg = scalar_null_config()
+        cfg["model"]["family"] = ["ode"]
+        assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
+        assert "unknown model family ['ode']" in capsys.readouterr().err
 
     def test_heat_without_modes_exits_1(self, tmp_path, capsys):
         cfg = {
@@ -397,10 +440,16 @@ class TestExitCodes:
         assert run_config(path, tmp_path / "out") == 4
 
     def test_divergence_without_witness_is_not_certified(self, tmp_path, capsys):
-        # the bound stops CG on a problem whose uniqueness map holds: exit 3
-        # stays, but nothing certifies non-coercivity
-        cfg = scalar_null_config(checks={"uc": True})
-        cfg["solver"]["divergence_bound"] = 1e-3
+        # an undamped heat target: the data-scale divergence bound stops CG
+        # after 23 iterations although the uniqueness map holds (sigma_min
+        # 2.5e-5), so exit 3 stays, but nothing certifies non-coercivity
+        cfg = {
+            "model": {"family": "heat1d", "n_modes": 16},
+            "grid": {"T": 1.0, "n_steps": 128},
+            "problem": {"kind": "exact", "y0": [1.0] * 16,
+                        "y1": np.linspace(0.0, 1.0, 16).tolist()},
+            "checks": {"uc": True},
+        }
         out = tmp_path / "out"
         assert run_config(write(tmp_path, cfg), out) == 3
         err = capsys.readouterr().err
@@ -414,6 +463,14 @@ class TestExitCodes:
         blocker = tmp_path / "blocked"
         blocker.write_text("file in the way")
         assert run_config(path, blocker / "out") == 1
+
+    def test_unwritable_output_after_failed_certification_exits_1(self, tmp_path, capsys):
+        cfg = infeasible_config()
+        cfg["checks"] = {"uc": True}
+        blocker = tmp_path / "blocked"
+        blocker.write_text("file in the way")
+        assert run_config(write(tmp_path, cfg), blocker / "out") == 1
+        assert capsys.readouterr().err.startswith("error: cannot create output directory")
 
 
 class TestWaveConfig:

@@ -35,8 +35,6 @@ class TestOptions:
             SolverOptions(max_iters=0)
         with pytest.raises(ConfigError):
             SolverOptions(grad_tol=0.0)
-        with pytest.raises(ConfigError):
-            SolverOptions(divergence_bound=-1.0)
 
 
 class TestQuadraticKinds:
