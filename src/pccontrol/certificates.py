@@ -195,20 +195,20 @@ def _framed_signals(Q: np.ndarray, basis: np.ndarray, dt: float) -> np.ndarray:
     return np.vstack([frame.reshape(p, N * Q.shape[1]).T, rest])
 
 
-def _uc_columns(system: LinearSystem, ops: StepOperator, G_basis, W_basis) -> np.ndarray:
-    """(z_T, g, w) -> B* z - g over the horizon of the bases (p, N, dim),
-    from one batched solve, in the output frame with N*r + p_g rows.  The g
-    columns ride along as zero right-hand sides, so the solve returns the
-    map in its final column order."""
+def _uc_columns(system: LinearSystem, ops: StepOperator, G_basis, W_basis):
+    """(z_T, g, w) -> B* z - g over the horizon of the bases (p, N, dim) in
+    the output frame with N*r + p_g rows, and the nodes (N+1, n, k) of z,
+    from one batched solve whose g columns are zero right-hand sides, so it
+    returns the map in its final column order."""
     n, p_g, N = system.n, G_basis.shape[0], W_basis.shape[1]
     k = n + p_g + W_basis.shape[0]
     F = np.zeros((N, k, n))
     F[:, n + p_g:] = W_basis.transpose(1, 0, 2)
     Q, R = np.linalg.qr(system.B.T)
-    obs, _ = _observe(system, ops, R, np.eye(k, n), F)
+    obs, nodes = _observe(system, ops, R, np.eye(k, n), F)
     M = np.vstack([obs, np.zeros((p_g, k))])
     M[:, n:n + p_g] = -_framed_signals(Q, G_basis, ops.dt)
-    return M
+    return M, nodes
 
 
 def assemble_uc_map(
@@ -228,7 +228,7 @@ def assemble_uc_map(
     discrete level iff this map has trivial kernel.
     """
     _check_spaces(system, grid, G, W)
-    return _uc_columns(system, ops or build_propagator(system, grid), G.basis, W.basis)
+    return _uc_columns(system, ops or build_propagator(system, grid), G.basis, W.basis)[0]
 
 
 def uc_check(M: np.ndarray, block_dims: tuple[int, int, int] | None = None) -> UCReport:
@@ -255,14 +255,13 @@ def _general_maps(system, grid, G, W, ops, want_initial: bool):
     The n*N columns of unit sources are time shifts: a unit source on
     interval k, component i, observes on intervals j <= k what one on the
     last interval observes on interval j + N-1-k, and its z(0) is that
-    response's node N-1-k.  One batched solve gives the n responses to the
-    last interval together with the n columns of z_T, and the source
-    columns are filled block-Toeplitz from them.
+    response's node N-1-k.  One :func:`_uc_columns` call, its W the n unit
+    sources on the last interval, gives the z_T and G columns and those n
+    responses, and the source columns are filled block-Toeplitz from them.
     """
     n, N = system.n, grid.n_steps
     p_g, p_w = G.dim, W.dim
-    Q, R = np.linalg.qr(system.B.T)
-    r = Q.shape[1]
+    r = min(system.m, n)
     sqrt_dt = math.sqrt(grid.dt)
     n_cols = n + p_g + p_w + n * N
     sig_rows = N * r + p_g  # signal rows in the output frame
@@ -271,32 +270,31 @@ def _general_maps(system, grid, G, W, ops, want_initial: bool):
         raise ProblemTooLargeError(
             f"dense observability assembly needs {entries} float64 entries, cap is {DENSE_CAP}"
         )
-    F = np.zeros((N, 2 * n, n))
-    F[N - 1, n:] = np.eye(n) / sqrt_dt  # unit norm in sqrt(dt)-scaled coordinates
-    obs, nodes = _observe(system, ops, R, np.vstack([np.eye(n), np.zeros((n, n))]), F)
+    last_sources = np.zeros((n, N, n))
+    last_sources[:, N - 1] = np.eye(n) / sqrt_dt  # unit norm in sqrt(dt)-scaled coordinates
+    uc, nodes = _uc_columns(system, ops, G.basis, last_sources)
     f0 = n + p_g + p_w  # first source column
     M = np.zeros((sig_rows + N * n, n_cols))
-    M[:N * r, :n] = obs[:, :n]
-    M[:sig_rows, n:n + p_g] = _framed_signals(Q, G.basis, grid.dt)
+    M[:sig_rows, :n] = uc[:, :n]
+    M[:sig_rows, n:n + p_g] = -uc[:, n:n + p_g]  # B* z - g back to B* z + g
     M[sig_rows:, n + p_g:f0] = sqrt_dt * W.basis.reshape(p_w, N * n).T
     diag = np.arange(N * n)
     M[sig_rows + diag, f0 + diag] = 1.0
-    last = obs[:, n:]
+    last = uc[:N * r, n + p_g:]
     for k in range(N):
         M[:(k + 1) * r, f0 + k * n:f0 + (k + 1) * n] = last[(N - 1 - k) * r:]
     D = None
     if want_initial:
         D = np.eye(n_cols)
         D[:n, :n] = nodes[0, :, :n]
-        D[:n, f0:] = nodes[N - 1::-1, :, n:].transpose(1, 0, 2).reshape(n, N * n)
+        D[:n, f0:] = nodes[N - 1::-1, :, n + p_g:].transpose(1, 0, 2).reshape(n, N * n)
     return M, D
 
 
 def _theta(system: LinearSystem, ops: StepOperator, N: int):
     """The homogeneous observation: B* z signals (N*r, n) per unit z_T and
-    the nodes (N+1, n, n) of z, from one batched solve (see :func:`_observe`)."""
-    n = system.n
-    return _observe(system, ops, np.linalg.qr(system.B.T)[1], np.eye(n), np.zeros((N, n, n)))
+    the nodes (N+1, n, n) of z, the uniqueness columns without G and W."""
+    return _uc_columns(system, ops, np.zeros((0, N, system.m)), np.zeros((0, N, system.n)))
 
 
 def _split_constant(M: np.ndarray, D: np.ndarray | None) -> tuple[float, float]:
@@ -369,12 +367,12 @@ def two_time_check(
     the source restricted to (0, t~) and the subspace coefficients measured
     over the whole of (0, T), must have trivial kernel; and the
     intermediate-time trace must be observable from the full-horizon
-    observation: the constant of kind 'tilde_T' bounds z(t~) = (E^T)^(N-k) z_T
-    by the homogeneous B* z signal.  Each injectivity question compares a
-    smallest singular value with the numerical-rank cutoff of its own map.
-    All three together certify the general initial-trace observability
-    inequality at the discrete level, which is what the null-control solve
-    needs.
+    observation: the constant of kind 'tilde_T' bounds z(t~), the node of
+    the homogeneous solve at t~, by its B* z signal.  Each injectivity
+    question compares a smallest singular value with the numerical-rank
+    cutoff of its own map.  All three together certify the general
+    initial-trace observability inequality at the discrete level, which is
+    what the null-control solve needs.
     """
     _check_spaces(system, grid, G, W)
     ops = ops or build_propagator(system, grid)
@@ -387,12 +385,10 @@ def two_time_check(
         or _sv_verdict(sqrt_dt * S.basis[:, :k_cut].reshape(S.dim, -1).T, vectors=False).holds
         for S in (G, W)
     )
-    M = _uc_columns(system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])
+    M = _uc_columns(system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])[0]
     uc_tilde = uc_check(M, block_dims=(system.n, G.dim, W.dim))
-    theta = _theta(system, ops, N)[0]
-    obs_tilde = ObservabilityReport(
-        "tilde_T", *_split_constant(theta, np.linalg.matrix_power(ops.E.T, N - k_cut))
-    )
+    theta, nodes = _theta(system, ops, N)
+    obs_tilde = ObservabilityReport("tilde_T", *_split_constant(theta, nodes[k_cut]))
     certified = restriction_ok and uc_tilde.holds and math.isfinite(obs_tilde.constant_C)
     return TwoTimeReport(restriction_ok, uc_tilde, obs_tilde, certified)
 

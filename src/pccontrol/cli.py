@@ -144,6 +144,16 @@ def _run_checks(build: BuildResult) -> tuple[dict, bool, certificates.UCReport |
     return section, passed, uc
 
 
+def _output_dir(out_dir) -> Path:
+    """Create the output directory (and its parents) if missing."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise PccontrolError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
 def emit_report(
     out_dir,
     config: RunConfig,
@@ -154,11 +164,7 @@ def emit_report(
     extra: dict | None = None,
 ):
     """Write report.json (always) and the CSV pair (when a solve ran)."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise PccontrolError(f"cannot create output directory {out}: {exc}") from exc
+    out = _output_dir(out_dir)
     report: dict = {"config": config.to_dict(), "checks": checks_section}
     if diagnostics is not None:
         report["solve"] = {
@@ -209,6 +215,7 @@ def run_config(config_path, out_dir) -> int:
     """Execute certifications and the solve for one configuration."""
     config = RunConfig.from_file(config_path)
     build = config.build()
+    _output_dir(out_dir)  # an unwritable one fails before the checks and the solve
     problem = build.problem
     log.info("model %s built, grid T=%s n_steps=%s", problem.system.name,
              problem.grid.horizon, problem.grid.n_steps)

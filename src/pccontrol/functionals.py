@@ -242,14 +242,29 @@ def _observation(p: ProblemData, v: DualVariable) -> tuple[Trajectory, np.ndarra
     return z, control_observation(p.system, z)
 
 
+def _eps_blocks(p: ProblemData, v: DualVariable) -> list[np.ndarray]:
+    """The blocks the eps norms act on: Pi_1 v = (I - P_E) z_T and, for the
+    relaxed kind, Pi_2 v = w; none for the exact and null kinds."""
+    if p.kind not in APPROX_KINDS:
+        return []
+    blocks = [p.E.complement(v.z_T)]
+    if p.kind == "approx_relaxed":
+        blocks.append(v.w_coef)
+    return blocks
+
+
+def _put(p: ProblemData, v: DualVariable, blocks: list[np.ndarray]) -> DualVariable:
+    """v with its eps blocks replaced by ``blocks``."""
+    out = v.copy()
+    out.z_T = p.E.project(v.z_T) + blocks[0]
+    if len(blocks) > 1:
+        out.w_coef = blocks[1]
+    return out
+
+
 def nonsmooth_value(p: ProblemData, v: DualVariable) -> float:
     """Value of the eps-weighted norm terms (zero for exact/null kinds)."""
-    if p.kind not in APPROX_KINDS:
-        return 0.0
-    val = p.epsilon * float(np.linalg.norm(p.E.complement(v.z_T)))
-    if p.kind == "approx_relaxed":
-        val += p.epsilon * float(np.linalg.norm(v.w_coef))
-    return val
+    return sum((p.epsilon * float(np.linalg.norm(x)) for x in _eps_blocks(p, v)), 0.0)
 
 
 def eval_smooth(p: ProblemData, v: DualVariable) -> float:
@@ -276,12 +291,13 @@ def eval_J(p: ProblemData, v: DualVariable) -> float:
     return val
 
 
-def _transpose_chain(p: ProblemData, v: DualVariable, affine: bool) -> DualVariable:
+def _transpose_chain(p: ProblemData, v: DualVariable, affine: bool):
     """One adjoint solve for B* z, then one forward solve under B* z + g.
 
     With ``affine`` the forward solve starts from y0 under B* z + g + g*,
     and y1 and w* enter the z_T and f blocks; without it every datum is
-    zero and the result is the homogeneous quadratic part alone.
+    zero and the result is the homogeneous quadratic part alone.  Returns
+    the gradient, the control the forward solve ran under, and its state.
     """
     p.check_variable(v)
     _, q = _observation(p, v)
@@ -293,7 +309,8 @@ def _transpose_chain(p: ProblemData, v: DualVariable, affine: bool) -> DualVaria
         y0, u, f = np.zeros(p.system.n), qg, fw
     yhat = forward_solve(p.system, p.ops, y0, u)
     z_T = yhat.final - p.y1 if affine else yhat.final.copy()
-    return DualVariable(z_T, p.G.coords(qg), p.W.coords(fw), f - yhat.interval_averages)
+    grad = DualVariable(z_T, p.G.coords(qg), p.W.coords(fw), f - yhat.interval_averages)
+    return grad, u, yhat
 
 
 def grad_smooth(p: ProblemData, v: DualVariable) -> DualVariable:
@@ -310,7 +327,7 @@ def grad_smooth(p: ProblemData, v: DualVariable) -> DualVariable:
     These blocks are precisely the primal residuals of the candidate
     control, so a small gradient certifies the recovered solution.
     """
-    return _transpose_chain(p, v, affine=True)
+    return _transpose_chain(p, v, affine=True)[0]
 
 
 def apply_quadratic(p: ProblemData, v: DualVariable) -> DualVariable:
@@ -319,35 +336,24 @@ def apply_quadratic(p: ProblemData, v: DualVariable) -> DualVariable:
     Same transpose chain as :func:`grad_smooth` with y0, y1, g*, w* set to
     zero; self-adjoint and positive semidefinite in the dual inner product.
     """
-    return _transpose_chain(p, v, affine=False)
+    return _transpose_chain(p, v, affine=False)[0]
 
 
 def recover_primal(p: ProblemData, v_opt: DualVariable) -> ControlSolution:
     """Control and trajectory read off a dual point via the optimality dictionary.
 
-    u = B* Z + G + g* as an interval signal, y by an exact forward solve.
-    Residuals report the projection defects, the final-state error and the
-    interval-wise mismatch between y and F + W + w* (duality_check); at an
-    exact minimizer all of them vanish to the solver tolerance.
+    u = B* Z + G + g* and y are the control and state of the chain of
+    :func:`grad_smooth`, whose z_T and f blocks are the final-state error and
+    the interval-wise mismatch between y and F + W + w* (duality_check); at
+    an exact minimizer these and the projection defects vanish to tolerance.
     """
-    p.check_variable(v_opt)
     dt = p.grid.dt
-    _, q = _observation(p, v_opt)
-    g = p.G.lift(v_opt.g_coef)
-    w = p.W.lift(v_opt.w_coef)
-    u = q + g + p.g_star
-    y = forward_solve(p.system, p.ops, p.y0, u)
-    y_avg = y.interval_averages
-    final_err = float(np.linalg.norm(y.final - p.y1))
-    proj_u = signal_norm(p.G.project(u) - p.g_star, dt)
-    proj_y = signal_norm(p.W.project(y_avg) - p.w_star, dt)
-    proj_E = float(np.linalg.norm(p.E.project(y.final - p.y1)))
-    duality = signal_norm(y_avg - (v_opt.f + w + p.w_star), dt)
+    grad, u, y = _transpose_chain(p, v_opt, affine=True)
     res = SolutionResiduals(
-        final_state_error=final_err,
-        proj_u_error=proj_u,
-        proj_y_error=proj_y,
-        proj_E_error=proj_E,
-        duality_check=duality,
+        final_state_error=float(np.linalg.norm(grad.z_T)),
+        proj_u_error=signal_norm(p.G.project(u) - p.g_star, dt),
+        proj_y_error=signal_norm(p.W.project(y.interval_averages) - p.w_star, dt),
+        proj_E_error=float(np.linalg.norm(p.E.project(grad.z_T))),
+        duality_check=signal_norm(grad.f, dt),
     )
     return ControlSolution(u=u, y=y, residuals=res)

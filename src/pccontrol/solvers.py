@@ -36,10 +36,11 @@ from .functionals import (
     APPROX_KINDS,
     DualVariable,
     ProblemData,
+    _eps_blocks,
+    _put,
     apply_quadratic,
     dual_dot,
     dual_norm,
-    eval_smooth,
     grad_smooth,
     nonsmooth_value,
 )
@@ -95,11 +96,12 @@ def minimize(
     null kinds, shifted CG solves on the eps-multipliers for the approximate
     ones (:func:`_minimize_approx`)."""
     opts = opts or SolverOptions()
+    b = -1.0 * grad_smooth(p, p.zero_variable())
+    bound = _divergence_bound(p)
     if p.kind in APPROX_KINDS:
-        return _minimize_approx(p, opts)
+        return _minimize_approx(p, opts, b, bound)
     v, res, iters, verdict, decrements = _cg_core(
-        p, -1.0 * grad_smooth(p, p.zero_variable()), p.zero_variable(), opts.grad_tol,
-        opts.max_iters, _divergence_bound(p),
+        p, b, p.zero_variable(), opts.grad_tol, opts.max_iters, bound
     )
     history = [0.0]
     for dec in decrements:
@@ -181,24 +183,6 @@ def _cg_core(p: ProblemData, b: DualVariable, x0: DualVariable, tol: float, max_
 # the approximate kinds: a secular equation on the eps-multipliers
 
 
-def _eps_blocks(p: ProblemData, v: DualVariable) -> list[np.ndarray]:
-    """The blocks the eps norms act on: Pi_1 v = (I - P_E) z_T, and Pi_2 v = w
-    for the relaxed kind."""
-    blocks = [p.E.complement(v.z_T)]
-    if p.kind == "approx_relaxed":
-        blocks.append(v.w_coef)
-    return blocks
-
-
-def _put(p: ProblemData, v: DualVariable, blocks: list[np.ndarray]) -> DualVariable:
-    """v with its eps blocks replaced by ``blocks``."""
-    out = v.copy()
-    out.z_T = p.E.project(v.z_T) + blocks[0]
-    if len(blocks) > 1:
-        out.w_coef = blocks[1]
-    return out
-
-
 def _shift(p: ProblemData, y: DualVariable, x: DualVariable, mu) -> DualVariable:
     """y + sum_i mu_i Pi_i x, with the blocks of infinite mu_i set to zero."""
     return _put(p, y, [np.zeros_like(a) if m == math.inf else a + m * c
@@ -209,19 +193,22 @@ def _least_subgradient(p: ProblemData, v: DualVariable, g: DualVariable, held) -
     """Least-norm element of the subdifferential of the full functional at v.
 
     ``g`` is ``grad_smooth(p, v)``.  A free block adds eps times its
-    direction; a block held at zero shrinks its gradient by eps.
+    direction; a block held at zero, or free but exactly zero, shrinks its
+    gradient by eps.
     """
     parts = []
     for x, y, at_zero in zip(_eps_blocks(p, v), _eps_blocks(p, g), held):
-        if at_zero:
+        nx = float(np.linalg.norm(x))
+        if at_zero or nx == 0.0:
             ny = float(np.linalg.norm(y))
             parts.append(max(0.0, 1.0 - p.epsilon / ny) * y if ny > 0.0 else y)
         else:
-            parts.append(y + (p.epsilon / float(np.linalg.norm(x))) * x)
+            parts.append(y + (p.epsilon / nx) * x)
     return _put(p, g, parts)
 
 
-def _minimize_approx(p: ProblemData, opts: SolverOptions) -> tuple[DualVariable, SolveDiagnostics]:
+def _minimize_approx(p: ProblemData, opts: SolverOptions, b: DualVariable,
+                     bound: float) -> tuple[DualVariable, SolveDiagnostics]:
     """The secular equation, solved for s_i = 1/mu_i (s_i = 0 holds block i).
 
     Its residuals r_i = eps / psi_i - 1, psi_i = mu_i ||Pi_i v(mu)||, rise
@@ -234,10 +221,11 @@ def _minimize_approx(p: ProblemData, opts: SolverOptions) -> tuple[DualVariable,
     diverged goes halfway from the last bounded s to it; the problem is
     ``diverged_infeasible`` once the two agree to a relative 1e-8, or when a
     solve diverges although no s_i rose.
+
+    ``b`` is -grad J_s(0).  J_s vanishes at 0, so each bounded step records
+    J_s(v) = 1/2 <grad J_s(v) + grad J_s(0), v> plus the eps terms.
     """
     dt = p.grid.dt
-    bound = _divergence_bound(p)
-    b = -1.0 * grad_smooth(p, p.zero_variable())
     b_norm = dual_norm(b, dt)
     v = p.zero_variable()
     k = len(_eps_blocks(p, v))
@@ -276,7 +264,7 @@ def _minimize_approx(p: ProblemData, opts: SolverOptions) -> tuple[DualVariable,
             s_ok = base = s
             g = grad_smooth(p, v)
             residual = accuracy = dual_norm(_least_subgradient(p, v, g, s == 0.0), dt)
-            history.append(eval_smooth(p, v) + nonsmooth_value(p, v))
+            history.append(0.5 * dual_dot(g - b, v, dt) + nonsmooth_value(p, v))
             if residual <= opts.grad_tol:
                 verdict = "converged"
                 break

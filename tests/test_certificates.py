@@ -284,7 +284,7 @@ class TestBatchedAssembly:
         k_cut = grid.n_steps // 2
         ref = loop_uc_map(system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])
         _assert_in_frame(certificates._uc_columns(system, ops, G.basis[:, :k_cut],
-                                                   W.basis[:, :k_cut]),
+                                                   W.basis[:, :k_cut])[0],
                          ref, system, k_cut, G.dim)
         rep = two_time_check(system, grid, G, W, k_cut * grid.dt, ops=ops)
         s = np.linalg.svd(ref, compute_uv=False)
@@ -443,6 +443,18 @@ class TestTwoTime:
         assert not rep.restriction_ok
         assert not rep.certified
 
+    @pytest.mark.parametrize("t_tilde", [0.25, 0.5, 1.0])
+    def test_tilde_constant_is_the_power_of_the_step(self, t_tilde):
+        # z(t~) is read off the nodes of the solve behind Theta; it is the
+        # homogeneous step applied N - k times to z_T
+        system, _, grid, G, W = self.heat_setup()
+        ops = build_propagator(system, grid)
+        theta = certificates._theta(system, ops, grid.n_steps)[0]
+        D = np.linalg.matrix_power(ops.E.T, grid.n_steps - grid.node_index(t_tilde))
+        ref = certificates._split_constant(theta, D)[0]
+        rep = two_time_check(system, grid, G, W, t_tilde, ops=ops)
+        assert rep.obs_tilde.constant_C == pytest.approx(ref, rel=1e-12)
+
     def test_control_free_fails_uc(self):
         system = make_ode([[0.0]], np.zeros((1, 0)))
         grid = TimeGrid(1.0, 8)
@@ -460,7 +472,7 @@ class TestTwoTime:
         system, grid, G, W, ops = _batch_setup(*case)
         n, p_g, p_w = system.n, G.dim, W.dim
         assert p_g == 2
-        _assert_in_frame(certificates._uc_columns(system, ops, G.basis[:, :1], W.basis[:, :1]),
+        _assert_in_frame(certificates._uc_columns(system, ops, G.basis[:, :1], W.basis[:, :1])[0],
                          loop_uc_map(system, ops, G.basis[:, :1], W.basis[:, :1]),
                          system, 1, p_g)
         rep = two_time_check(system, grid, G, W, grid.dt, ops=ops)

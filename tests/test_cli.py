@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pccontrol import RunConfig
+from pccontrol import RunConfig, cli
 from pccontrol.cli import _write_csv, main, run_config
 from pccontrol.errors import ConfigError
 
@@ -463,6 +463,19 @@ class TestExitCodes:
         blocker = tmp_path / "blocked"
         blocker.write_text("file in the way")
         assert run_config(path, blocker / "out") == 1
+
+    def test_unwritable_output_fails_before_checks_and_solve(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the output directory was made")
+
+        monkeypatch.setattr(cli, "minimize", refuse)
+        monkeypatch.setattr(cli, "_run_checks", refuse)
+        path = write(tmp_path, scalar_null_config(n_steps=8))
+        blocker = tmp_path / "blocked"
+        blocker.write_text("file in the way")
+        assert run_config(path, blocker / "out") == 1
+        assert capsys.readouterr().err.startswith("error: cannot create output directory")
 
     def test_unwritable_output_after_failed_certification_exits_1(self, tmp_path, capsys):
         cfg = infeasible_config()

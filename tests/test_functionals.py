@@ -23,6 +23,7 @@ from pccontrol import (
     orthonormalize,
     recover_primal,
 )
+from pccontrol.core import signal_norm
 from pccontrol.errors import ShapeError
 
 from oracles import random_problem
@@ -122,6 +123,20 @@ def quadratic_cases(draw):
     p_g = draw(st.integers(0, 2))
     p_w = draw(st.integers(0, 2))
     return kind, n, m, N, p_g, p_w, draw(st.integers(0, 2**32 - 1))
+
+
+class TestObjectiveFromGradients:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_smooth_part_from_gradient_pair(self, kind):
+        # the smooth part vanishes at 0 and is quadratic, so
+        # J_s(v) = 1/2 <grad J_s(v) + grad J_s(0), v>
+        for seed in range(40):
+            rng = np.random.default_rng(300 + seed)
+            p = random_problem(rng, kind)
+            v = _random_variable(rng, p)
+            pair = grad_smooth(p, v) + grad_smooth(p, p.zero_variable())
+            value = 0.5 * dual_dot(pair, v, p.grid.dt) + nonsmooth_value(p, v)
+            assert value == pytest.approx(eval_J(p, v), rel=1e-12)
 
 
 class TestQuadraticOperator:
@@ -224,6 +239,19 @@ class TestRecoverPrimal:
         assert sol.residuals.proj_u_error <= 1e-9
         assert sol.residuals.proj_y_error <= 1e-9
         assert sol.residuals.final_state_error <= 1e-9
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_residuals_are_gradient_norms(self, kind):
+        # the final-state error is the z_T block of the gradient at the same
+        # point, the duality check its f block, to the last bit
+        rng = np.random.default_rng(8)
+        p = random_problem(rng, kind)
+        v = _random_variable(rng, p)
+        res = recover_primal(p, v).residuals
+        g = grad_smooth(p, v)
+        assert res.final_state_error == float(np.linalg.norm(g.z_T))
+        assert res.proj_E_error == float(np.linalg.norm(p.E.project(g.z_T)))
+        assert res.duality_check == signal_norm(g.f, p.grid.dt)
 
 
 class TestErrorPaths:

@@ -20,7 +20,9 @@ from pccontrol import (
     orthonormalize,
     recover_primal,
 )
+from pccontrol import functionals
 from pccontrol.errors import ConfigError, InvalidWitnessError
+from pccontrol.solvers import _least_subgradient
 
 from oracles import kkt_control, loop_invisible_final_data, random_problem
 
@@ -286,6 +288,24 @@ class TestSecularEquation:
         v, diag = minimize(p, SolverOptions(max_iters=5000))
         assert diag.verdict == "converged"
         assert diag.objective_history[-1] == pytest.approx(eval_J(p, v), rel=1e-12)
+        # the history is read off the gradient pair, not evaluated: it still
+        # ends at the functional of the returned point
+        for seed in range(8):
+            for kind in ("approx", "approx_relaxed"):
+                p = random_problem(np.random.default_rng(200 + seed), kind)
+                v, diag = minimize(p)
+                assert diag.objective_history[-1] == pytest.approx(eval_J(p, v), rel=1e-12)
+
+    def test_zero_free_block_is_held(self):
+        # at v = 0 the block (I - P_E) z_T is exactly zero; free, it has no
+        # direction, so it counts as held at zero
+        p = random_problem(np.random.default_rng(3), "approx")
+        v = p.zero_variable()
+        g = grad_smooth(p, v)
+        free, held = (_least_subgradient(p, v, g, [at_zero]) for at_zero in (False, True))
+        for a, b in zip((free.z_T, free.g_coef, free.w_coef, free.f),
+                        (held.z_T, held.g_coef, held.w_coef, held.f)):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("kind", ["approx", "approx_relaxed"])
     def test_wave_with_W_generator_in_few_outer_steps(self, kind):
@@ -310,6 +330,23 @@ class TestSecularEquation:
         assert diag.iterations <= 20
         sol = recover_primal(p, v)
         assert sol.residuals.final_state_error <= p.epsilon * (1 + 1e-8)
+
+
+class TestOneChainPerStep:
+    @pytest.mark.parametrize("kind", ["approx", "approx_relaxed", "exact", "null"])
+    def test_every_adjoint_solve_has_its_forward_solve(self, kind, monkeypatch):
+        # every solve runs inside a transpose chain: one adjoint and one
+        # forward solve, with no evaluation-only adjoint solves beside them
+        counts = {"adjoint_solve": 0, "forward_solve": 0}
+        for name in counts:
+            def counted(*args, _name=name, _solve=getattr(functionals, name), **kwargs):
+                counts[_name] += 1
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(functionals, name, counted)
+        p = random_problem(np.random.default_rng(21), kind)
+        _, diag = minimize(p)
+        assert diag.verdict == "converged"
+        assert counts["adjoint_solve"] == counts["forward_solve"] > 1
 
 
 class TestCertifyInfeasibility:
