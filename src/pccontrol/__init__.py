@@ -26,12 +26,9 @@ from .functionals import (
     APPROX_KINDS,
     KINDS,
     ControlSolution,
-    DualVariable,
     ProblemData,
     SolutionResiduals,
     apply_quadratic,
-    dual_dot,
-    dual_norm,
     eval_J,
     eval_smooth,
     grad_smooth,
@@ -71,9 +68,9 @@ __all__ = [
     "control_observation", "signal_inner", "signal_norm",
     "VectorAmbient", "SignalAmbient", "Subspace", "orthonormalize",
     "KINDS", "APPROX_KINDS",
-    "DualVariable", "ProblemData", "ControlSolution", "SolutionResiduals",
+    "ProblemData", "ControlSolution", "SolutionResiduals",
     "eval_J", "eval_smooth", "nonsmooth_value", "grad_smooth", "apply_quadratic",
-    "recover_primal", "dual_dot", "dual_norm",
+    "recover_primal",
     "SolverOptions", "SolveDiagnostics", "minimize", "certify_infeasibility",
     "UCReport", "ObservabilityReport", "TwoTimeReport", "ModalUCReport",
     "SpectralClassification", "assemble_uc_map", "uc_check", "observability_constant",

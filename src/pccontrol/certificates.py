@@ -162,7 +162,8 @@ def _sv_verdict(M: np.ndarray, floor: float = 1e-300, vectors: bool = True) -> _
         _, s, vt = np.linalg.svd(np.linalg.qr(M, mode="r"))
     else:
         _, s, vt = np.linalg.svd(M)
-    sigma_min = math.inf if cols == 0 else (float(s[-1]) if rows >= cols else 0.0)
+    # abs: LAPACK may return -0.0 for an exactly zero singular value
+    sigma_min = math.inf if cols == 0 else (abs(float(s[-1])) if rows >= cols else 0.0)
     cutoff = _rank_cutoff(M.shape, max(float(s[0]) if s.size else 0.0, floor))
     return _Verdict(sigma_min > cutoff, sigma_min, int(np.sum(s > cutoff)), s, vt)
 
@@ -351,6 +352,14 @@ def observability_constant(
     return ObservabilityReport(kind, *_split_constant(M, D))
 
 
+def _t_tilde_node(grid: TimeGrid, t_tilde: float) -> int:
+    """Node index of the intermediate time t~: ShapeError outside (0, T],
+    GridAlignmentError off the grid."""
+    if not (0.0 < t_tilde <= grid.horizon):
+        raise ShapeError(f"t_tilde must lie in (0, T], got {t_tilde}")
+    return grid.node_index(t_tilde)
+
+
 def two_time_check(
     system: LinearSystem,
     grid: TimeGrid,
@@ -375,10 +384,8 @@ def two_time_check(
     what the null-control solve needs.
     """
     _check_spaces(system, grid, G, W)
+    N, k_cut = grid.n_steps, _t_tilde_node(grid, t_tilde)
     ops = ops or build_propagator(system, grid)
-    if not (0.0 < t_tilde <= grid.horizon):
-        raise ShapeError(f"t_tilde must lie in (0, T], got {t_tilde}")
-    N, k_cut = grid.n_steps, grid.node_index(t_tilde)
     sqrt_dt = math.sqrt(grid.dt)
     restriction_ok = all(
         S.dim == 0

@@ -14,8 +14,9 @@ models list
     List the available model families.
 
 Exit codes: 0 success, 1 configuration or output error (one line
-``error: <message>`` on stderr), 2 certification failure
-(witness serialized into the report), 3 diverged minimization
+``error: <message>`` on stderr), 2 certification failure (stderr names
+the failed checks; a failed uniqueness check serializes its witness into
+the report), 3 diverged minimization
 (diverged_infeasible; certified non-coercive only when the report's
 infeasibility section holds a uniqueness witness), 4 iteration cap
 reached.  Verbosity is controlled by the PCCONTROL_LOG environment
@@ -88,13 +89,13 @@ def _uc_report(problem: ProblemData) -> certificates.UCReport:
     return certificates.uc_check(M, block_dims=(problem.system.n, problem.G.dim, problem.W.dim))
 
 
-def _run_checks(build: BuildResult) -> tuple[dict, bool, certificates.UCReport | None]:
-    """Run the requested certifications; returns (report section, all passed,
-    the uniqueness verdict when that check ran)."""
+def _run_checks(build: BuildResult) -> tuple[dict, list[str], certificates.UCReport | None]:
+    """Run the requested certifications; returns (report section, the names
+    of the failed checks, the uniqueness verdict when that check ran)."""
     checks = build.checks
     problem = build.problem
     section: dict = {}
-    passed = True
+    failed: list[str] = []
     uc = None
     if checks["uc"]:
         uc = _uc_report(problem)
@@ -105,7 +106,7 @@ def _run_checks(build: BuildResult) -> tuple[dict, bool, certificates.UCReport |
             "witness": uc.witness,
         }
         if not uc.holds:
-            passed = False
+            failed.append("uc")
             entry["infeasibility_radius"] = certify_infeasibility(uc.witness_parts())
         section["uc"] = entry
     if checks["observability"]:
@@ -115,9 +116,9 @@ def _run_checks(build: BuildResult) -> tuple[dict, bool, certificates.UCReport |
                 problem.system, problem.grid, problem.G, problem.W, kind, ops=problem.ops
             )
             obs[kind] = {"constant": rep.constant_C, "sigma_min": rep.sigma_min}
-            if not math.isfinite(rep.constant_C):
-                passed = False
         section["observability"] = obs
+        if not all(math.isfinite(entry["constant"]) for entry in obs.values()):
+            failed.append("observability")
     if checks["two_time"] is not None:
         rep = certificates.two_time_check(
             problem.system,
@@ -136,12 +137,12 @@ def _run_checks(build: BuildResult) -> tuple[dict, bool, certificates.UCReport |
             "certified": rep.certified,
         }
         if not rep.certified:
-            passed = False
+            failed.append("two_time")
     if section:
         # these verdicts speak about the discretized system on its grid, not
         # about any continuous limit
         section["certificate_level"] = "discrete"
-    return section, passed, uc
+    return section, failed, uc
 
 
 def _output_dir(out_dir) -> Path:
@@ -219,10 +220,11 @@ def run_config(config_path, out_dir) -> int:
     problem = build.problem
     log.info("model %s built, grid T=%s n_steps=%s", problem.system.name,
              problem.grid.horizon, problem.grid.n_steps)
-    checks_section, checks_passed, uc = _run_checks(build)
-    if not checks_passed:
+    checks_section, failed, uc = _run_checks(build)
+    if failed:
         emit_report(out_dir, config, checks_section)
-        print("certification failed; witness serialized in report.json", file=sys.stderr)
+        witness = "; witness serialized in report.json" if "uc" in failed else ""
+        print(f"certification failed: {', '.join(failed)}{witness}", file=sys.stderr)
         return _EXIT_CERTIFICATION
     v, diag = minimize(problem, build.solver)
     solution = recover_primal(problem, v)

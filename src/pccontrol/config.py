@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import OBS_KINDS
+from .certificates import OBS_KINDS, _t_tilde_node
 from .core import LinearSystem, TimeGrid
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, GridAlignmentError, ShapeError
 from .functionals import ProblemData
 from .models import exponential_profile_signal, make_heat1d, make_ode, make_wave1d, support_mask
 from .solvers import SolverOptions
@@ -128,7 +128,7 @@ class RunConfig:
         return BuildResult(
             _build_problem(data["problem"], system, grid),
             _build_solver(data.get("solver", {})),
-            _build_checks(data.get("checks", {})),
+            _build_checks(data.get("checks", {}), grid),
         )
 
 
@@ -277,7 +277,7 @@ def _build_solver(section: dict) -> SolverOptions:
     return SolverOptions(**kwargs)
 
 
-def _build_checks(section: dict) -> dict:
+def _build_checks(section: dict, grid: TimeGrid) -> dict:
     _check_keys(section, _CHECKS_KEYS, set(), "checks")
     uc = section.get("uc", False)
     if not isinstance(uc, bool):
@@ -292,6 +292,10 @@ def _build_checks(section: dict) -> dict:
     if "two_time" in section:
         _check_keys(section["two_time"], _TWO_TIME_KEYS, _TWO_TIME_KEYS, "checks.two_time")
         two_time = _number(section["two_time"]["t_tilde"], "checks.two_time.t_tilde")
+        try:
+            _t_tilde_node(grid, two_time)
+        except (ShapeError, GridAlignmentError) as exc:
+            raise ConfigError(f"checks.two_time.t_tilde: {exc}") from exc
     return {"uc": uc, "observability": list(kinds), "two_time": two_time}
 
 

@@ -21,6 +21,12 @@ trajectory are recovered from the minimizer through
 and the gradient blocks coincide with the primal residuals (final-state
 error, projection defects), which is what makes the stopping tolerance of
 the minimizer directly meaningful for the recovered solution.
+
+The dual variable is one flat vector (z_T, g coefficients, w coefficients,
+sqrt(dt) f), the column coordinates of the maps in
+:mod:`pccontrol.certificates`, so its inner product is the plain dot
+product.  :meth:`ProblemData.blocks` and :meth:`ProblemData.join` convert
+between the vector and its blocks.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ from .subspaces import SignalAmbient, Subspace, VectorAmbient, orthonormalize
 __all__ = [
     "KINDS",
     "APPROX_KINDS",
-    "DualVariable",
     "ProblemData",
     "ControlSolution",
     "SolutionResiduals",
@@ -58,64 +63,10 @@ __all__ = [
     "grad_smooth",
     "apply_quadratic",
     "recover_primal",
-    "dual_dot",
-    "dual_norm",
 ]
 
 KINDS = ("approx", "approx_relaxed", "exact", "null")
 APPROX_KINDS = ("approx", "approx_relaxed")
-
-
-@dataclass
-class DualVariable:
-    """Minimization variable (z_T, g, w, f); g and w stored as coefficients."""
-
-    z_T: np.ndarray
-    g_coef: np.ndarray
-    w_coef: np.ndarray
-    f: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int, p_g: int, p_w: int, n_steps: int) -> "DualVariable":
-        return cls(np.zeros(n), np.zeros(p_g), np.zeros(p_w), np.zeros((n_steps, n)))
-
-    def copy(self) -> "DualVariable":
-        return DualVariable(self.z_T.copy(), self.g_coef.copy(), self.w_coef.copy(), self.f.copy())
-
-    def __add__(self, other: "DualVariable") -> "DualVariable":
-        return DualVariable(
-            self.z_T + other.z_T,
-            self.g_coef + other.g_coef,
-            self.w_coef + other.w_coef,
-            self.f + other.f,
-        )
-
-    def __sub__(self, other: "DualVariable") -> "DualVariable":
-        return DualVariable(
-            self.z_T - other.z_T,
-            self.g_coef - other.g_coef,
-            self.w_coef - other.w_coef,
-            self.f - other.f,
-        )
-
-    def __mul__(self, a: float) -> "DualVariable":
-        return DualVariable(a * self.z_T, a * self.g_coef, a * self.w_coef, a * self.f)
-
-    __rmul__ = __mul__
-
-
-def dual_dot(v: DualVariable, w: DualVariable, dt: float) -> float:
-    """Inner product of the dual space: Euclidean blocks, dt-weighted f."""
-    return (
-        float(v.z_T @ w.z_T)
-        + float(v.g_coef @ w.g_coef)
-        + float(v.w_coef @ w.w_coef)
-        + dt * float(np.sum(v.f * w.f))
-    )
-
-
-def dual_norm(v: DualVariable, dt: float) -> float:
-    return math.sqrt(max(dual_dot(v, v, dt), 0.0))
 
 
 @dataclass
@@ -195,16 +146,28 @@ class ProblemData:
         """(n, p_G, p_W, n_steps)."""
         return self.system.n, self.G.dim, self.W.dim, self.grid.n_steps
 
-    def zero_variable(self) -> DualVariable:
+    @property
+    def size(self) -> int:
+        """Length of a dual variable: n + p_G + p_W + n_steps * n."""
         n, p_g, p_w, N = self.dims
-        return DualVariable.zeros(n, p_g, p_w, N)
+        return n + p_g + p_w + N * n
 
-    def check_variable(self, v: DualVariable):
+    def blocks(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(z_T, g coefficients, w coefficients, f) of a dual variable, f as
+        an (n_steps, n) signal read back from its sqrt(dt)-scaled slice."""
+        if v.shape != (self.size,):
+            raise ShapeError(f"dual variable must have shape ({self.size},), got {v.shape}")
         n, p_g, p_w, N = self.dims
-        if v.z_T.shape != (n,) or v.g_coef.shape != (p_g,) or v.w_coef.shape != (p_w,):
-            raise ShapeError("dual variable blocks do not match the problem dimensions")
-        if v.f.shape != (N, n):
-            raise ShapeError(f"f must have shape {(N, n)}, got {v.f.shape}")
+        a, b = n + p_g, n + p_g + p_w
+        return v[:n], v[n:a], v[a:b], v[b:].reshape(N, n) / math.sqrt(self.grid.dt)
+
+    def join(self, z_T, g_coef, w_coef, f) -> np.ndarray:
+        """The dual variable of the blocks, f scaled by sqrt(dt) (the inverse
+        of :meth:`blocks`)."""
+        return np.concatenate([z_T, g_coef, w_coef, math.sqrt(self.grid.dt) * np.ravel(f)])
+
+    def zero_variable(self) -> np.ndarray:
+        return np.zeros(self.size)
 
 
 def _check_spaces(system: LinearSystem, grid: TimeGrid, G: Subspace, W: Subspace):
@@ -236,54 +199,60 @@ class ControlSolution:
     residuals: SolutionResiduals
 
 
-def _observation(p: ProblemData, v: DualVariable) -> tuple[Trajectory, np.ndarray]:
+def _observation(p: ProblemData, z_T: np.ndarray, f: np.ndarray) -> tuple[Trajectory, np.ndarray]:
     """Adjoint trajectory for (z_T, f) and the signal B* z (interval averages)."""
-    z = adjoint_solve(p.system, p.ops, v.z_T, v.f)
+    z = adjoint_solve(p.system, p.ops, z_T, f)
     return z, control_observation(p.system, z)
 
 
-def _eps_blocks(p: ProblemData, v: DualVariable) -> list[np.ndarray]:
+def _w_slice(p: ProblemData) -> slice:
+    n, p_g, p_w, _ = p.dims
+    return slice(n + p_g, n + p_g + p_w)
+
+
+def _eps_blocks(p: ProblemData, v: np.ndarray) -> list[np.ndarray]:
     """The blocks the eps norms act on: Pi_1 v = (I - P_E) z_T and, for the
     relaxed kind, Pi_2 v = w; none for the exact and null kinds."""
     if p.kind not in APPROX_KINDS:
         return []
-    blocks = [p.E.complement(v.z_T)]
+    blocks = [p.E.complement(v[:p.system.n])]
     if p.kind == "approx_relaxed":
-        blocks.append(v.w_coef)
+        blocks.append(v[_w_slice(p)])
     return blocks
 
 
-def _put(p: ProblemData, v: DualVariable, blocks: list[np.ndarray]) -> DualVariable:
+def _put(p: ProblemData, v: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     """v with its eps blocks replaced by ``blocks``."""
+    n = p.system.n
     out = v.copy()
-    out.z_T = p.E.project(v.z_T) + blocks[0]
+    out[:n] = p.E.project(v[:n]) + blocks[0]
     if len(blocks) > 1:
-        out.w_coef = blocks[1]
+        out[_w_slice(p)] = blocks[1]
     return out
 
 
-def nonsmooth_value(p: ProblemData, v: DualVariable) -> float:
+def nonsmooth_value(p: ProblemData, v: np.ndarray) -> float:
     """Value of the eps-weighted norm terms (zero for exact/null kinds)."""
     return sum((p.epsilon * float(np.linalg.norm(x)) for x in _eps_blocks(p, v)), 0.0)
 
 
-def eval_smooth(p: ProblemData, v: DualVariable) -> float:
+def eval_smooth(p: ProblemData, v: np.ndarray) -> float:
     """Smooth part of the dual functional (everything but the eps norms)."""
-    p.check_variable(v)
+    z_T, g_coef, w_coef, f = p.blocks(v)
     dt = p.grid.dt
-    z, q = _observation(p, v)
-    g = p.G.lift(v.g_coef)
-    w = p.W.lift(v.w_coef)
+    z, q = _observation(p, z_T, f)
+    g = p.G.lift(g_coef)
+    w = p.W.lift(w_coef)
     val = 0.5 * signal_inner(q + g, q + g, dt)
-    val += 0.5 * signal_inner(v.f + w, v.f + w, dt)
+    val += 0.5 * signal_inner(f + w, f + w, dt)
     val += float(p.y0 @ z.initial)
-    val -= float(p.y1 @ v.z_T)
+    val -= float(p.y1 @ z_T)
     val += signal_inner(q, p.g_star, dt)
-    val += signal_inner(v.f, p.w_star, dt)
+    val += signal_inner(f, p.w_star, dt)
     return val
 
 
-def eval_J(p: ProblemData, v: DualVariable) -> float:
+def eval_J(p: ProblemData, v: np.ndarray) -> float:
     """Full dual functional for the problem's kind."""
     val = eval_smooth(p, v) + nonsmooth_value(p, v)
     if not np.isfinite(val):
@@ -291,7 +260,7 @@ def eval_J(p: ProblemData, v: DualVariable) -> float:
     return val
 
 
-def _transpose_chain(p: ProblemData, v: DualVariable, affine: bool):
+def _transpose_chain(p: ProblemData, v: np.ndarray, affine: bool):
     """One adjoint solve for B* z, then one forward solve under B* z + g.
 
     With ``affine`` the forward solve starts from y0 under B* z + g + g*,
@@ -299,21 +268,21 @@ def _transpose_chain(p: ProblemData, v: DualVariable, affine: bool):
     zero and the result is the homogeneous quadratic part alone.  Returns
     the gradient, the control the forward solve ran under, and its state.
     """
-    p.check_variable(v)
-    _, q = _observation(p, v)
-    qg = q + p.G.lift(v.g_coef)
-    fw = v.f + p.W.lift(v.w_coef)
+    z_T, g_coef, w_coef, f = p.blocks(v)
+    _, q = _observation(p, z_T, f)
+    qg = q + p.G.lift(g_coef)
+    fw = f + p.W.lift(w_coef)
     if affine:
         y0, u, f = p.y0, qg + p.g_star, fw + p.w_star
     else:
         y0, u, f = np.zeros(p.system.n), qg, fw
     yhat = forward_solve(p.system, p.ops, y0, u)
-    z_T = yhat.final - p.y1 if affine else yhat.final.copy()
-    grad = DualVariable(z_T, p.G.coords(qg), p.W.coords(fw), f - yhat.interval_averages)
+    r_T = yhat.final - p.y1 if affine else yhat.final
+    grad = p.join(r_T, p.G.coords(qg), p.W.coords(fw), f - yhat.interval_averages)
     return grad, u, yhat
 
 
-def grad_smooth(p: ProblemData, v: DualVariable) -> DualVariable:
+def grad_smooth(p: ProblemData, v: np.ndarray) -> np.ndarray:
     """Exact gradient of the smooth part.
 
     One adjoint solve gives B* z; one forward solve from y0 under the
@@ -330,16 +299,18 @@ def grad_smooth(p: ProblemData, v: DualVariable) -> DualVariable:
     return _transpose_chain(p, v, affine=True)[0]
 
 
-def apply_quadratic(p: ProblemData, v: DualVariable) -> DualVariable:
+def apply_quadratic(p: ProblemData, v: np.ndarray) -> np.ndarray:
     """Gradient of the homogeneous quadratic part only (the CG operator).
 
     Same transpose chain as :func:`grad_smooth` with y0, y1, g*, w* set to
-    zero; self-adjoint and positive semidefinite in the dual inner product.
+    zero; symmetric and positive semidefinite.  It is M^T M for the
+    observation map M of the 'general_final' certificate, whose columns are
+    the coordinates of the dual variable.
     """
     return _transpose_chain(p, v, affine=False)[0]
 
 
-def recover_primal(p: ProblemData, v_opt: DualVariable) -> ControlSolution:
+def recover_primal(p: ProblemData, v_opt: np.ndarray) -> ControlSolution:
     """Control and trajectory read off a dual point via the optimality dictionary.
 
     u = B* Z + G + g* and y are the control and state of the chain of
@@ -348,12 +319,13 @@ def recover_primal(p: ProblemData, v_opt: DualVariable) -> ControlSolution:
     an exact minimizer these and the projection defects vanish to tolerance.
     """
     dt = p.grid.dt
+    n, p_g, p_w, _ = p.dims
     grad, u, y = _transpose_chain(p, v_opt, affine=True)
     res = SolutionResiduals(
-        final_state_error=float(np.linalg.norm(grad.z_T)),
+        final_state_error=float(np.linalg.norm(grad[:n])),
         proj_u_error=signal_norm(p.G.project(u) - p.g_star, dt),
         proj_y_error=signal_norm(p.W.project(y.interval_averages) - p.w_star, dt),
-        proj_E_error=float(np.linalg.norm(p.E.project(grad.z_T))),
-        duality_check=signal_norm(grad.f, dt),
+        proj_E_error=float(np.linalg.norm(p.E.project(grad[:n]))),
+        duality_check=float(np.linalg.norm(grad[n + p_g + p_w:])),
     )
     return ControlSolution(u=u, y=y, residuals=res)

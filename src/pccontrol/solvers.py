@@ -34,13 +34,10 @@ import numpy as np
 from .errors import ConfigError, InvalidWitnessError
 from .functionals import (
     APPROX_KINDS,
-    DualVariable,
     ProblemData,
     _eps_blocks,
     _put,
     apply_quadratic,
-    dual_dot,
-    dual_norm,
     grad_smooth,
     nonsmooth_value,
 )
@@ -54,7 +51,7 @@ _RESIDUAL_REFRESH = 50
 class SolverOptions:
     """Iteration limits and tolerances.
 
-    ``grad_tol`` bounds, in the dual inner product, the gradient norm for
+    ``grad_tol`` bounds the Euclidean norm of the gradient vector for
     the exact and null kinds and the least-norm subgradient norm for the
     approximate kinds.  ``max_iters`` caps the CG iterations, and for the
     approximate kinds both the outer steps and each CG solve in them.
@@ -91,12 +88,12 @@ def _divergence_bound(p: ProblemData) -> float:
 
 def minimize(
     p: ProblemData, opts: SolverOptions | None = None
-) -> tuple[DualVariable, SolveDiagnostics]:
+) -> tuple[np.ndarray, SolveDiagnostics]:
     """Minimize the dual functional of ``p``: CG from zero for the exact and
     null kinds, shifted CG solves on the eps-multipliers for the approximate
     ones (:func:`_minimize_approx`)."""
     opts = opts or SolverOptions()
-    b = -1.0 * grad_smooth(p, p.zero_variable())
+    b = -grad_smooth(p, p.zero_variable())
     bound = _divergence_bound(p)
     if p.kind in APPROX_KINDS:
         return _minimize_approx(p, opts, b, bound)
@@ -113,7 +110,7 @@ def minimize(
 # conjugate gradients
 
 
-def _cg_core(p: ProblemData, b: DualVariable, x0: DualVariable, tol: float, max_iters: int,
+def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iters: int,
              bound: float, mu=()):
     """CG for (S + sum_i mu_i Pi_i) x = b from x0, with S = ``apply_quadratic``.
 
@@ -126,13 +123,12 @@ def _cg_core(p: ProblemData, b: DualVariable, x0: DualVariable, tol: float, max_
     blowup or by a vanishing-curvature direction against a nonzero
     residual (a numerically exposed kernel the data pairs against).
     """
-    dt = p.grid.dt
     held = [m if m == math.inf else 0.0 for m in mu]
 
-    def P(x: DualVariable) -> DualVariable:
+    def P(x: np.ndarray) -> np.ndarray:
         return _shift(p, x, x, held) if math.inf in held else x
 
-    def apply_S(x: DualVariable) -> DualVariable:
+    def apply_S(x: np.ndarray) -> np.ndarray:
         Sx = apply_quadratic(p, x)
         return _shift(p, Sx, x, mu) if mu else Sx
 
@@ -140,7 +136,7 @@ def _cg_core(p: ProblemData, b: DualVariable, x0: DualVariable, tol: float, max_
     x = P(x0).copy()
     Sx0 = apply_S(x)
     r = b - Sx0
-    rr = dual_dot(r, r, dt)
+    rr = r @ r
     decrements: list[float] = []
     if math.sqrt(rr) <= tol:
         return P(x), math.sqrt(rr), 0, "converged", decrements
@@ -151,8 +147,8 @@ def _cg_core(p: ProblemData, b: DualVariable, x0: DualVariable, tol: float, max_
     for it in range(1, max_iters + 1):
         iters = it
         Sp = apply_S(pdir)
-        pSp = dual_dot(pdir, Sp, dt)
-        pp = dual_dot(pdir, pdir, dt)
+        pSp = pdir @ Sp
+        pp = pdir @ pdir
         if pSp > 0.0:
             curvature_scale = max(curvature_scale, pSp / pp)
         if pSp <= 1e-14 * pp * max(curvature_scale, 1e-300):
@@ -161,14 +157,14 @@ def _cg_core(p: ProblemData, b: DualVariable, x0: DualVariable, tol: float, max_
         alpha = rr / pSp
         x = x + alpha * pdir
         decrements.append(0.5 * alpha * rr)
-        if dual_norm(x, dt) > bound:
+        if np.linalg.norm(x) > bound:
             verdict = "diverged_infeasible"
             break
         if it % _RESIDUAL_REFRESH == 0:
             r = b - apply_S(x)
         else:
             r = r - alpha * Sp
-        rr_new = dual_dot(r, r, dt)
+        rr_new = r @ r
         if math.sqrt(rr_new) <= tol:
             rr = rr_new
             verdict = "converged"
@@ -183,13 +179,13 @@ def _cg_core(p: ProblemData, b: DualVariable, x0: DualVariable, tol: float, max_
 # the approximate kinds: a secular equation on the eps-multipliers
 
 
-def _shift(p: ProblemData, y: DualVariable, x: DualVariable, mu) -> DualVariable:
+def _shift(p: ProblemData, y: np.ndarray, x: np.ndarray, mu) -> np.ndarray:
     """y + sum_i mu_i Pi_i x, with the blocks of infinite mu_i set to zero."""
     return _put(p, y, [np.zeros_like(a) if m == math.inf else a + m * c
                        for a, c, m in zip(_eps_blocks(p, y), _eps_blocks(p, x), mu)])
 
 
-def _least_subgradient(p: ProblemData, v: DualVariable, g: DualVariable, held) -> DualVariable:
+def _least_subgradient(p: ProblemData, v: np.ndarray, g: np.ndarray, held) -> np.ndarray:
     """Least-norm element of the subdifferential of the full functional at v.
 
     ``g`` is ``grad_smooth(p, v)``.  A free block adds eps times its
@@ -207,8 +203,8 @@ def _least_subgradient(p: ProblemData, v: DualVariable, g: DualVariable, held) -
     return _put(p, g, parts)
 
 
-def _minimize_approx(p: ProblemData, opts: SolverOptions, b: DualVariable,
-                     bound: float) -> tuple[DualVariable, SolveDiagnostics]:
+def _minimize_approx(p: ProblemData, opts: SolverOptions, b: np.ndarray,
+                     bound: float) -> tuple[np.ndarray, SolveDiagnostics]:
     """The secular equation, solved for s_i = 1/mu_i (s_i = 0 holds block i).
 
     Its residuals r_i = eps / psi_i - 1, psi_i = mu_i ||Pi_i v(mu)||, rise
@@ -225,11 +221,10 @@ def _minimize_approx(p: ProblemData, opts: SolverOptions, b: DualVariable,
     ``b`` is -grad J_s(0).  J_s vanishes at 0, so each bounded step records
     J_s(v) = 1/2 <grad J_s(v) + grad J_s(0), v> plus the eps terms.
     """
-    dt = p.grid.dt
-    b_norm = dual_norm(b, dt)
+    b_norm = np.linalg.norm(b)
     v = p.zero_variable()
     k = len(_eps_blocks(p, v))
-    residual = dual_norm(_least_subgradient(p, v, -1.0 * b, [True] * k), dt)
+    residual = np.linalg.norm(_least_subgradient(p, v, -b, [True] * k))
     history = [0.0]
     if residual <= opts.grad_tol:
         return v, SolveDiagnostics(0, residual, history, "converged")
@@ -241,7 +236,7 @@ def _minimize_approx(p: ProblemData, opts: SolverOptions, b: DualVariable,
     start = v if verdict == "diverged_infeasible" else warm
     s = np.array([np.linalg.norm(x) for x in _eps_blocks(p, warm)]) / p.epsilon
     # the last free point (s, r) of each block; ||warm|| / eps bounds s
-    s_last, r_last = np.full(k, dual_norm(warm, dt) / p.epsilon), np.zeros(k)
+    s_last, r_last = np.full(k, np.linalg.norm(warm) / p.epsilon), np.zeros(k)
     s_ok, s_bad = None, np.full(k, math.inf)
     r_held = np.full(k, math.nan)  # r at s_i = 0, once a held solve has read it
     s_prev, r_prev = np.zeros(k), np.full(k, math.nan)
@@ -263,8 +258,8 @@ def _minimize_approx(p: ProblemData, opts: SolverOptions, b: DualVariable,
             v = start = w
             s_ok = base = s
             g = grad_smooth(p, v)
-            residual = accuracy = dual_norm(_least_subgradient(p, v, g, s == 0.0), dt)
-            history.append(0.5 * dual_dot(g - b, v, dt) + nonsmooth_value(p, v))
+            residual = accuracy = np.linalg.norm(_least_subgradient(p, v, g, s == 0.0))
+            history.append(0.5 * ((g - b) @ v) + nonsmooth_value(p, v))
             if residual <= opts.grad_tol:
                 verdict = "converged"
                 break

@@ -20,7 +20,6 @@ from pccontrol import (
     certify_infeasibility,
     control_observation,
     duality_residual,
-    dual_dot,
     eval_smooth,
     exponential_profile_signal,
     forward_solve,
@@ -37,7 +36,6 @@ from pccontrol import (
     two_time_check,
     uc_check,
 )
-from pccontrol.functionals import DualVariable
 
 from oracles import kkt_control, random_problem
 
@@ -122,12 +120,12 @@ def test_criterion_03_gradient_check():
         for _ in range(5):
             p = random_problem(rng, kind)
             n, p_g, p_w, N = p.dims
-            v = DualVariable(rng.normal(size=n), rng.normal(size=p_g),
-                             rng.normal(size=p_w), rng.normal(size=(N, n)))
-            d = DualVariable(rng.normal(size=n), rng.normal(size=p_g),
-                             rng.normal(size=p_w), rng.normal(size=(N, n)))
+            v = p.join(rng.normal(size=n), rng.normal(size=p_g),
+                       rng.normal(size=p_w), rng.normal(size=(N, n)))
+            d = p.join(rng.normal(size=n), rng.normal(size=p_g),
+                       rng.normal(size=p_w), rng.normal(size=(N, n)))
             grad = grad_smooth(p, v)
-            analytic = dual_dot(grad, d, p.grid.dt)
+            analytic = grad @ d
             h = 1e-5
             fd = (eval_smooth(p, v + h * d) - eval_smooth(p, v - h * d)) / (2 * h)
             worst = max(worst, abs(analytic - fd) / max(abs(fd), 1e-12))

@@ -150,6 +150,19 @@ class TestUCCheckMatrixExamples:
         assert rep.sigma_min == 0.0
         assert rep.map_dims == (4, 2)
 
+    def test_zero_sigma_min_is_positive_zero(self):
+        # LAPACK returns -0.0 for the zero singular value of this map, which
+        # is the (0, 1/2] uniqueness map of the scalar integrator with G the
+        # constants, cut at the first of two intervals
+        M = np.array([[0.70710678, -0.70710678], [0.0, -0.0]])
+        system = make_ode([[0.0]], [[1.0]])
+        grid = TimeGrid(1.0, 2)
+        G = orthonormalize([exponential_profile_signal(grid, 0.0, [1.0])], SignalAmbient(1, grid))
+        W = orthonormalize([], SignalAmbient(1, grid))
+        for rep in (uc_check(M), two_time_check(system, grid, G, W, 0.5).uc_tilde):
+            assert not rep.holds
+            assert rep.sigma_min == 0.0 and math.copysign(1.0, rep.sigma_min) == 1.0
+
     @pytest.mark.parametrize("rows, cols, rank", [(9, 1, 1), (64, 64, 64), (200, 7, 7),
                                                   (200, 7, 5), (3000, 12, 11)])
     def test_tall_maps_match_plain_svd(self, rows, cols, rank):

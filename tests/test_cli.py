@@ -34,6 +34,17 @@ def infeasible_config():
     }
 
 
+def two_time_config(t_tilde=0.5):
+    """The scalar integrator, N = 2, G the constants: its two-time check
+    fails on the uniqueness map cut at t~ = 1/2, and no uc check runs."""
+    return {
+        "model": {"family": "ode", "A": [[0.0]], "B": [[1.0]]},
+        "grid": {"T": 1.0, "n_steps": 2},
+        "problem": {"kind": "null", "y0": [1.0], "G": [{"rate": 0.0, "vector": [1.0]}]},
+        "checks": {"two_time": {"t_tilde": t_tilde}},
+    }
+
+
 def write(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -90,6 +101,21 @@ class TestSolveCommand:
         assert len(uc["witness"]) == 1 + 1 + 0
         assert uc["infeasibility_radius"] > 0.0
         assert "solve" not in report
+
+    def test_failed_checks_are_named(self, tmp_path, capsys):
+        # only a failed uc check has a witness to point at
+        out = tmp_path / "out"
+        assert run_config(write(tmp_path, two_time_config()), out) == 2
+        err = capsys.readouterr().err
+        assert "certification failed: two_time" in err and "witness" not in err
+        two_time = json.loads((out / "report.json").read_text())["checks"]["two_time"]
+        assert not two_time["certified"]
+        assert math.copysign(1.0, two_time["uc_tilde_sigma_min"]) == 1.0
+        cfg = infeasible_config()
+        cfg["checks"] = {"uc": True}
+        assert run_config(write(tmp_path, cfg, "uc.json"), tmp_path / "uc") == 2
+        err = capsys.readouterr().err
+        assert "certification failed: uc" in err and "witness serialized" in err
 
     def test_rerun_is_byte_identical(self, tmp_path):
         path = write(tmp_path, scalar_null_config(checks={"uc": True}))
@@ -476,6 +502,21 @@ class TestExitCodes:
         blocker.write_text("file in the way")
         assert run_config(path, blocker / "out") == 1
         assert capsys.readouterr().err.startswith("error: cannot create output directory")
+
+    @pytest.mark.parametrize("t_tilde", [0.25, 0.0, 1.5])
+    def test_bad_t_tilde_fails_before_checks_and_solve(self, tmp_path, capsys, monkeypatch,
+                                                       t_tilde):
+        # off the grid or outside (0, T]: a configuration error at build time
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran although the configuration is invalid")
+
+        monkeypatch.setattr(cli, "minimize", refuse)
+        monkeypatch.setattr(cli, "_run_checks", refuse)
+        monkeypatch.setattr(cli.certificates, "two_time_check", refuse)
+        assert run_config(write(tmp_path, two_time_config(t_tilde)), tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checks.two_time.t_tilde")
+        assert len(err.splitlines()) == 1
 
     def test_unwritable_output_after_failed_certification_exits_1(self, tmp_path, capsys):
         cfg = infeasible_config()

@@ -5,15 +5,12 @@ from hypothesis import strategies as st
 
 from pccontrol import (
     KINDS,
-    DualVariable,
     ProblemData,
     SignalAmbient,
     SolverOptions,
     TimeGrid,
     VectorAmbient,
     apply_quadratic,
-    dual_dot,
-    dual_norm,
     eval_J,
     eval_smooth,
     grad_smooth,
@@ -23,7 +20,7 @@ from pccontrol import (
     orthonormalize,
     recover_primal,
 )
-from pccontrol.core import signal_norm
+from pccontrol.certificates import _general_maps
 from pccontrol.errors import ShapeError
 
 from oracles import random_problem
@@ -37,8 +34,8 @@ def scalar_null_problem(n_steps=32):
 
 def _random_variable(rng, p):
     n, p_g, p_w, N = p.dims
-    return DualVariable(rng.normal(size=n), rng.normal(size=p_g), rng.normal(size=p_w),
-                        rng.normal(size=(N, n)))
+    return p.join(rng.normal(size=n), rng.normal(size=p_g), rng.normal(size=p_w),
+                  rng.normal(size=(N, n)))
 
 
 class TestEvalJ:
@@ -56,7 +53,7 @@ class TestEvalJ:
     def test_scalar_null_value(self):
         p = scalar_null_problem()
         v = p.zero_variable()
-        v.z_T[0] = 1.0
+        v[0] = 1.0  # z_T
         assert eval_J(p, v) == pytest.approx(1.5, abs=1e-13)
 
     def test_scalar_approx_adds_epsilon_norm(self):
@@ -65,16 +62,17 @@ class TestEvalJ:
         p = ProblemData(kind="approx", system=system, grid=grid, y0=[1.0], y1=[0.0],
                         epsilon=0.1)
         v = p.zero_variable()
-        v.z_T[0] = 1.0
+        v[0] = 1.0  # z_T
         assert eval_J(p, v) == pytest.approx(1.6, abs=1e-13)
 
     def test_relaxed_adds_w_norm(self):
         rng = np.random.default_rng(2)
         p = random_problem(rng, "approx_relaxed")
-        v = p.zero_variable()
-        v.w_coef[:] = rng.normal(size=v.w_coef.shape)
-        expected = p.epsilon * (np.linalg.norm(p.E.complement(v.z_T))
-                                + np.linalg.norm(v.w_coef))
+        n, p_g, p_w, N = p.dims
+        v = p.join(np.zeros(n), np.zeros(p_g), rng.normal(size=p_w), np.zeros((N, n)))
+        z_T, _, w_coef, _ = p.blocks(v)
+        expected = p.epsilon * (np.linalg.norm(p.E.complement(z_T))
+                                + np.linalg.norm(w_coef))
         assert nonsmooth_value(p, v) == pytest.approx(expected, rel=1e-12)
 
 
@@ -82,9 +80,9 @@ class TestGradient:
     def test_scalar_null_gradient(self):
         p = scalar_null_problem()
         v = p.zero_variable()
-        v.z_T[0] = 1.0
+        v[0] = 1.0  # z_T
         grad = grad_smooth(p, v)
-        assert grad.z_T[0] == pytest.approx(2.0, abs=1e-12)
+        assert p.blocks(grad)[0][0] == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_point_of_homogeneous_problem(self):
         rng = np.random.default_rng(3)
@@ -93,9 +91,9 @@ class TestGradient:
         p.y1 = np.zeros_like(p.y1)
         p.g_star = np.zeros_like(p.g_star)
         p.w_star = np.zeros_like(p.w_star)
-        grad = grad_smooth(p, p.zero_variable())
-        assert np.linalg.norm(grad.z_T) == 0.0
-        assert np.max(np.abs(grad.f)) == 0.0
+        z_T, _, _, f = p.blocks(grad_smooth(p, p.zero_variable()))
+        assert np.linalg.norm(z_T) == 0.0
+        assert np.max(np.abs(f)) == 0.0
 
     @pytest.mark.parametrize("kind", ["approx", "approx_relaxed", "exact", "null"])
     def test_directional_derivative_matches_fd(self, kind):
@@ -103,12 +101,12 @@ class TestGradient:
         for _ in range(3):
             p = random_problem(rng, kind)
             n, p_g, p_w, N = p.dims
-            v = DualVariable(rng.normal(size=n), rng.normal(size=p_g),
-                             rng.normal(size=p_w), rng.normal(size=(N, n)))
-            d = DualVariable(rng.normal(size=n), rng.normal(size=p_g),
-                             rng.normal(size=p_w), rng.normal(size=(N, n)))
+            v = p.join(rng.normal(size=n), rng.normal(size=p_g),
+                       rng.normal(size=p_w), rng.normal(size=(N, n)))
+            d = p.join(rng.normal(size=n), rng.normal(size=p_g),
+                       rng.normal(size=p_w), rng.normal(size=(N, n)))
             grad = grad_smooth(p, v)
-            analytic = dual_dot(grad, d, p.grid.dt)
+            analytic = grad @ d
             h = 1e-5
             fd = (eval_smooth(p, v + h * d) - eval_smooth(p, v - h * d)) / (2 * h)
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-10)
@@ -135,30 +133,34 @@ class TestObjectiveFromGradients:
             p = random_problem(rng, kind)
             v = _random_variable(rng, p)
             pair = grad_smooth(p, v) + grad_smooth(p, p.zero_variable())
-            value = 0.5 * dual_dot(pair, v, p.grid.dt) + nonsmooth_value(p, v)
+            value = 0.5 * (pair @ v) + nonsmooth_value(p, v)
             assert value == pytest.approx(eval_J(p, v), rel=1e-12)
 
 
 class TestQuadraticOperator:
-    """apply_quadratic is the homogeneous part of grad_smooth, symmetric and PSD."""
+    """apply_quadratic is the homogeneous part of grad_smooth, symmetric, PSD,
+    and M^T M for the 'general_final' observation map M."""
 
     @given(quadratic_cases())
     def test_operator_properties(self, case):
         kind, n, m, N, p_g, p_w, seed = case
         rng = np.random.default_rng(seed)
         p = random_problem(rng, kind, n=n, m=m, n_steps=N, p_g=p_g, p_w=p_w)
-        dt = p.grid.dt
         u, w = _random_variable(rng, p), _random_variable(rng, p)
         Su, Sw = apply_quadratic(p, u), apply_quadratic(p, w)
+        norm = np.linalg.norm
         # (a) the affine data cancels in a gradient difference
         g_u, g_0 = grad_smooth(p, u), grad_smooth(p, p.zero_variable())
-        scale = dual_norm(g_u, dt) + dual_norm(g_0, dt)
-        assert dual_norm((g_u - g_0) - Su, dt) <= 1e-12 * scale
+        scale = norm(g_u) + norm(g_0)
+        assert norm((g_u - g_0) - Su) <= 1e-12 * scale
         # (b) symmetry in the dual inner product
-        pairing = abs(dual_dot(Su, w, dt) - dual_dot(u, Sw, dt))
-        assert pairing <= 1e-12 * dual_norm(Su, dt) * dual_norm(w, dt)
+        pairing = abs(Su @ w - u @ Sw)
+        assert pairing <= 1e-12 * norm(Su) * norm(w)
         # (c) positive semidefinite
-        assert dual_dot(Su, u, dt) >= -1e-12 * dual_norm(Su, dt) * dual_norm(u, dt)
+        assert Su @ u >= -1e-12 * norm(Su) * norm(u)
+        # (d) S = M^T M: the dual variable is in the column coordinates of M
+        M, _ = _general_maps(p.system, p.grid, p.G, p.W, p.ops, want_initial=False)
+        assert norm(Su - M.T @ (M @ u)) <= 1e-12 * norm(Su)
 
 
 class TestConvexity:
@@ -168,10 +170,10 @@ class TestConvexity:
             p = random_problem(rng, kind)
             n, p_g, p_w, N = p.dims
             for _ in range(3):
-                v1 = DualVariable(rng.normal(size=n), rng.normal(size=p_g),
-                                  rng.normal(size=p_w), rng.normal(size=(N, n)))
-                v2 = DualVariable(rng.normal(size=n), rng.normal(size=p_g),
-                                  rng.normal(size=p_w), rng.normal(size=(N, n)))
+                v1 = p.join(rng.normal(size=n), rng.normal(size=p_g),
+                            rng.normal(size=p_w), rng.normal(size=(N, n)))
+                v2 = p.join(rng.normal(size=n), rng.normal(size=p_g),
+                            rng.normal(size=p_w), rng.normal(size=(N, n)))
                 lam = rng.uniform(0.2, 0.8)
                 mix = lam * v1 + (1.0 - lam) * v2
                 lhs = eval_J(p, mix)
@@ -243,15 +245,16 @@ class TestRecoverPrimal:
     @pytest.mark.parametrize("kind", KINDS)
     def test_residuals_are_gradient_norms(self, kind):
         # the final-state error is the z_T block of the gradient at the same
-        # point, the duality check its f block, to the last bit
+        # point, the duality check its sqrt(dt)-scaled f slice, to the last bit
         rng = np.random.default_rng(8)
         p = random_problem(rng, kind)
         v = _random_variable(rng, p)
         res = recover_primal(p, v).residuals
         g = grad_smooth(p, v)
-        assert res.final_state_error == float(np.linalg.norm(g.z_T))
-        assert res.proj_E_error == float(np.linalg.norm(p.E.project(g.z_T)))
-        assert res.duality_check == signal_norm(g.f, p.grid.dt)
+        n, p_g, p_w, _ = p.dims
+        assert res.final_state_error == float(np.linalg.norm(g[:n]))
+        assert res.proj_E_error == float(np.linalg.norm(p.E.project(g[:n])))
+        assert res.duality_check == float(np.linalg.norm(g[n + p_g + p_w:]))
 
 
 class TestErrorPaths:
@@ -260,13 +263,17 @@ class TestErrorPaths:
 
         p = scalar_null_problem(n_steps=8)
         v = p.zero_variable()
-        v.z_T[0] = 1e200
+        v[0] = 1e200  # z_T
         with np.errstate(over="ignore"), pytest.raises(EvaluationOverflowError):
             eval_J(p, v)
 
     def test_variable_shape_mismatch(self):
-        p = scalar_null_problem(n_steps=8)
-        v = p.zero_variable()
-        v.f = np.zeros((4, 1))
-        with pytest.raises(ShapeError):
-            eval_J(p, v)
+        rng = np.random.default_rng(9)
+        p = random_problem(rng, "approx_relaxed")
+        v = _random_variable(rng, p)
+        np.testing.assert_allclose(p.join(*p.blocks(v)), v, rtol=1e-15, atol=0.0)
+        for wrong in (v[:-1], np.append(v, 0.0), v.reshape(1, -1)):
+            with pytest.raises(ShapeError):
+                p.blocks(wrong)
+            with pytest.raises(ShapeError):
+                eval_J(p, wrong)
