@@ -3,7 +3,13 @@
 Every kind is minimized by one conjugate-gradient routine on the
 normal-equations operator S (the gradient of the homogeneous quadratic
 part), with exact line search.  The exact and null kinds are
-quadratic-plus-linear and take one CG solve from zero.  The approximate
+quadratic-plus-linear and take one preconditioned CG solve from zero: the
+z_T block of S is the controllability Gramian Theta^T Theta of the
+homogeneous observation Theta: z_T -> B* z, so the preconditioner is
+(Theta^T Theta)^-1 on the numerical range of Theta and the identity on its
+numerical kernel and on the g, w and f blocks (the g and w diagonal blocks
+of S are exactly I); Glowinski, Lions & He, "Exact and Approximate
+Controllability for Distributed Parameter Systems" (2008).  The approximate
 kinds add eps-norms of the blocks Pi_1 v = (I - P_E) z_T and, for the
 relaxed kind, Pi_2 v = w.  At their minimizer S v + ell + sum_i mu_i Pi_i v
 = 0 with mu_i ||Pi_i v|| = eps, so each outer step solves the shifted system
@@ -18,7 +24,13 @@ form has a kernel the data pairs against) show up as diverging iterates;
 they are reported with verdict ``diverged_infeasible`` once the iterate
 norm passes a bound proportional to the data scale, or as soon as a
 conjugate-gradient direction exposes a numerically vanishing curvature
-against a nonzero residual.  The singular-value check in
+against a nonzero residual.  Both tests measure in the preconditioner's
+norm, the one in which CG iterates from zero grow monotonically (Steihaug,
+SIAM J. Numer. Anal. 20, 1983).  Iterates that are large in the Euclidean
+norm let CG's recursively updated residual drift, so an exact or null
+solve is ``converged`` only once the true gradient at the returned point
+passes ``grad_tol``; otherwise it too is ``diverged_infeasible``.  The
+singular-value check in
 :mod:`pccontrol.certificates` is the authoritative pre-check;
 :func:`certify_infeasibility` converts its witness into an explicit
 unreachable neighborhood.
@@ -31,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .certificates import _sv_verdict, _theta
 from .errors import ConfigError, InvalidWitnessError
 from .functionals import (
     APPROX_KINDS,
@@ -52,11 +65,13 @@ class SolverOptions:
     """Iteration limits and tolerances.
 
     ``grad_tol`` bounds the Euclidean norm of the gradient vector for
-    the exact and null kinds and the least-norm subgradient norm for the
-    approximate kinds.  ``max_iters`` caps the CG iterations, and for the
-    approximate kinds both the outer steps and each CG solve in them.
-    A solve diverges once an iterate's norm passes 1e6 times the problem
-    data scale (:func:`_divergence_bound`).
+    the exact and null kinds, checked on the true gradient at the returned
+    point, and the least-norm subgradient norm for the approximate kinds.
+    ``max_iters`` caps the CG iterations, and for the approximate kinds
+    both the outer steps and each CG solve in them.  A solve diverges once
+    an iterate, measured in the preconditioner's norm (the Euclidean norm
+    for the approximate kinds), passes 1e6 times the problem data scale
+    (:func:`_divergence_bound`).
     """
 
     max_iters: int = 5000
@@ -89,17 +104,23 @@ def _divergence_bound(p: ProblemData) -> float:
 def minimize(
     p: ProblemData, opts: SolverOptions | None = None
 ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Minimize the dual functional of ``p``: CG from zero for the exact and
-    null kinds, shifted CG solves on the eps-multipliers for the approximate
-    ones (:func:`_minimize_approx`)."""
+    """Minimize the dual functional of ``p``: preconditioned CG from zero
+    for the exact and null kinds, confirmed on the true gradient, and
+    shifted CG solves on the eps-multipliers for the approximate ones
+    (:func:`_minimize_approx`)."""
     opts = opts or SolverOptions()
     b = -grad_smooth(p, p.zero_variable())
     bound = _divergence_bound(p)
     if p.kind in APPROX_KINDS:
         return _minimize_approx(p, opts, b, bound)
     v, res, iters, verdict, decrements = _cg_core(
-        p, b, p.zero_variable(), opts.grad_tol, opts.max_iters, bound
+        p, b, p.zero_variable(), opts.grad_tol, opts.max_iters, bound,
+        precond=_gramian_preconditioner(p),
     )
+    if verdict == "converged":
+        res = float(np.linalg.norm(grad_smooth(p, v)))
+        if res > opts.grad_tol:
+            verdict = "diverged_infeasible"
     history = [0.0]
     for dec in decrements:
         history.append(history[-1] - dec)
@@ -110,18 +131,35 @@ def minimize(
 # conjugate gradients
 
 
+def _gramian_preconditioner(p: ProblemData) -> tuple[np.ndarray, np.ndarray]:
+    """The z_T block V diag(d) V^T of the CG preconditioner: d holds the
+    squared singular values of Theta on its numerical range (the rank of
+    :func:`pccontrol.certificates._sv_verdict`) and 1 on its numerical
+    kernel, V the right singular vectors.  Theta is one batched solve and
+    is dropped once factored."""
+    verdict = _sv_verdict(_theta(p.system, p.ops, p.grid.n_steps)[0])
+    d = np.ones(p.system.n)
+    d[:verdict.rank] = verdict.s[:verdict.rank] ** 2
+    return verdict.vt.T, d
+
+
 def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iters: int,
-             bound: float, mu=()):
-    """CG for (S + sum_i mu_i Pi_i) x = b from x0, with S = ``apply_quadratic``.
+             bound: float, mu=(), precond=None):
+    """Preconditioned CG for (S + sum_i mu_i Pi_i) x = b from x0, with
+    S = ``apply_quadratic``.
 
     ``mu`` holds one multiplier per eps block Pi_i of :func:`_eps_blocks`
     (empty for S alone); an infinite mu_i holds block i at zero, in the
-    iterates and in the returned x.
+    iterates and in the returned x.  ``precond`` is the z_T block (V, d) of
+    :func:`_gramian_preconditioner`, or None for the identity; the other
+    blocks are always the identity.
     Returns (x, residual_norm, iterations, verdict, objective_increments)
     where the increments reproduce the exact decrease of the quadratic
     model per iteration.  Verdict 'diverged_infeasible' is raised by iterate
     blowup or by a vanishing-curvature direction against a nonzero
-    residual (a numerically exposed kernel the data pairs against).
+    residual (a numerically exposed kernel the data pairs against), both
+    measured in the preconditioner's norm.  The stopping test is the
+    Euclidean norm of the recursively updated residual.
     """
     held = [m if m == math.inf else 0.0 for m in mu]
 
@@ -132,6 +170,25 @@ def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
         Sx = apply_quadratic(p, x)
         return _shift(p, Sx, x, mu) if mu else Sx
 
+    if precond is None:
+        def solve(r: np.ndarray) -> np.ndarray:
+            return r
+
+        def sq_norm(x: np.ndarray) -> float:
+            return x @ x
+    else:
+        V, d = precond
+        n = d.size
+
+        def solve(r: np.ndarray) -> np.ndarray:
+            z = r.copy()
+            z[:n] = V @ ((V.T @ r[:n]) / d)
+            return z
+
+        def sq_norm(x: np.ndarray) -> float:
+            y = V.T @ x[:n]
+            return y @ (d * y) + x[n:] @ x[n:]
+
     b = P(b)
     x = P(x0).copy()
     Sx0 = apply_S(x)
@@ -140,7 +197,9 @@ def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
     decrements: list[float] = []
     if math.sqrt(rr) <= tol:
         return P(x), math.sqrt(rr), 0, "converged", decrements
-    pdir = r.copy()
+    z = solve(r)
+    rz = r @ z
+    pdir = z.copy()
     curvature_scale = 0.0
     verdict = "max_iters"
     iters = 0
@@ -148,30 +207,31 @@ def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
         iters = it
         Sp = apply_S(pdir)
         pSp = pdir @ Sp
-        pp = pdir @ pdir
+        pp = sq_norm(pdir)
         if pSp > 0.0:
             curvature_scale = max(curvature_scale, pSp / pp)
         if pSp <= 1e-14 * pp * max(curvature_scale, 1e-300):
             verdict = "diverged_infeasible"
             break
-        alpha = rr / pSp
+        alpha = rz / pSp
         x = x + alpha * pdir
-        decrements.append(0.5 * alpha * rr)
-        if np.linalg.norm(x) > bound:
+        decrements.append(0.5 * alpha * rz)
+        if math.sqrt(sq_norm(x)) > bound:
             verdict = "diverged_infeasible"
             break
         if it % _RESIDUAL_REFRESH == 0:
             r = b - apply_S(x)
         else:
             r = r - alpha * Sp
-        rr_new = r @ r
-        if math.sqrt(rr_new) <= tol:
-            rr = rr_new
+        rr = r @ r
+        if math.sqrt(rr) <= tol:
             verdict = "converged"
             break
-        beta = rr_new / rr
-        rr = rr_new
-        pdir = r + beta * pdir
+        z = solve(r)
+        rz_new = r @ z
+        beta = rz_new / rz
+        rz = rz_new
+        pdir = z + beta * pdir
     return P(x), math.sqrt(rr), iters, verdict, decrements
 
 

@@ -23,9 +23,11 @@ from pccontrol import (
     SignalAmbient,
     TimeGrid,
     adjoint_solve,
+    apply_quadratic,
     make_ode,
     orthonormalize,
 )
+from pccontrol.solvers import _shift
 
 
 def impulse_responses(ops, B: np.ndarray, n_steps: int):
@@ -243,3 +245,56 @@ def random_problem(rng, kind: str, n: int = 3, m: int = 2, n_steps: int = 16,
 
         kwargs["E"] = orthonormalize([rng.normal(size=n)], VectorAmbient(n))
     return ProblemData(kind=kind, **kwargs)
+
+
+def plain_cg(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iters: int,
+             bound: float, mu=()):
+    """Unpreconditioned CG on (S + sum_i mu_i Pi_i) x = b, with the stopping,
+    divergence and curvature rules of ``solvers._cg_core`` in the Euclidean
+    norm; returns what ``_cg_core`` returns."""
+    held = [m if m == math.inf else 0.0 for m in mu]
+
+    def P(x):
+        return _shift(p, x, x, held) if math.inf in held else x
+
+    def apply_S(x):
+        Sx = apply_quadratic(p, x)
+        return _shift(p, Sx, x, mu) if mu else Sx
+
+    b = P(b)
+    x = P(x0).copy()
+    r = b - apply_S(x)
+    rr = r @ r
+    decrements = []
+    if math.sqrt(rr) <= tol:
+        return P(x), math.sqrt(rr), 0, "converged", decrements
+    pdir = r.copy()
+    curvature_scale = 0.0
+    verdict = "max_iters"
+    iters = 0
+    for it in range(1, max_iters + 1):
+        iters = it
+        Sp = apply_S(pdir)
+        pSp = pdir @ Sp
+        pp = pdir @ pdir
+        if pSp > 0.0:
+            curvature_scale = max(curvature_scale, pSp / pp)
+        if pSp <= 1e-14 * pp * max(curvature_scale, 1e-300):
+            verdict = "diverged_infeasible"
+            break
+        alpha = rr / pSp
+        x = x + alpha * pdir
+        decrements.append(0.5 * alpha * rr)
+        if np.linalg.norm(x) > bound:
+            verdict = "diverged_infeasible"
+            break
+        r = b - apply_S(x) if it % 50 == 0 else r - alpha * Sp
+        rr_new = r @ r
+        if math.sqrt(rr_new) <= tol:
+            rr = rr_new
+            verdict = "converged"
+            break
+        beta = rr_new / rr
+        rr = rr_new
+        pdir = r + beta * pdir
+    return P(x), math.sqrt(rr), iters, verdict, decrements

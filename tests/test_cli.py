@@ -45,6 +45,18 @@ def two_time_config(t_tilde=0.5):
     }
 
 
+def undamped_heat_config(n_modes, n_steps):
+    """heat1d, T = 1, exact, y0 = 1 and y1 = linspace(0, 1): an undamped
+    target, with the uniqueness check."""
+    return {
+        "model": {"family": "heat1d", "n_modes": n_modes},
+        "grid": {"T": 1.0, "n_steps": n_steps},
+        "problem": {"kind": "exact", "y0": [1.0] * n_modes,
+                    "y1": np.linspace(0.0, 1.0, n_modes).tolist()},
+        "checks": {"uc": True},
+    }
+
+
 def write(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -466,23 +478,26 @@ class TestExitCodes:
         assert run_config(path, tmp_path / "out") == 4
 
     def test_divergence_without_witness_is_not_certified(self, tmp_path, capsys):
-        # an undamped heat target: the data-scale divergence bound stops CG
-        # after 23 iterations although the uniqueness map holds (sigma_min
-        # 2.5e-5), so exit 3 stays, but nothing certifies non-coercivity
-        cfg = {
-            "model": {"family": "heat1d", "n_modes": 16},
-            "grid": {"T": 1.0, "n_steps": 128},
-            "problem": {"kind": "exact", "y0": [1.0] * 16,
-                        "y1": np.linspace(0.0, 1.0, 16).tolist()},
-            "checks": {"uc": True},
-        }
+        # an undamped heat target at 32 modes, N = 1024: the uniqueness map
+        # holds (sigma_min 2.0e-7), yet the solve diverges, so exit 3 stays,
+        # but nothing certifies non-coercivity
         out = tmp_path / "out"
-        assert run_config(write(tmp_path, cfg), out) == 3
+        assert run_config(write(tmp_path, undamped_heat_config(32, 1024)), out) == 3
         err = capsys.readouterr().err
         assert "not certified" in err and "certified non-coercive" not in err
         report = json.loads((out / "report.json").read_text())
         assert report["checks"]["uc"]["holds"]
         assert "witness" not in report["infeasibility"]
+
+    def test_undamped_heat_target_at_16_modes_converges(self, tmp_path):
+        # 16 modes, N = 128 (sigma_min 2.5e-5): plain CG crossed the
+        # data-scale bound after 23 iterations and exited 3; the Gramian
+        # preconditioner solves it in a few iterations
+        out = tmp_path / "out"
+        assert run_config(write(tmp_path, undamped_heat_config(16, 128)), out) == 0
+        solve = json.loads((out / "report.json").read_text())["solve"]
+        assert solve["verdict"] == "converged"
+        assert solve["residuals"]["final_state_error"] <= 1e-9
 
     def test_unwritable_output_reports_io_error(self, tmp_path):
         path = write(tmp_path, scalar_null_config(n_steps=8))
