@@ -143,7 +143,8 @@ def _rank_cutoff(shape: tuple[int, int], sigma_max: float) -> float:
     return sigma_max * max(shape) * float(np.finfo(float).eps)
 
 
-def _sv_verdict(M: np.ndarray, floor: float = 1e-300, vectors: bool = True) -> _Verdict:
+def _sv_verdict(M: np.ndarray, floor: float = 1e-300, vectors: bool = True,
+                rows: int | None = None) -> _Verdict:
     """Decide whether M is injective from its singular values.
 
     sigma_min is +inf for a map without columns and 0 for one with fewer
@@ -152,19 +153,21 @@ def _sv_verdict(M: np.ndarray, floor: float = 1e-300, vectors: bool = True) -> _
     the sigma_max it scales from, so a map of rounding noise alone fails.
     With ``vectors``, tall maps take their singular values and right vectors
     from the R of a QR, without the rows x cols left factor; without,
-    ``vt`` is None.
+    ``vt`` is None.  A given ``rows`` says that M is the R of a QR of a map
+    with that many rows, and the verdict is that map's.
     """
-    rows, cols = M.shape
+    cols = M.shape[1]
+    rows = M.shape[0] if rows is None else rows
     vt = None
     if not vectors:
         s = np.linalg.svd(M, compute_uv=False)
-    elif rows >= cols:
+    elif M.shape[0] >= cols:
         _, s, vt = np.linalg.svd(np.linalg.qr(M, mode="r"))
     else:
         _, s, vt = np.linalg.svd(M)
     # abs: LAPACK may return -0.0 for an exactly zero singular value
     sigma_min = math.inf if cols == 0 else (abs(float(s[-1])) if rows >= cols else 0.0)
-    cutoff = _rank_cutoff(M.shape, max(float(s[0]) if s.size else 0.0, floor))
+    cutoff = _rank_cutoff((rows, cols), max(float(s[0]) if s.size else 0.0, floor))
     return _Verdict(sigma_min > cutoff, sigma_min, int(np.sum(s > cutoff)), s, vt)
 
 
@@ -296,6 +299,33 @@ def _theta(system: LinearSystem, ops: StepOperator, N: int):
     """The homogeneous observation: B* z signals (N*r, n) per unit z_T and
     the nodes (N+1, n, n) of z, the uniqueness columns without G and W."""
     return _uc_columns(system, ops, np.zeros((0, N, system.m)), np.zeros((0, N, system.n)))
+
+
+def _theta_verdict(system: LinearSystem, ops: StepOperator, N: int) -> _Verdict:
+    """The singular-value verdict of Theta (:func:`_theta`) from the R of its
+    QR, built by doubling in O(n^3 log N) flops and O(n^2) memory, where
+    Theta itself is an O(N n^3) solve of N*r*n entries.
+
+    With no source the rows of interval N-1-j are H (E^T)^j, H = R Phi^T /
+    sqrt(dt), so the factor K_2p of 2p intervals is the R of a QR of
+    [K_p; K_p (E^T)^p], and the intervals of N add up from the binary
+    digits of N (the row order of a map does not change its R^T R).
+    """
+    n = system.n
+    R = np.linalg.qr(system.B.T, mode="r")
+    K, P = R @ ops.Phi.T / math.sqrt(ops.dt), ops.E.T  # K_p and (E^T)^p, p = 1
+    acc, acc_P = np.zeros((0, n)), np.eye(n)  # the same for the intervals summed so far
+    bits = N
+    while True:
+        if bits & 1:
+            acc = np.linalg.qr(np.vstack([acc, K @ acc_P]), mode="r")
+            acc_P = P @ acc_P
+        bits >>= 1
+        if not bits:
+            break
+        K = np.linalg.qr(np.vstack([K, K @ P]), mode="r")
+        P = P @ P
+    return _sv_verdict(acc, rows=N * R.shape[0])
 
 
 def _split_constant(M: np.ndarray, D: np.ndarray | None) -> tuple[float, float]:

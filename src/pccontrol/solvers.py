@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import _sv_verdict, _theta
+from .certificates import _theta_verdict
 from .errors import ConfigError, InvalidWitnessError
 from .functionals import (
     APPROX_KINDS,
@@ -135,9 +135,10 @@ def _gramian_preconditioner(p: ProblemData) -> tuple[np.ndarray, np.ndarray]:
     """The z_T block V diag(d) V^T of the CG preconditioner: d holds the
     squared singular values of Theta on its numerical range (the rank of
     :func:`pccontrol.certificates._sv_verdict`) and 1 on its numerical
-    kernel, V the right singular vectors.  Theta is one batched solve and
-    is dropped once factored."""
-    verdict = _sv_verdict(_theta(p.system, p.ops, p.grid.n_steps)[0])
+    kernel, V the right singular vectors.  They come from the n x n factor
+    of :func:`pccontrol.certificates._theta_verdict`, O(n^3 log N) flops,
+    so Theta itself is never formed."""
+    verdict = _theta_verdict(p.system, p.ops, p.grid.n_steps)
     d = np.ones(p.system.n)
     d[:verdict.rank] = verdict.s[:verdict.rank] ** 2
     return verdict.vt.T, d

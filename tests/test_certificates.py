@@ -150,6 +150,18 @@ class TestUCCheckMatrixExamples:
         assert rep.sigma_min == 0.0
         assert rep.map_dims == (4, 2)
 
+    def test_verdict_of_a_triangular_factor(self):
+        # 1e-14 lies between the cutoffs of the 1000 x 2 map (2.2e-13) and of
+        # its 2 x 2 factor (4.4e-16): given rows, the factor's verdict is the
+        # map's
+        U, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((1000, 2)))
+        M = U @ np.diag([1.0, 1e-14])
+        want = certificates._sv_verdict(M)
+        got = certificates._sv_verdict(np.linalg.qr(M, mode="r"), rows=1000)
+        assert not want.holds and want.rank == 1
+        assert (got.holds, got.rank) == (want.holds, want.rank)
+        assert got.sigma_min == pytest.approx(want.sigma_min, abs=1e-15)
+
     def test_zero_sigma_min_is_positive_zero(self):
         # LAPACK returns -0.0 for the zero singular value of this map, which
         # is the (0, 1/2] uniqueness map of the scalar integrator with G the

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from pccontrol import (
 )
 from pccontrol import functionals
 from pccontrol.errors import ConfigError, InvalidWitnessError
-from pccontrol.certificates import _theta
+from pccontrol.certificates import _sv_verdict, _theta, _theta_verdict
 from pccontrol.functionals import APPROX_KINDS
 from pccontrol.solvers import (
     _cg_core,
@@ -145,6 +146,35 @@ class TestGramianPreconditioner:
         V, d = _gramian_preconditioner(p)
         assert np.array_equal(d, np.ones(2))
         assert np.array_equal(V @ np.diag(d) @ V.T, np.eye(2))
+
+    def test_factor_matches_theta(self):
+        # the doubled n x n factor has Theta's Gramian and Theta's rank rule,
+        # for every binary pattern of N and for r = m < n and r = n < m
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n, m, N = int(rng.integers(1, 7)), int(rng.integers(1, 5)), int(rng.integers(2, 70))
+            p = random_problem(rng, "exact", n=n, m=m, n_steps=N)
+            theta = _theta(p.system, p.ops, N)[0]
+            want, got = _sv_verdict(theta), _theta_verdict(p.system, p.ops, N)
+            assert (got.holds, got.rank) == (want.holds, want.rank)
+            gram = theta.T @ theta
+            assert np.allclose((got.vt[:got.s.size].T * got.s**2) @ got.vt[:got.s.size], gram,
+                               rtol=0, atol=1e-12 * np.abs(gram).max())
+
+    def test_theta_is_never_formed(self):
+        # Theta of wave1d with 64 modes over N = 2048 would hold 2048*128*128
+        # float64 entries (268 MB); the factor needs a few n x n matrices
+        system, _ = make_wave1d(64, n_quad=257)
+        p = ProblemData(kind="null", system=system, grid=TimeGrid(2.5, 2048), y0=np.ones(128))
+        p.ops  # the propagator is the problem's, not the preconditioner's
+        tracemalloc.start()
+        try:
+            V, d = _gramian_preconditioner(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert V.shape == (128, 128) and np.all(d > 0)
 
     def test_heat_control_matches_kkt_oracle(self):
         system, _ = make_heat1d(16)
@@ -383,7 +413,7 @@ class TestSecularEquation:
     def test_eps_terms_restore_coercivity(self):
         # the exact kind on the same data is coercive (its uniqueness map
         # holds, sigma_min 3.4e-4), but its minimizer is so large (||v|| ~
-        # 2e7) that the true gradient stalls near 2e-8, above grad_tol, so it
+        # 2e7) that the true gradient stalls near 1e-8, above grad_tol, so it
         # ends diverged_infeasible; the eps norm of the approximate kind
         # keeps its minimizer small
         p = stress_problem(85, "approx")
