@@ -295,16 +295,13 @@ def _general_maps(system, grid, G, W, ops, want_initial: bool):
     return M, D
 
 
-def _theta(system: LinearSystem, ops: StepOperator, N: int):
-    """The homogeneous observation: B* z signals (N*r, n) per unit z_T and
-    the nodes (N+1, n, n) of z, the uniqueness columns without G and W."""
-    return _uc_columns(system, ops, np.zeros((0, N, system.m)), np.zeros((0, N, system.n)))
-
-
 def _theta_verdict(system: LinearSystem, ops: StepOperator, N: int) -> _Verdict:
-    """The singular-value verdict of Theta (:func:`_theta`) from the R of its
-    QR, built by doubling in O(n^3 log N) flops and O(n^2) memory, where
-    Theta itself is an O(N n^3) solve of N*r*n entries.
+    """The singular-value verdict, right singular vectors included, of
+    Theta: z_T -> B* z of the homogeneous backward solve over N intervals,
+    N*r rows in the output frame.  It is read off K_N, the triangular
+    factor of Theta's QR (||Theta x|| = ||K_N x||), built by doubling in
+    O(n^3 log N) flops and O(n^2) memory, so Theta (N*r*n entries) is
+    never formed.
 
     With no source the rows of interval N-1-j are H (E^T)^j, H = R Phi^T /
     sqrt(dt), so the factor K_2p of 2p intervals is the R of a QR of
@@ -328,17 +325,16 @@ def _theta_verdict(system: LinearSystem, ops: StepOperator, N: int) -> _Verdict:
     return _sv_verdict(acc, rows=N * R.shape[0])
 
 
-def _split_constant(M: np.ndarray, D: np.ndarray | None) -> tuple[float, float]:
-    """Best C with ||D x|| <= C ||M x||, via an SVD split of M; D = None
-    stands for the identity, where C = 1/sigma_min(M).
+def _split_constant(v: _Verdict, D: np.ndarray | None) -> tuple[float, float]:
+    """Best C with ||D x|| <= C ||M x||, via the SVD split of M that its
+    verdict ``v`` holds (right singular vectors needed unless D is None);
+    D = None stands for the identity, where C = 1/sigma_min(M).
 
     Returns (C, sigma) with sigma = 1/C the smallest generalized singular
     value; C = +inf when M has a kernel direction that D does not annihilate.
     """
     if D is None:
-        v = _sv_verdict(M, vectors=False)
         return (1.0 / v.sigma_min, v.sigma_min) if v.holds else (math.inf, 0.0)
-    v = _sv_verdict(M)
     if not v.holds:
         d_max = float(np.linalg.norm(D, 2))
         if float(np.linalg.norm(D @ v.vt[v.rank:].T, 2)) > _rank_cutoff(D.shape, d_max):
@@ -365,10 +361,11 @@ def observability_constant(
     backward solutions (G, W do not enter).  The 'general_*' kinds quantify
     over (z_T, g, w, f) with f ranging over the whole signal space; the
     observed pair is (B* z + g, f + w) stacked in the product norm, which
-    bounds the sum-of-norms form of the inequality as well.  Dense
-    assembly; the 'general_*' kinds refuse, before allocating, when their
-    maps (M, plus D for 'general_initial') would hold more than
-    ``DENSE_CAP`` float64 entries.
+    bounds the sum-of-norms form of the inequality as well.  The
+    homogeneous kinds read the n x n factor of :func:`_theta_verdict`, with
+    z(0) = (E^T)^N z_T.  The 'general_*' kinds assemble dense maps and
+    refuse, before allocating, when those (M, plus D for 'general_initial')
+    would hold more than ``DENSE_CAP`` float64 entries.
     """
     if kind not in OBS_KINDS:
         raise ShapeError(f"kind must be one of {OBS_KINDS}, got {kind!r}")
@@ -376,10 +373,11 @@ def observability_constant(
     ops = ops or build_propagator(system, grid)
     if kind.startswith("general_"):
         M, D = _general_maps(system, grid, G, W, ops, kind == "general_initial")
+        v = _sv_verdict(M, vectors=D is not None)
     else:
-        M, nodes = _theta(system, ops, grid.n_steps)
-        D = nodes[0] if kind == "initial_state" else None
-    return ObservabilityReport(kind, *_split_constant(M, D))
+        v = _theta_verdict(system, ops, grid.n_steps)
+        D = np.linalg.matrix_power(ops.E.T, grid.n_steps) if kind == "initial_state" else None
+    return ObservabilityReport(kind, *_split_constant(v, D))
 
 
 def _t_tilde_node(grid: TimeGrid, t_tilde: float) -> int:
@@ -406,12 +404,13 @@ def two_time_check(
     the source restricted to (0, t~) and the subspace coefficients measured
     over the whole of (0, T), must have trivial kernel; and the
     intermediate-time trace must be observable from the full-horizon
-    observation: the constant of kind 'tilde_T' bounds z(t~), the node of
-    the homogeneous solve at t~, by its B* z signal.  Each injectivity
-    question compares a smallest singular value with the numerical-rank
-    cutoff of its own map.  All three together certify the general
-    initial-trace observability inequality at the discrete level, which is
-    what the null-control solve needs.
+    observation: the constant of kind 'tilde_T' bounds z(t~) = (E^T)^(N-k)
+    z_T, k the node of t~, by the B* z signal of the homogeneous solve
+    (:func:`_theta_verdict`).  Each injectivity question compares a smallest
+    singular value with the numerical-rank cutoff of its own map.  All
+    three together certify the general initial-trace observability
+    inequality at the discrete level, which is what the null-control solve
+    needs.
     """
     _check_spaces(system, grid, G, W)
     N, k_cut = grid.n_steps, _t_tilde_node(grid, t_tilde)
@@ -424,8 +423,8 @@ def two_time_check(
     )
     M = _uc_columns(system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])[0]
     uc_tilde = uc_check(M, block_dims=(system.n, G.dim, W.dim))
-    theta, nodes = _theta(system, ops, N)
-    obs_tilde = ObservabilityReport("tilde_T", *_split_constant(theta, nodes[k_cut]))
+    D = np.linalg.matrix_power(ops.E.T, N - k_cut)
+    obs_tilde = ObservabilityReport("tilde_T", *_split_constant(_theta_verdict(system, ops, N), D))
     certified = restriction_ok and uc_tilde.holds and math.isfinite(obs_tilde.constant_C)
     return TwoTimeReport(restriction_ok, uc_tilde, obs_tilde, certified)
 

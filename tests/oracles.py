@@ -84,6 +84,23 @@ def loop_uc_map(system, ops, G_basis, W_basis) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def loop_theta(system, ops, n_steps: int) -> np.ndarray:
+    """The homogeneous observation Theta: z_T -> sqrt(dt)-scaled B* z, one
+    unit z_T and one backward step z <- E^T z at a time, the interval
+    average on interval k being (Phi^T/dt) z_{k+1}.  Plain coordinates,
+    (N*m, n): an orthogonal transform of the rows away from the output
+    frame, so the singular values are those of the framed Theta."""
+    H = math.sqrt(ops.dt) * system.B.T @ (ops.Phi.T / ops.dt)
+    cols = []
+    for z in np.eye(system.n):
+        rows = []
+        for _ in range(n_steps):  # from the last interval back to the first
+            rows.append(H @ z)
+            z = ops.E.T @ z
+        cols.append(np.concatenate(rows[::-1]))
+    return np.column_stack(cols)
+
+
 def loop_invisible_final_data(system, ops, n_steps: int) -> np.ndarray:
     """Orthonormal basis (n, k) of the final data z_T invisible to the
     homogeneous observation: B* z = 0 on every interval and z(0) = 0.  The

@@ -32,6 +32,7 @@ from pccontrol.errors import FrequencyInputError, ProblemTooLargeError, ShapeErr
 
 from oracles import (
     loop_general_maps,
+    loop_theta,
     loop_uc_map,
     loop_weak_stacked_map,
     random_signal_subspace,
@@ -218,8 +219,9 @@ class TestUCCheckMatrixExamples:
         assert scaled.holds == base.holds == (not deficient or cols == 1)
         if not base.holds:
             assert abs(float(base.witness @ scaled.witness)) == pytest.approx(1.0, abs=1e-8)
-        C, _ = certificates._split_constant(M, None)
-        C_scaled, _ = certificates._split_constant(c * M, None)
+        C, _ = certificates._split_constant(certificates._sv_verdict(M, vectors=False), None)
+        C_scaled, _ = certificates._split_constant(
+            certificates._sv_verdict(c * M, vectors=False), None)
         if math.isfinite(C):
             assert C_scaled == pytest.approx(C / c, rel=1e-9)
         else:
@@ -470,13 +472,13 @@ class TestTwoTime:
 
     @pytest.mark.parametrize("t_tilde", [0.25, 0.5, 1.0])
     def test_tilde_constant_is_the_power_of_the_step(self, t_tilde):
-        # z(t~) is read off the nodes of the solve behind Theta; it is the
-        # homogeneous step applied N - k times to z_T
+        # z(t~) is the homogeneous step applied N - k times to z_T, bounded
+        # by the B* z signal of the oracle's Theta, one step at a time
         system, _, grid, G, W = self.heat_setup()
         ops = build_propagator(system, grid)
-        theta = certificates._theta(system, ops, grid.n_steps)[0]
+        theta = loop_theta(system, ops, grid.n_steps)
         D = np.linalg.matrix_power(ops.E.T, grid.n_steps - grid.node_index(t_tilde))
-        ref = certificates._split_constant(theta, D)[0]
+        ref = certificates._split_constant(certificates._sv_verdict(theta), D)[0]
         rep = two_time_check(system, grid, G, W, t_tilde, ops=ops)
         assert rep.obs_tilde.constant_C == pytest.approx(ref, rel=1e-12)
 

@@ -193,7 +193,8 @@ class TestOtherCommands:
         path = write(tmp_path, scalar_null_config())
         assert main(["obs-constant", "--config", str(path), "--kind", "final_state"]) == 0
         out = capsys.readouterr().out
-        assert "final_state constant = 1" in out
+        assert float(out.split("final_state constant = ")[1].split()[0]) == pytest.approx(
+            1.0, rel=1e-15)
 
     def test_models_list(self, capsys):
         assert main(["models", "list"]) == 0

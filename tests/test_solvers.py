@@ -20,12 +20,14 @@ from pccontrol import (
     make_ode,
     make_wave1d,
     minimize,
+    observability_constant,
     orthonormalize,
     recover_primal,
+    two_time_check,
 )
 from pccontrol import functionals
 from pccontrol.errors import ConfigError, InvalidWitnessError
-from pccontrol.certificates import _sv_verdict, _theta, _theta_verdict
+from pccontrol.certificates import _split_constant, _sv_verdict, _theta_verdict
 from pccontrol.functionals import APPROX_KINDS
 from pccontrol.solvers import (
     _cg_core,
@@ -34,7 +36,7 @@ from pccontrol.solvers import (
     _least_subgradient,
 )
 
-from oracles import kkt_control, loop_invisible_final_data, plain_cg, random_problem
+from oracles import kkt_control, loop_invisible_final_data, loop_theta, plain_cg, random_problem
 
 
 def scalar_system():
@@ -134,7 +136,7 @@ class TestGramianPreconditioner:
         n = p.system.n
         V, d = _gramian_preconditioner(p)
         S_zz = np.column_stack([apply_quadratic(p, x)[:n] for x in np.eye(p.size)[:n]])
-        theta = _theta(p.system, p.ops, p.grid.n_steps)[0]
+        theta = loop_theta(p.system, p.ops, p.grid.n_steps)
         assert np.allclose(S_zz, theta.T @ theta, rtol=0, atol=1e-12 * np.abs(S_zz).max())
         assert np.allclose(V @ np.diag(d) @ V.T, S_zz, rtol=0,
                            atol=1e-12 * np.abs(S_zz).max())
@@ -149,17 +151,37 @@ class TestGramianPreconditioner:
 
     def test_factor_matches_theta(self):
         # the doubled n x n factor has Theta's Gramian and Theta's rank rule,
-        # for every binary pattern of N and for r = m < n and r = n < m
+        # for every binary pattern of N and for r = m < n and r = n < m; the
+        # homogeneous observability constants read it, so they are the
+        # oracle Theta's, with z(0) and z(t~) powers of the step, for these
+        # problems and one without control
+        problems = []
         for seed in range(60):
             rng = np.random.default_rng(seed)
             n, m, N = int(rng.integers(1, 7)), int(rng.integers(1, 5)), int(rng.integers(2, 70))
-            p = random_problem(rng, "exact", n=n, m=m, n_steps=N)
-            theta = _theta(p.system, p.ops, N)[0]
+            problems.append(random_problem(rng, "exact", n=n, m=m, n_steps=N))
+        problems.append(ProblemData(kind="null", system=make_ode(-np.eye(3), np.zeros((3, 0))),
+                                    grid=TimeGrid(1.0, 9), y0=np.ones(3)))
+        for p in problems:
+            N = p.grid.n_steps
+            theta = loop_theta(p.system, p.ops, N)
             want, got = _sv_verdict(theta), _theta_verdict(p.system, p.ops, N)
             assert (got.holds, got.rank) == (want.holds, want.rank)
             gram = theta.T @ theta
             assert np.allclose((got.vt[:got.s.size].T * got.s**2) @ got.vt[:got.s.size], gram,
                                rtol=0, atol=1e-12 * np.abs(gram).max())
+            step = p.ops.E.T
+            pairs = [(observability_constant(p.system, p.grid, p.G, p.W, kind, ops=p.ops), D)
+                     for kind, D in (("final_state", None),
+                                     ("initial_state", np.linalg.matrix_power(step, N)))]
+            for k in (N // 2, N):
+                rep = two_time_check(p.system, p.grid, p.G, p.W, p.grid.nodes()[k], ops=p.ops)
+                pairs.append((rep.obs_tilde, np.linalg.matrix_power(step, N - k)))
+            for rep, D in pairs:
+                C, ref = rep.constant_C, _split_constant(want, D)[0]
+                assert math.isfinite(C) == math.isfinite(ref)
+                if math.isfinite(ref):
+                    assert C == pytest.approx(ref, rel=1e-9)
 
     def test_theta_is_never_formed(self):
         # Theta of wave1d with 64 modes over N = 2048 would hold 2048*128*128
@@ -175,6 +197,23 @@ class TestGramianPreconditioner:
             tracemalloc.stop()
         assert peak < 8 * 2**20
         assert V.shape == (128, 128) and np.all(d > 0)
+
+    def test_homogeneous_constants_hold_no_n_sized_array(self):
+        # Theta of wave1d with 32 modes over N = 1024 holds 1024*64*64
+        # float64 entries (34 MB), and the batched solve that forms it peaks
+        # at 134 MB; the constants read the n x n factor (0.3 MB)
+        system, _ = make_wave1d(32)
+        p = ProblemData(kind="null", system=system, grid=TimeGrid(2.5, 1024), y0=np.ones(64))
+        p.ops  # the propagator is the problem's, not the constants'
+        for kind in ("final_state", "initial_state"):
+            tracemalloc.start()
+            try:
+                rep = observability_constant(system, p.grid, p.G, p.W, kind, ops=p.ops)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
+            assert math.isfinite(rep.constant_C)
 
     def test_heat_control_matches_kkt_oracle(self):
         system, _ = make_heat1d(16)
