@@ -14,9 +14,11 @@ models list
     List the available model families.
 
 Exit codes: 0 success, 1 configuration or output error (one line
-``error: <message>`` on stderr), 2 certification failure (stderr names
-the failed checks; a failed uniqueness check serializes its witness into
-the report), 3 diverged minimization
+``error: <message>`` on stderr), 2 a failed certificate, for every command
+(all run one check stage; ``solve`` names the failed checks on stderr and
+serializes a failed uniqueness check's witness into the report,
+``check-uc`` prints that witness, ``obs-constant`` exits 2 on an infinite
+constant), 3 diverged minimization
 (diverged_infeasible; certified non-coercive only when the report's
 infeasibility section holds a uniqueness witness), 4 iteration cap
 reached.  Verbosity is controlled by the PCCONTROL_LOG environment
@@ -38,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import certificates
-from .config import BuildResult, RunConfig
+from .config import RunConfig
 from .errors import PccontrolError
 from .functionals import ControlSolution, ProblemData, recover_primal
 from .solvers import SolveDiagnostics, certify_infeasibility, minimize
@@ -81,24 +83,18 @@ def _json_ready(value):
     return value
 
 
-def _uc_report(problem: ProblemData) -> certificates.UCReport:
-    """Assemble the uniqueness map of the configured problem and decide it."""
-    M = certificates.assemble_uc_map(
-        problem.system, problem.grid, problem.G, problem.W, ops=problem.ops
-    )
-    return certificates.uc_check(M, block_dims=(problem.system.n, problem.G.dim, problem.W.dim))
-
-
-def _run_checks(build: BuildResult) -> tuple[dict, list[str], certificates.UCReport | None]:
-    """Run the requested certifications; returns (report section, the names
-    of the failed checks, the uniqueness verdict when that check ran)."""
-    checks = build.checks
-    problem = build.problem
+def _run_checks(problem: ProblemData, checks: dict) -> tuple[dict, list[str]]:
+    """Run the requested certifications, the only place where the CLI calls a
+    certificate; ``checks`` maps a check to its request as
+    :meth:`RunConfig.build` reads it, and an absent check is not run.
+    Returns (report section, the names of the failed checks)."""
     section: dict = {}
     failed: list[str] = []
-    uc = None
-    if checks["uc"]:
-        uc = _uc_report(problem)
+    if checks.get("uc"):
+        M = certificates.assemble_uc_map(
+            problem.system, problem.grid, problem.G, problem.W, ops=problem.ops
+        )
+        uc = certificates.uc_check(M, block_dims=(problem.system.n, problem.G.dim, problem.W.dim))
         entry = {
             "sigma_min": uc.sigma_min,
             "holds": uc.holds,
@@ -109,7 +105,7 @@ def _run_checks(build: BuildResult) -> tuple[dict, list[str], certificates.UCRep
             failed.append("uc")
             entry["infeasibility_radius"] = certify_infeasibility(uc.witness_parts())
         section["uc"] = entry
-    if checks["observability"]:
+    if checks.get("observability"):
         obs = {}
         for kind in checks["observability"]:
             rep = certificates.observability_constant(
@@ -119,7 +115,7 @@ def _run_checks(build: BuildResult) -> tuple[dict, list[str], certificates.UCRep
         section["observability"] = obs
         if not all(math.isfinite(entry["constant"]) for entry in obs.values()):
             failed.append("observability")
-    if checks["two_time"] is not None:
+    if checks.get("two_time") is not None:
         rep = certificates.two_time_check(
             problem.system,
             problem.grid,
@@ -142,7 +138,7 @@ def _run_checks(build: BuildResult) -> tuple[dict, list[str], certificates.UCRep
         # these verdicts speak about the discretized system on its grid, not
         # about any continuous limit
         section["certificate_level"] = "discrete"
-    return section, failed, uc
+    return section, failed
 
 
 def _output_dir(out_dir) -> Path:
@@ -190,9 +186,7 @@ def emit_report(
         _write_csv(
             out / "trajectory.csv", ["t"] + [f"y_{i + 1}" for i in range(n)], traj_rows
         )
-        ctrl_rows = np.column_stack([grid.midpoints(), solution.u]) if m else np.column_stack(
-            [grid.midpoints()]
-        )
+        ctrl_rows = np.column_stack([grid.midpoints(), solution.u])  # m = 0: t_mid alone
         _write_csv(out / "control.csv", ["t_mid"] + [f"u_{i + 1}" for i in range(m)], ctrl_rows)
 
 
@@ -220,7 +214,7 @@ def run_config(config_path, out_dir) -> int:
     problem = build.problem
     log.info("model %s built, grid T=%s n_steps=%s", problem.system.name,
              problem.grid.horizon, problem.grid.n_steps)
-    checks_section, failed, uc = _run_checks(build)
+    checks_section, failed = _run_checks(problem, build.checks)
     if failed:
         emit_report(out_dir, config, checks_section)
         witness = "; witness serialized in report.json" if "uc" in failed else ""
@@ -230,11 +224,12 @@ def run_config(config_path, out_dir) -> int:
     solution = recover_primal(problem, v)
     extra = None
     if diag.verdict == "diverged_infeasible":
-        rep = uc if uc is not None else _uc_report(problem)
-        infeasibility = {"sigma_min": rep.sigma_min}
-        if rep.witness is not None:
-            infeasibility["witness"] = rep.witness
-            infeasibility["radius"] = certify_infeasibility(rep.witness_parts())
+        # the uniqueness verdict decides whether the divergence is certified
+        uc = checks_section.get("uc") or _run_checks(problem, {"uc": True})[0]["uc"]
+        infeasibility = {"sigma_min": uc["sigma_min"]}
+        if uc["witness"] is not None:
+            infeasibility["witness"] = uc["witness"]
+            infeasibility["radius"] = uc["infeasibility_radius"]
         extra = {"infeasibility": infeasibility}
     emit_report(out_dir, config, checks_section, solution, diag, problem.grid, extra)
     if diag.verdict == "diverged_infeasible":
@@ -252,29 +247,24 @@ def run_config(config_path, out_dir) -> int:
 
 @_one_error_exit
 def _cmd_check_uc(args) -> int:
-    rep = _uc_report(RunConfig.from_file(args.config).build().problem)
-    print(f"uc sigma_min = {_fmt(rep.sigma_min)}")
-    print(f"uc holds = {rep.holds}")
-    if rep.witness is not None:
-        print("witness = " + " ".join(_fmt(v) for v in rep.witness))
-        return _EXIT_CERTIFICATION
-    return _EXIT_OK
+    problem = RunConfig.from_file(args.config).build().problem
+    section, failed = _run_checks(problem, {"uc": True})
+    uc = section["uc"]
+    print(f"uc sigma_min = {_fmt(uc['sigma_min'])}")
+    print(f"uc holds = {uc['holds']}")
+    if uc["witness"] is not None:
+        print("witness = " + " ".join(_fmt(v) for v in uc["witness"]))
+    return _EXIT_CERTIFICATION if failed else _EXIT_OK
 
 
 @_one_error_exit
 def _cmd_obs_constant(args) -> int:
     problem = RunConfig.from_file(args.config).build().problem
-    rep = certificates.observability_constant(
-        problem.system,
-        problem.grid,
-        problem.G,
-        problem.W,
-        args.kind,
-        ops=problem.ops,
-    )
-    print(f"{args.kind} constant = {_fmt(rep.constant_C)}")
-    print(f"{args.kind} sigma_min = {_fmt(rep.sigma_min)}")
-    return _EXIT_OK
+    section, failed = _run_checks(problem, {"observability": [args.kind]})
+    entry = section["observability"][args.kind]
+    print(f"{args.kind} constant = {_fmt(entry['constant'])}")
+    print(f"{args.kind} sigma_min = {_fmt(entry['sigma_min'])}")
+    return _EXIT_CERTIFICATION if failed else _EXIT_OK
 
 
 def _cmd_models() -> int:

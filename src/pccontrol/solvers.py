@@ -152,15 +152,16 @@ def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
     ``mu`` holds one multiplier per eps block Pi_i of :func:`_eps_blocks`
     (empty for S alone); an infinite mu_i holds block i at zero, in the
     iterates and in the returned x.  ``precond`` is the z_T block (V, d) of
-    :func:`_gramian_preconditioner`, or None for the identity; the other
-    blocks are always the identity.
+    :func:`_gramian_preconditioner`; without one that block is (I, 1), the
+    identity.  The other blocks are always the identity.
     Returns (x, residual_norm, iterations, verdict, objective_increments)
     where the increments reproduce the exact decrease of the quadratic
     model per iteration.  Verdict 'diverged_infeasible' is raised by iterate
     blowup or by a vanishing-curvature direction against a nonzero
     residual (a numerically exposed kernel the data pairs against), both
-    measured in the preconditioner's norm.  The stopping test is the
-    Euclidean norm of the recursively updated residual.
+    measured in the preconditioner's norm, the Euclidean norm for the
+    identity.  The stopping test is the Euclidean norm of the recursively
+    updated residual.
     """
     held = [m if m == math.inf else 0.0 for m in mu]
 
@@ -171,24 +172,17 @@ def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
         Sx = apply_quadratic(p, x)
         return _shift(p, Sx, x, mu) if mu else Sx
 
-    if precond is None:
-        def solve(r: np.ndarray) -> np.ndarray:
-            return r
+    n = p.system.n
+    V, d = precond or (np.eye(n), np.ones(n))
 
-        def sq_norm(x: np.ndarray) -> float:
-            return x @ x
-    else:
-        V, d = precond
-        n = d.size
+    def solve(r: np.ndarray) -> np.ndarray:
+        z = r.copy()
+        z[:n] = V @ ((V.T @ r[:n]) / d)
+        return z
 
-        def solve(r: np.ndarray) -> np.ndarray:
-            z = r.copy()
-            z[:n] = V @ ((V.T @ r[:n]) / d)
-            return z
-
-        def sq_norm(x: np.ndarray) -> float:
-            y = V.T @ x[:n]
-            return y @ (d * y) + x[n:] @ x[n:]
+    def sq_norm(x: np.ndarray) -> float:
+        y = V.T @ x[:n]
+        return y @ (d * y) + x[n:] @ x[n:]
 
     b = P(b)
     x = P(x0).copy()

@@ -499,6 +499,17 @@ class TestExitCodes:
         assert solve["verdict"] == "converged"
         assert solve["residuals"]["final_state_error"] <= 1e-9
 
+    @pytest.mark.parametrize("command", ["solve", "obs-constant"])
+    def test_infinite_constant_exits_2(self, tmp_path, command):
+        # G holds the constants, which the scalar integrator cannot tell
+        # from its final state: general_final is infinite, and every command
+        # that computes it exits 2 on that verdict
+        cfg = infeasible_config()
+        cfg["checks"] = {"observability": ["general_final"]}
+        extra = {"solve": ["--out", str(tmp_path / "out")],
+                 "obs-constant": ["--kind", "general_final"]}[command]
+        assert main([command, "--config", str(write(tmp_path, cfg))] + extra) == 2
+
     def test_unwritable_output_reports_io_error(self, tmp_path):
         path = write(tmp_path, scalar_null_config(n_steps=8))
         blocker = tmp_path / "blocked"

@@ -149,6 +149,21 @@ class TestGramianPreconditioner:
         assert np.array_equal(d, np.ones(2))
         assert np.array_equal(V @ np.diag(d) @ V.T, np.eye(2))
 
+    @pytest.mark.parametrize("factor, rank", [(0.5, 1), (1.5, 2)])
+    def test_rank_cutoff_scales_with_theta_rows(self, factor, rank):
+        # A = 0, T = 1: Theta stacks N copies of sqrt(dt) R, so its singular
+        # values are |B_jj| = 1 and b.  With m = 2n, N*r = 128 rows and
+        # N*m = 256 differ: b planted on either side of the cutoff
+        # sigma_max * N*r * eps_mach must drop or keep the second direction
+        N, r = 64, 2
+        b = factor * N * r * np.finfo(float).eps
+        B = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, b, 0.0, 0.0]])
+        p = ProblemData(kind="null", system=make_ode(np.zeros((2, 2)), B),
+                        grid=TimeGrid(1.0, N), y0=np.ones(2))
+        verdict = _theta_verdict(p.system, p.ops, N)
+        assert verdict.s == pytest.approx([1.0, b], rel=1e-12)
+        assert (verdict.holds, verdict.rank) == (rank == 2, rank)
+
     def test_factor_matches_theta(self):
         # the doubled n x n factor has Theta's Gramian and Theta's rank rule,
         # for every binary pattern of N and for r = m < n and r = n < m; the
