@@ -44,7 +44,7 @@ from .certificates import (
     UCReport,
     assemble_uc_map,
     modal_uc_check,
-    observability_constant,
+    observability_constants,
     restriction_kernel_check,
     spectral_uc_classify,
     two_time_check,
@@ -73,7 +73,7 @@ __all__ = [
     "recover_primal",
     "SolverOptions", "SolveDiagnostics", "minimize", "certify_infeasibility",
     "UCReport", "ObservabilityReport", "TwoTimeReport", "ModalUCReport",
-    "SpectralClassification", "assemble_uc_map", "uc_check", "observability_constant",
+    "SpectralClassification", "assemble_uc_map", "uc_check", "observability_constants",
     "two_time_check", "restriction_kernel_check", "spectral_uc_classify", "modal_uc_check",
     "ModelDescriptor", "make_heat1d", "make_wave1d", "make_ode",
     "exponential_profile_signal",

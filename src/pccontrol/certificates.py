@@ -7,7 +7,8 @@ the discrete level this is the kernel-freeness of an assembled linear map,
 decided by its smallest singular value against the numerical-rank cutoff
 sigma_max * max(rows, cols) * eps_mach, so no verdict depends on the scale
 of the map; the companion observability constants are inverses of
-(generalized) smallest singular values.
+(generalized) smallest singular values, read off the triangular factor of
+a QR of the observation map.
 
 Every report produced here is a discrete-level certificate: it speaks
 about the discretized system on its grid, not about any continuous limit.
@@ -27,10 +28,13 @@ vectors are the same.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import eigvalsh
+from scipy.linalg.lapack import dtrtri
 
 from .core import LinearSystem, StepOperator, TimeGrid, adjoint_solve, build_propagator
 from .errors import FrequencyInputError, ProblemTooLargeError, ShapeError
@@ -46,7 +50,7 @@ __all__ = [
     "SpectralClassification",
     "assemble_uc_map",
     "uc_check",
-    "observability_constant",
+    "observability_constants",
     "two_time_check",
     "restriction_kernel_check",
     "spectral_uc_classify",
@@ -133,6 +137,7 @@ class _Verdict(NamedTuple):
     rank: int  # singular values above the cutoff, a prefix of s
     s: np.ndarray  # singular values, descending
     vt: np.ndarray | None  # complete right singular basis (cols x cols)
+    factor: np.ndarray  # ||M x|| = ||factor x||; upper triangular when rows >= cols
 
 
 def _rank_cutoff(shape: tuple[int, int], sigma_max: float) -> float:
@@ -151,24 +156,26 @@ def _sv_verdict(M: np.ndarray, floor: float = 1e-300, vectors: bool = True,
     rows than columns.  The map holds (is injective) when sigma_min exceeds
     the numerical-rank cutoff of M (:func:`_rank_cutoff`); ``floor`` bounds
     the sigma_max it scales from, so a map of rounding noise alone fails.
-    With ``vectors``, tall maps take their singular values and right vectors
-    from the R of a QR, without the rows x cols left factor; without,
+    A map with at least as many rows as columns is decided from the R of
+    its QR, which has its singular values and right vectors and which the
+    verdict keeps as ``factor``; a wider map is its own factor.  With
+    ``vectors`` the verdict holds the right singular basis, without,
     ``vt`` is None.  A given ``rows`` says that M is the R of a QR of a map
     with that many rows, and the verdict is that map's.
     """
     cols = M.shape[1]
-    rows = M.shape[0] if rows is None else rows
-    vt = None
-    if not vectors:
-        s = np.linalg.svd(M, compute_uv=False)
-    elif M.shape[0] >= cols:
-        _, s, vt = np.linalg.svd(np.linalg.qr(M, mode="r"))
-    else:
+    if rows is None:
+        rows = M.shape[0]
+        if rows >= cols:
+            M = np.linalg.qr(M, mode="r")
+    if vectors:
         _, s, vt = np.linalg.svd(M)
+    else:
+        s, vt = np.linalg.svd(M, compute_uv=False), None
     # abs: LAPACK may return -0.0 for an exactly zero singular value
     sigma_min = math.inf if cols == 0 else (abs(float(s[-1])) if rows >= cols else 0.0)
     cutoff = _rank_cutoff((rows, cols), max(float(s[0]) if s.size else 0.0, floor))
-    return _Verdict(sigma_min > cutoff, sigma_min, int(np.sum(s > cutoff)), s, vt)
+    return _Verdict(sigma_min > cutoff, sigma_min, int(np.sum(s > cutoff)), s, vt, M)
 
 
 def _observe(system: LinearSystem, ops: StepOperator, R: np.ndarray, Z_T: np.ndarray,
@@ -326,58 +333,88 @@ def _theta_verdict(system: LinearSystem, ops: StepOperator, N: int) -> _Verdict:
 
 
 def _split_constant(v: _Verdict, D: np.ndarray | None) -> tuple[float, float]:
-    """Best C with ||D x|| <= C ||M x||, via the SVD split of M that its
-    verdict ``v`` holds (right singular vectors needed unless D is None);
+    """Best C with ||D x|| <= C ||M x||, for the map M of the verdict ``v``;
     D = None stands for the identity, where C = 1/sigma_min(M).
 
+    When M holds, its factor R is square and invertible, and C = ||D R^-1||,
+    the square root of the largest eigenvalue of X X^T for X = D R^-1 (from
+    a triangular inverse; only the rows of D that differ from the identity
+    are multiplied).  Forming that Gram squares only the small end of the
+    spectrum, so its largest eigenvalue keeps O(eps) relative accuracy; X
+    is scaled to a largest entry of 1 first, so the Gram neither overflows
+    nor underflows at any scale of M.  When M fails, an SVD of R with right
+    vectors splits it: C = +inf when M has a kernel direction that D does
+    not annihilate, else C bounds D on the rest through the singular values
+    above the cutoff.
+
     Returns (C, sigma) with sigma = 1/C the smallest generalized singular
-    value; C = +inf when M has a kernel direction that D does not annihilate.
+    value.
     """
     if D is None:
         return (1.0 / v.sigma_min, v.sigma_min) if v.holds else (math.inf, 0.0)
-    if not v.holds:
+    if v.holds:
+        X = dtrtri(v.factor)[0]
+        moved = np.any(D != np.eye(*D.shape), axis=1)
+        X[moved] = D[moved] @ X
+        scale = float(np.abs(X).max()) or 1.0
+        X /= scale
+        k = X.shape[0]
+        C = scale * math.sqrt(float(eigvalsh(X @ X.T, subset_by_index=[k - 1, k - 1])[0]))
+    else:
+        _, s, vt = np.linalg.svd(v.factor)
         d_max = float(np.linalg.norm(D, 2))
-        if float(np.linalg.norm(D @ v.vt[v.rank:].T, 2)) > _rank_cutoff(D.shape, d_max):
+        if float(np.linalg.norm(D @ vt[v.rank:].T, 2)) > _rank_cutoff(D.shape, d_max):
             return math.inf, 0.0
-    if v.rank == 0:
-        return 0.0, math.inf  # M and D both vanish; inequality is trivial
-    C = float(np.linalg.norm((D @ v.vt[:v.rank].T) / v.s[:v.rank], 2))
+        if v.rank == 0:
+            return 0.0, math.inf  # M and D both vanish; inequality is trivial
+        C = float(np.linalg.norm((D @ vt[:v.rank].T) / s[:v.rank], 2))
     if C == 0.0:
         return 0.0, math.inf
     return C, 1.0 / C
 
 
-def observability_constant(
+def observability_constants(
     system: LinearSystem,
     grid: TimeGrid,
     G: Subspace,
     W: Subspace,
-    kind: str,
+    kinds: Sequence[str],
     ops: StepOperator | None = None,
-) -> ObservabilityReport:
-    """Constant of one observability inequality, as 1/(generalized sigma_min).
+) -> dict[str, ObservabilityReport]:
+    """Constants of the observability inequalities of ``kinds``, each
+    1/(generalized sigma_min), keyed by kind in the order of ``kinds``.
 
     Kinds 'final_state' and 'initial_state' quantify over the homogeneous
     backward solutions (G, W do not enter).  The 'general_*' kinds quantify
     over (z_T, g, w, f) with f ranging over the whole signal space; the
     observed pair is (B* z + g, f + w) stacked in the product norm, which
     bounds the sum-of-norms form of the inequality as well.  The
-    homogeneous kinds read the n x n factor of :func:`_theta_verdict`, with
-    z(0) = (E^T)^N z_T.  The 'general_*' kinds assemble dense maps and
-    refuse, before allocating, when those (M, plus D for 'general_initial')
-    would hold more than ``DENSE_CAP`` float64 entries.
+    homogeneous kinds share the n x n factor of :func:`_theta_verdict`,
+    with z(0) = (E^T)^N z_T.  The 'general_*' kinds share one assembly of
+    the dense map M (with D, the map measured by 'general_initial', when
+    that kind is asked for), one QR of M and one singular-value verdict on
+    its R; they refuse, before allocating, when M and D would hold more
+    than ``DENSE_CAP`` float64 entries.  Each constant is then read off the
+    shared factor (:func:`_split_constant`).
     """
-    if kind not in OBS_KINDS:
-        raise ShapeError(f"kind must be one of {OBS_KINDS}, got {kind!r}")
+    for kind in kinds:
+        if kind not in OBS_KINDS:
+            raise ShapeError(f"kind must be one of {OBS_KINDS}, got {kind!r}")
     _check_spaces(system, grid, G, W)
     ops = ops or build_propagator(system, grid)
-    if kind.startswith("general_"):
-        M, D = _general_maps(system, grid, G, W, ops, kind == "general_initial")
-        v = _sv_verdict(M, vectors=D is not None)
-    else:
-        v = _theta_verdict(system, ops, grid.n_steps)
-        D = np.linalg.matrix_power(ops.E.T, grid.n_steps) if kind == "initial_state" else None
-    return ObservabilityReport(kind, *_split_constant(v, D))
+    N = grid.n_steps
+    split: dict[str, tuple[_Verdict, np.ndarray | None]] = {}
+    if "final_state" in kinds or "initial_state" in kinds:
+        v = _theta_verdict(system, ops, N)
+        split["final_state"] = (v, None)
+        if "initial_state" in kinds:
+            split["initial_state"] = (v, np.linalg.matrix_power(ops.E.T, N))
+    if "general_final" in kinds or "general_initial" in kinds:
+        M, D = _general_maps(system, grid, G, W, ops, "general_initial" in kinds)
+        v = _sv_verdict(M, vectors=False)
+        split["general_final"] = (v, None)
+        split["general_initial"] = (v, D)
+    return {kind: ObservabilityReport(kind, *_split_constant(*split[kind])) for kind in kinds}
 
 
 def _t_tilde_node(grid: TimeGrid, t_tilde: float) -> int:

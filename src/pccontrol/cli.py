@@ -106,12 +106,12 @@ def _run_checks(problem: ProblemData, checks: dict) -> tuple[dict, list[str]]:
             entry["infeasibility_radius"] = certify_infeasibility(uc.witness_parts())
         section["uc"] = entry
     if checks.get("observability"):
-        obs = {}
-        for kind in checks["observability"]:
-            rep = certificates.observability_constant(
-                problem.system, problem.grid, problem.G, problem.W, kind, ops=problem.ops
-            )
-            obs[kind] = {"constant": rep.constant_C, "sigma_min": rep.sigma_min}
+        reports = certificates.observability_constants(
+            problem.system, problem.grid, problem.G, problem.W, checks["observability"],
+            ops=problem.ops,
+        )
+        obs = {kind: {"constant": rep.constant_C, "sigma_min": rep.sigma_min}
+               for kind, rep in reports.items()}
         section["observability"] = obs
         if not all(math.isfinite(entry["constant"]) for entry in obs.values()):
             failed.append("observability")

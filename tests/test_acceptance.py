@@ -28,7 +28,7 @@ from pccontrol import (
     make_ode,
     make_wave1d,
     minimize,
-    observability_constant,
+    observability_constants,
     orthonormalize,
     recover_primal,
     signal_inner,
@@ -329,7 +329,7 @@ def test_criterion_11_observability_constants():
         grid = TimeGrid(horizon, 64)
         G = orthonormalize([], SignalAmbient(1, grid))
         W = orthonormalize([], SignalAmbient(1, grid))
-        rep = observability_constant(system, grid, G, W, "final_state")
+        rep = observability_constants(system, grid, G, W, ["final_state"])["final_state"]
         worst = max(worst, abs(rep.constant_C - 1.0 / math.sqrt(horizon)))
     ok = worst <= 1e-10
     record(11, ok, f"final-state constants equal 1/sqrt(T): worst |C - 1/sqrt(T)| = {worst:.2e}")

@@ -20,7 +20,7 @@ from pccontrol import (
     make_wave1d,
     minimize,
     modal_uc_check,
-    observability_constant,
+    observability_constants,
     orthonormalize,
     restriction_kernel_check,
     spectral_uc_classify,
@@ -337,14 +337,14 @@ class TestObservabilityConstants:
     @pytest.mark.parametrize("horizon", [0.25, 1.0, 4.0])
     def test_scalar_final_state_inverse_sqrt_T(self, horizon):
         system, grid, G, W = scalar_setup(n_steps=64, horizon=horizon)
-        rep = observability_constant(system, grid, G, W, "final_state")
+        rep = observability_constants(system, grid, G, W, ["final_state"])["final_state"]
         assert rep.constant_C == pytest.approx(1.0 / math.sqrt(horizon), abs=1e-10)
         assert rep.sigma_min == pytest.approx(math.sqrt(horizon), abs=1e-10)
 
     def test_general_final_fails_for_constants(self):
         system, grid, _, W = scalar_setup(n_steps=16)
         G = orthonormalize([np.ones((16, 1))], SignalAmbient(1, grid))
-        rep = observability_constant(system, grid, G, W, "general_final")
+        rep = observability_constants(system, grid, G, W, ["general_final"])["general_final"]
         assert math.isinf(rep.constant_C)
         assert rep.sigma_min == 0.0
 
@@ -353,7 +353,7 @@ class TestObservabilityConstants:
         t = grid.midpoints()
         G = orthonormalize([np.sin(2 * math.pi * t).reshape(-1, 1)],
                            SignalAmbient(1, grid))
-        rep = observability_constant(system, grid, G, W, "general_final")
+        rep = observability_constants(system, grid, G, W, ["general_final"])["general_final"]
         assert math.isfinite(rep.constant_C)
         assert rep.constant_C == pytest.approx(1.0 / rep.sigma_min, rel=1e-12)
 
@@ -364,7 +364,7 @@ class TestObservabilityConstants:
         grid = TimeGrid(1.0, 8)
         G = random_signal_subspace(rng, 1, grid, 1)
         W = random_signal_subspace(rng, 2, grid, 1)
-        rep = observability_constant(system, grid, G, W, "general_initial")
+        rep = observability_constants(system, grid, G, W, ["general_initial"])["general_initial"]
         assert math.isfinite(rep.constant_C)
         from pccontrol import adjoint_solve, build_propagator, control_observation, signal_norm
 
@@ -391,15 +391,32 @@ class TestObservabilityConstants:
         grid = TimeGrid(1.0, 32)
         G = orthonormalize([], SignalAmbient(1, grid))
         W = orthonormalize([], SignalAmbient(1, grid))
-        c_final = observability_constant(system, grid, G, W, "final_state").constant_C
-        c_initial = observability_constant(system, grid, G, W, "initial_state").constant_C
+        reps = observability_constants(system, grid, G, W, ["final_state", "initial_state"])
+        c_final = reps["final_state"].constant_C
+        c_initial = reps["initial_state"].constant_C
         assert c_initial < c_final
+
+    @pytest.mark.parametrize("k", [-170, 170])
+    def test_homogeneous_constants_scale_with_B(self, k):
+        # Theta scales with B and z(0) does not, so both constants divide by
+        # c = 10**k; at these scales a Gram of D K^-1 unscaled would overflow
+        # (k = -170) or underflow (k = 170)
+        A = [[-1.0, 0.5], [0.0, -2.0]]
+        grid = TimeGrid(1.0, 16)
+        G = orthonormalize([], SignalAmbient(1, grid))
+        W = orthonormalize([], SignalAmbient(2, grid))
+        kinds = ["final_state", "initial_state"]
+        base = observability_constants(make_ode(A, [[1.0], [1.0]]), grid, G, W, kinds)
+        scaled = observability_constants(make_ode(A, [[10.0**k], [10.0**k]]), grid, G, W, kinds)
+        for kind in kinds:
+            assert scaled[kind].constant_C == pytest.approx(base[kind].constant_C / 10.0**k,
+                                                            rel=1e-9, abs=0.0)
 
     def test_size_guard(self, monkeypatch):
         system, grid, G, W = scalar_setup(n_steps=64)
         monkeypatch.setattr(certificates, "DENSE_CAP", 10)
         with pytest.raises(ProblemTooLargeError):
-            observability_constant(system, grid, G, W, "general_final")
+            observability_constants(system, grid, G, W, ["general_final"])
 
     def test_size_guard_counts_map_entries(self, monkeypatch):
         # n * N = 20000, yet the general maps would hold 220000 x 20010
@@ -417,28 +434,84 @@ class TestObservabilityConstants:
         monkeypatch.setattr(np, "zeros", small_zeros)
         for kind in ("general_final", "general_initial"):
             with pytest.raises(ProblemTooLargeError):
-                observability_constant(system, grid, G, W, kind)
+                observability_constants(system, grid, G, W, [kind])
 
     @pytest.mark.parametrize("case", [(3, 2, 16, 1, 2), (2, 6, 16, 1, 1)])
     def test_size_guard_counts_compressed_entries(self, case, monkeypatch):
         # M has N*min(m, n) + p_g signal rows and N*n source rows; D is square
+        # and both general kinds together hold one M and one D
         system, grid, G, W, ops = _batch_setup(*case)
         n, N = system.n, grid.n_steps
         cols = n + G.dim + W.dim + n * N
         M_entries = (N * min(system.m, n) + G.dim + N * n) * cols
-        for kind, entries in (("general_final", M_entries),
-                              ("general_initial", M_entries + cols * cols)):
+        for kinds, entries in ((["general_final"], M_entries),
+                               (["general_initial"], M_entries + cols * cols),
+                               (["general_final", "general_initial"], M_entries + cols * cols)):
             monkeypatch.setattr(certificates, "DENSE_CAP", entries)
-            rep = observability_constant(system, grid, G, W, kind, ops=ops)
-            assert rep.sigma_min > 0.0
+            reps = observability_constants(system, grid, G, W, kinds, ops=ops)
+            assert all(rep.sigma_min > 0.0 for rep in reps.values())
             monkeypatch.setattr(certificates, "DENSE_CAP", entries - 1)
             with pytest.raises(ProblemTooLargeError):
-                observability_constant(system, grid, G, W, kind, ops=ops)
+                observability_constants(system, grid, G, W, kinds, ops=ops)
+
+    def test_general_kinds_share_one_assembly(self, monkeypatch):
+        system, grid, G, W, ops = _batch_setup(3, 2, 16, 1, 2)
+        calls = []
+        general_maps = certificates._general_maps
+
+        def counted(*args):
+            calls.append(args)
+            return general_maps(*args)
+
+        monkeypatch.setattr(certificates, "_general_maps", counted)
+        reps = observability_constants(system, grid, G, W, certificates.OBS_KINDS, ops=ops)
+        assert list(reps) == list(certificates.OBS_KINDS)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_constants_match_loop_oracles(self, case):
+        # every kind against _split_constant of a verdict on the per-column
+        # oracle maps (plain coordinates: the singular values and right
+        # vectors of the framed maps), and a holding general_initial map
+        # against ||D M^+||, which no triangular factor enters
+        system, grid, G, W, ops = _batch_setup(*case)
+        N = grid.n_steps
+        reps = observability_constants(system, grid, G, W, certificates.OBS_KINDS, ops=ops)
+        M_ref, D_ref = loop_general_maps(system, ops, G, W)
+        theta = certificates._sv_verdict(loop_theta(system, ops, N))
+        general = certificates._sv_verdict(M_ref)
+        refs = {"final_state": (theta, None),
+                "initial_state": (theta, np.linalg.matrix_power(ops.E.T, N)),
+                "general_final": (general, None),
+                "general_initial": (general, D_ref)}
+        for kind, (v, D) in refs.items():
+            C, ref = reps[kind].constant_C, certificates._split_constant(v, D)[0]
+            assert math.isfinite(C) == math.isfinite(ref), kind
+            if math.isfinite(ref):
+                assert C == pytest.approx(ref, rel=1e-9), kind
+        if general.holds:
+            ref = np.linalg.norm(D_ref @ np.linalg.pinv(M_ref), 2)
+            assert reps["general_initial"].constant_C == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("a22, initial", [(-40.0, 1.1477641779795815), (-1.0, math.inf)])
+    def test_unobserved_mode(self, a22, initial):
+        # B observes only the first mode, so M has a kernel and general_final
+        # is infinite; z(0) sees the second mode through e^(a22 T), which D
+        # annihilates at a22 = -40 (e^-40 is below D's rank cutoff) and not
+        # at a22 = -1
+        system = make_ode([[-1.0, 0.0], [0.0, a22]], [[1.0], [0.0]])
+        grid = TimeGrid(1.0, 16)
+        G = orthonormalize([], SignalAmbient(1, grid))
+        W = orthonormalize([], SignalAmbient(2, grid))
+        reps = observability_constants(system, grid, G, W, ["general_final", "general_initial"])
+        assert math.isinf(reps["general_final"].constant_C)
+        assert reps["general_final"].sigma_min == 0.0
+        assert reps["general_initial"].constant_C == pytest.approx(initial, rel=1e-12)
 
     def test_unknown_kind(self):
         system, grid, G, W = scalar_setup()
         with pytest.raises(ShapeError):
-            observability_constant(system, grid, G, W, "nonsense")
+            observability_constants(system, grid, G, W, ["nonsense"])
 
 
 class TestTwoTime:

@@ -20,7 +20,7 @@ from pccontrol import (
     make_ode,
     make_wave1d,
     minimize,
-    observability_constant,
+    observability_constants,
     orthonormalize,
     recover_primal,
     two_time_check,
@@ -186,7 +186,9 @@ class TestGramianPreconditioner:
             assert np.allclose((got.vt[:got.s.size].T * got.s**2) @ got.vt[:got.s.size], gram,
                                rtol=0, atol=1e-12 * np.abs(gram).max())
             step = p.ops.E.T
-            pairs = [(observability_constant(p.system, p.grid, p.G, p.W, kind, ops=p.ops), D)
+            reps = observability_constants(p.system, p.grid, p.G, p.W,
+                                           ["final_state", "initial_state"], ops=p.ops)
+            pairs = [(reps[kind], D)
                      for kind, D in (("final_state", None),
                                      ("initial_state", np.linalg.matrix_power(step, N)))]
             for k in (N // 2, N):
@@ -223,7 +225,7 @@ class TestGramianPreconditioner:
         for kind in ("final_state", "initial_state"):
             tracemalloc.start()
             try:
-                rep = observability_constant(system, p.grid, p.G, p.W, kind, ops=p.ops)
+                rep = observability_constants(system, p.grid, p.G, p.W, [kind], ops=p.ops)[kind]
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
