@@ -58,7 +58,9 @@ __all__ = [
 ]
 
 OBS_KINDS = ("final_state", "initial_state", "general_final", "general_initial")
-DENSE_CAP = 2**27  # float64 entries the 'general_*' maps may hold (1 GiB)
+# float64 entries of the 'general_*' map M plus the n_cols x n_cols triangular
+# factor of its QR; the measured peak of 'general_final' is about M + 3.1 n_cols^2
+DENSE_CAP = 2**27
 
 
 @dataclass
@@ -256,12 +258,14 @@ def uc_check(M: np.ndarray, block_dims: tuple[int, int, int] | None = None) -> U
     return UCReport(v.sigma_min, v.holds, witness, (rows, cols), block_dims)
 
 
-def _general_maps(system, grid, G, W, ops, want_initial: bool):
-    """Stacked observation map over (z_T, g, w, f) and, optionally, the
-    measured map (z(0), g, w, f); f enters in sqrt(dt)-scaled coordinates.
-    M has N*r + p_g signal rows in the output frame, then N*n rows of
-    f + w.  Refuses before allocating when the maps exceed ``DENSE_CAP``
-    float64 entries.
+def _general_maps(system, grid, G, W, ops):
+    """Stacked observation map M over (z_T, g, w, f) and the first n rows
+    Z0 of the measured map (z(0), g, w, f), which is the identity on the
+    remaining coordinates; f enters in sqrt(dt)-scaled coordinates.  M has
+    N*r + p_g signal rows in the output frame, then N*n rows of f + w; Z0
+    is z(0) for every column, (n, n_cols).  Refuses before allocating when
+    M and the n_cols x n_cols triangular factor of its QR exceed
+    ``DENSE_CAP`` float64 entries.
 
     The n*N columns of unit sources are time shifts: a unit source on
     interval k, component i, observes on intervals j <= k what one on the
@@ -276,7 +280,7 @@ def _general_maps(system, grid, G, W, ops, want_initial: bool):
     sqrt_dt = math.sqrt(grid.dt)
     n_cols = n + p_g + p_w + n * N
     sig_rows = N * r + p_g  # signal rows in the output frame
-    entries = (sig_rows + N * n) * n_cols + (n_cols * n_cols if want_initial else 0)
+    entries = (sig_rows + N * n + n_cols) * n_cols
     if entries > DENSE_CAP:
         raise ProblemTooLargeError(
             f"dense observability assembly needs {entries} float64 entries, cap is {DENSE_CAP}"
@@ -294,12 +298,10 @@ def _general_maps(system, grid, G, W, ops, want_initial: bool):
     last = uc[:N * r, n + p_g:]
     for k in range(N):
         M[:(k + 1) * r, f0 + k * n:f0 + (k + 1) * n] = last[(N - 1 - k) * r:]
-    D = None
-    if want_initial:
-        D = np.eye(n_cols)
-        D[:n, :n] = nodes[0, :, :n]
-        D[:n, f0:] = nodes[N - 1::-1, :, n + p_g:].transpose(1, 0, 2).reshape(n, N * n)
-    return M, D
+    Z0 = np.zeros((n, n_cols))  # g and w do not drive z
+    Z0[:, :n] = nodes[0, :, :n]
+    Z0[:, f0:] = nodes[N - 1::-1, :, n + p_g:].transpose(1, 0, 2).reshape(n, N * n)
+    return M, Z0
 
 
 def _theta_verdict(system: LinearSystem, ops: StepOperator, N: int) -> _Verdict:
@@ -332,35 +334,37 @@ def _theta_verdict(system: LinearSystem, ops: StepOperator, N: int) -> _Verdict:
     return _sv_verdict(acc, rows=N * R.shape[0])
 
 
-def _split_constant(v: _Verdict, D: np.ndarray | None) -> tuple[float, float]:
-    """Best C with ||D x|| <= C ||M x||, for the map M of the verdict ``v``;
-    D = None stands for the identity, where C = 1/sigma_min(M).
+def _split_constant(v: _Verdict, rows: np.ndarray | None) -> tuple[float, float]:
+    """Best C with ||D x|| <= C ||M x||, for the map M of the verdict ``v``
+    and the measured map D whose first k rows are ``rows`` (k, cols) and
+    which is the identity on the remaining coordinates; ``rows`` = None
+    stands for the identity, where C = 1/sigma_min(M).
 
     When M holds, its factor R is square and invertible, and C = ||D R^-1||,
     the square root of the largest eigenvalue of X X^T for X = D R^-1 (from
-    a triangular inverse; only the rows of D that differ from the identity
-    are multiplied).  Forming that Gram squares only the small end of the
-    spectrum, so its largest eigenvalue keeps O(eps) relative accuracy; X
-    is scaled to a largest entry of 1 first, so the Gram neither overflows
-    nor underflows at any scale of M.  When M fails, an SVD of R with right
-    vectors splits it: C = +inf when M has a kernel direction that D does
-    not annihilate, else C bounds D on the rest through the singular values
-    above the cutoff.
+    a triangular inverse, whose first k rows are multiplied by ``rows``).
+    Forming that Gram squares only the small end of the spectrum, so its
+    largest eigenvalue keeps O(eps) relative accuracy; X is scaled to a
+    largest entry of 1 first, so the Gram neither overflows nor underflows
+    at any scale of M.  When M fails, an SVD of R with right vectors splits
+    it against the square D: C = +inf when M has a kernel direction that D
+    does not annihilate, else C bounds D on the rest through the singular
+    values above the cutoff.
 
     Returns (C, sigma) with sigma = 1/C the smallest generalized singular
     value.
     """
-    if D is None:
+    if rows is None:
         return (1.0 / v.sigma_min, v.sigma_min) if v.holds else (math.inf, 0.0)
+    k, cols = rows.shape
     if v.holds:
         X = dtrtri(v.factor)[0]
-        moved = np.any(D != np.eye(*D.shape), axis=1)
-        X[moved] = D[moved] @ X
+        X[:k] = rows @ X
         scale = float(np.abs(X).max()) or 1.0
         X /= scale
-        k = X.shape[0]
-        C = scale * math.sqrt(float(eigvalsh(X @ X.T, subset_by_index=[k - 1, k - 1])[0]))
+        C = scale * math.sqrt(float(eigvalsh(X @ X.T, subset_by_index=[cols - 1, cols - 1])[0]))
     else:
+        D = np.vstack([rows, np.eye(cols)[k:]])
         _, s, vt = np.linalg.svd(v.factor)
         d_max = float(np.linalg.norm(D, 2))
         if float(np.linalg.norm(D @ vt[v.rank:].T, 2)) > _rank_cutoff(D.shape, d_max):
@@ -391,11 +395,13 @@ def observability_constants(
     bounds the sum-of-norms form of the inequality as well.  The
     homogeneous kinds share the n x n factor of :func:`_theta_verdict`,
     with z(0) = (E^T)^N z_T.  The 'general_*' kinds share one assembly of
-    the dense map M (with D, the map measured by 'general_initial', when
-    that kind is asked for), one QR of M and one singular-value verdict on
-    its R; they refuse, before allocating, when M and D would hold more
-    than ``DENSE_CAP`` float64 entries.  Each constant is then read off the
-    shared factor (:func:`_split_constant`).
+    the dense map M, one QR of M and one singular-value verdict on its R;
+    they refuse, before allocating, when M and that R would hold more than
+    ``DENSE_CAP`` float64 entries.  Each constant is then read off the
+    shared factor (:func:`_split_constant`), given the first rows of the
+    map it measures: none for the final-state kinds, (E^T)^N for
+    'initial_state', and the n rows of z(0) over (z_T, g, w, f) for
+    'general_initial'.
     """
     for kind in kinds:
         if kind not in OBS_KINDS:
@@ -410,10 +416,10 @@ def observability_constants(
         if "initial_state" in kinds:
             split["initial_state"] = (v, np.linalg.matrix_power(ops.E.T, N))
     if "general_final" in kinds or "general_initial" in kinds:
-        M, D = _general_maps(system, grid, G, W, ops, "general_initial" in kinds)
+        M, Z0 = _general_maps(system, grid, G, W, ops)
         v = _sv_verdict(M, vectors=False)
         split["general_final"] = (v, None)
-        split["general_initial"] = (v, D)
+        split["general_initial"] = (v, Z0)
     return {kind: ObservabilityReport(kind, *_split_constant(*split[kind])) for kind in kinds}
 
 

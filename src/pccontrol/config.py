@@ -3,12 +3,12 @@
 A configuration has sections ``model``, ``grid``, ``problem`` and optional
 ``solver`` and ``checks``.  :meth:`RunConfig.build` checks and converts the
 document in one pass: each section is checked by the function that converts
-it.  Unknown keys are fatal; every error names the offending key.  Which
-data a problem kind takes (y1, epsilon, E) is decided by
+it.  Unknown and repeated keys are fatal; every error names the offending
+key.  Which data a problem kind takes (y1, epsilon, E) is decided by
 :class:`~pccontrol.functionals.ProblemData` alone.
 
-Vectors are given literally or sparsely
-(``{"coords": [[index, value], ...]}``); subspace generators are either
+Vectors are given literally or sparsely (``{"coords": [[index, value],
+...]}``, each index at most once); subspace generators are either
 exponential profiles ``{"rate": r, "vector"|"coords": ..., "support":
 [t0, t1]}`` realized by exact interval averages, or literal grid signals
 ``{"signal": [[...], ...]}``.  ``g_star``/``w_star`` are coefficient lists
@@ -58,6 +58,17 @@ def _check_keys(section: dict, allowed: set, required: set, where: str):
     for key in required:
         if key not in section:
             raise ConfigError(f"missing key {key!r} in {where}")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct: a repeated key is an
+    error, where ``json`` would keep its last value."""
+    section = {}
+    for key, value in pairs:
+        if key in section:
+            raise ConfigError(f"duplicate key {key!r} in config")
+        section[key] = value
+    return section
 
 
 def _number(value, where: str) -> float:
@@ -110,7 +121,7 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         try:
             with open(path) as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=_unique_keys)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -147,7 +158,7 @@ def _vector(value, dim: int, where: str) -> np.ndarray:
         return np.array(values)
     if isinstance(value, dict):
         _check_keys(value, {"coords"}, {"coords"}, where)
-        out = np.zeros(dim)
+        out, seen = np.zeros(dim), set()
         pairs = value["coords"]
         if not isinstance(pairs, list):
             raise ConfigError(f"{where}.coords must be a list of [index, value] pairs")
@@ -157,6 +168,9 @@ def _vector(value, dim: int, where: str) -> np.ndarray:
             idx = _integer(pair[0], f"{where}.coords[{i}][0]")
             if not (0 <= idx < dim):
                 raise ConfigError(f"{where}.coords[{i}] index {idx} out of range 0..{dim - 1}")
+            if idx in seen:
+                raise ConfigError(f"{where}.coords[{i}] repeats index {idx}")
+            seen.add(idx)
             out[idx] = _number(pair[1], f"{where}.coords[{i}][1]")
         return out
     raise ConfigError(f"{where} must be a list or a coords mapping")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,16 @@ def _batch_setup(n, m, N, p_g, p_w, seed=None):
     return system, grid, G, W, build_propagator(system, grid)
 
 
+def _unobserved_setup(a22):
+    """diag(-1, a22) with B observing only the first mode, T = 1, N = 16,
+    no G or W: the general map has a kernel."""
+    system = make_ode([[-1.0, 0.0], [0.0, a22]], [[1.0], [0.0]])
+    grid = TimeGrid(1.0, 16)
+    G = orthonormalize([], SignalAmbient(1, grid))
+    W = orthonormalize([], SignalAmbient(2, grid))
+    return system, grid, G, W, build_propagator(system, grid)
+
+
 def _assert_close(got, ref, scale=None):
     assert got.shape == ref.shape
     if scale is None:
@@ -321,10 +332,13 @@ class TestBatchedAssembly:
     @pytest.mark.parametrize("case", BATCH_CASES)
     def test_general_maps(self, case):
         system, grid, G, W, ops = _batch_setup(*case)
-        M, D = certificates._general_maps(system, grid, G, W, ops, True)
+        M, Z0 = certificates._general_maps(system, grid, G, W, ops)
         M_ref, D_ref = loop_general_maps(system, ops, G, W)
         _assert_in_frame(M, M_ref, system, grid.n_steps, G.dim)
-        _assert_close(D, D_ref)
+        # the measured map is z(0) over every column, then the identity on (g, w, f)
+        n = system.n
+        _assert_close(Z0, D_ref[:n])
+        assert np.array_equal(D_ref[n:], np.eye(*D_ref.shape)[n:])
 
     @given(uc_cases())
     def test_uc_singular_values_match_loop(self, case):
@@ -438,15 +452,13 @@ class TestObservabilityConstants:
 
     @pytest.mark.parametrize("case", [(3, 2, 16, 1, 2), (2, 6, 16, 1, 1)])
     def test_size_guard_counts_compressed_entries(self, case, monkeypatch):
-        # M has N*min(m, n) + p_g signal rows and N*n source rows; D is square
-        # and both general kinds together hold one M and one D
+        # M has N*min(m, n) + p_g signal rows and N*n source rows, and every
+        # list of general kinds holds M and the square triangular factor of M
         system, grid, G, W, ops = _batch_setup(*case)
         n, N = system.n, grid.n_steps
         cols = n + G.dim + W.dim + n * N
-        M_entries = (N * min(system.m, n) + G.dim + N * n) * cols
-        for kinds, entries in ((["general_final"], M_entries),
-                               (["general_initial"], M_entries + cols * cols),
-                               (["general_final", "general_initial"], M_entries + cols * cols)):
+        entries = (N * min(system.m, n) + G.dim + N * n + cols) * cols
+        for kinds in (["general_final"], ["general_initial"], ["general_final", "general_initial"]):
             monkeypatch.setattr(certificates, "DENSE_CAP", entries)
             reps = observability_constants(system, grid, G, W, kinds, ops=ops)
             assert all(rep.sigma_min > 0.0 for rep in reps.values())
@@ -493,17 +505,50 @@ class TestObservabilityConstants:
             ref = np.linalg.norm(D_ref @ np.linalg.pinv(M_ref), 2)
             assert reps["general_initial"].constant_C == pytest.approx(ref, rel=1e-9)
 
+    @pytest.mark.parametrize("setup, args",
+                             [(_batch_setup, case) for case in BATCH_CASES]
+                             + [(_unobserved_setup, (a22,)) for a22 in (-40.0, -1.0)],
+                             ids=[f"case{i}" for i in range(len(BATCH_CASES))]
+                             + ["unobserved-40", "unobserved-1"])
+    def test_split_constant_reads_first_rows(self, setup, args):
+        # the first n rows of the oracle's dense D, the identity below them,
+        # give the constant of the whole D bit for bit, on holding and on
+        # failing maps
+        system, grid, G, W, ops = setup(*args)
+        M_ref, D_ref = loop_general_maps(system, ops, G, W)
+        v = certificates._sv_verdict(M_ref, vectors=False)
+        assert (certificates._split_constant(v, D_ref[:system.n])
+                == certificates._split_constant(v, D_ref))
+
+    def test_general_initial_holds_no_square_measured_map(self):
+        # heat1d, 6 modes, N = 192: the measured map enters as its n rows,
+        # so the peak stays below M + 4.5 n_cols^2 float64 entries; it reads
+        # M + 4.04 n_cols^2, and a dense n_cols x n_cols D would add n_cols^2
+        system, _ = make_heat1d(6)
+        grid = TimeGrid(1.0, 192)
+        G = orthonormalize([], SignalAmbient(system.m, grid))
+        W = orthonormalize([], SignalAmbient(system.n, grid))
+        ops = build_propagator(system, grid)
+        n, N = system.n, grid.n_steps
+        cols = n + n * N
+        M_entries = (N * min(system.m, n) + N * n) * cols
+        tracemalloc.start()
+        try:
+            observability_constants(system, grid, G, W, ["general_initial"], ops=ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (M_entries + 4.5 * cols * cols)
+
     @pytest.mark.parametrize("a22, initial", [(-40.0, 1.1477641779795815), (-1.0, math.inf)])
     def test_unobserved_mode(self, a22, initial):
         # B observes only the first mode, so M has a kernel and general_final
         # is infinite; z(0) sees the second mode through e^(a22 T), which D
         # annihilates at a22 = -40 (e^-40 is below D's rank cutoff) and not
         # at a22 = -1
-        system = make_ode([[-1.0, 0.0], [0.0, a22]], [[1.0], [0.0]])
-        grid = TimeGrid(1.0, 16)
-        G = orthonormalize([], SignalAmbient(1, grid))
-        W = orthonormalize([], SignalAmbient(2, grid))
-        reps = observability_constants(system, grid, G, W, ["general_final", "general_initial"])
+        system, grid, G, W, ops = _unobserved_setup(a22)
+        reps = observability_constants(system, grid, G, W, ["general_final", "general_initial"],
+                                       ops=ops)
         assert math.isinf(reps["general_final"].constant_C)
         assert reps["general_final"].sigma_min == 0.0
         assert reps["general_initial"].constant_C == pytest.approx(initial, rel=1e-12)

@@ -265,6 +265,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="out of range"):
             RunConfig.from_dict(cfg).build()
 
+    def test_duplicate_key_exits_1(self, tmp_path, capsys):
+        # json.load keeps the last of two equal keys: grid.T would be 2.0 unnoticed
+        text = json.dumps(scalar_null_config(n_steps=16)).replace('"T": 1.0', '"T": 1.0, "T": 2.0')
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "duplicate key 'T'" in capsys.readouterr().err
+
+    def test_repeated_coords_index_exits_1(self, tmp_path, capsys):
+        # y0[0] would be 2.0 unnoticed, the last of its two values
+        cfg = scalar_null_config(n_steps=16)
+        cfg["problem"]["y0"] = {"coords": [[0, 1.0], [0, 2.0]]}
+        with pytest.raises(ConfigError, match=r"problem\.y0\.coords\[1\] repeats index 0"):
+            RunConfig.from_dict(cfg).build()
+        path = write(tmp_path, cfg)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "problem.y0.coords[1]" in capsys.readouterr().err
+
     def test_literal_signal_entry(self):
         cfg = scalar_null_config(n_steps=4)
         cfg["problem"]["G"] = [{"signal": [[1.0], [1.0], [0.0], [0.0]]}]

@@ -159,7 +159,7 @@ class TestQuadraticOperator:
         # (c) positive semidefinite
         assert Su @ u >= -1e-12 * norm(Su) * norm(u)
         # (d) S = M^T M: the dual variable is in the column coordinates of M
-        M, _ = _general_maps(p.system, p.grid, p.G, p.W, p.ops, want_initial=False)
+        M, _ = _general_maps(p.system, p.grid, p.G, p.W, p.ops)
         assert norm(Su - M.T @ (M @ u)) <= 1e-12 * norm(Su)
 
 
