@@ -37,7 +37,7 @@ from scipy.linalg import eigvalsh
 from scipy.linalg.lapack import dtrtri
 
 from .core import LinearSystem, StepOperator, TimeGrid, adjoint_solve, build_propagator
-from .errors import FrequencyInputError, ProblemTooLargeError, ShapeError
+from .errors import ProblemTooLargeError, ShapeError
 from .functionals import _check_spaces
 from .subspaces import SignalAmbient, Subspace, VectorAmbient, orthonormalize
 
@@ -477,12 +477,12 @@ def restriction_kernel_check(W: Subspace, model, G: Subspace | None = None) -> b
 
     ``model`` is the :class:`~pccontrol.models.ModelDescriptor` of the
     system W lives on.  With only W: full column rank of the restriction of
-    W's basis to the masked quadrature nodes (trapezoid weights on the
-    model's spatial grid).  With G as well: the combined condition,
-    injectivity of (w, g) -> restriction(w) + (d_t + Laplace) g, is tested
-    in weak form against tensor test functions (interior time hats times
-    interior space hats on the masked grid), the space operator realized by
-    lumped P1 mass and stiffness pairings.
+    W's basis to the masked nodes of the model's spatial grid, every node
+    weighted by the uniform spacing h (and every interval by dt).  With G as
+    well: the combined condition, injectivity of (w, g) -> restriction(w) +
+    (d_t + Laplace) g, is tested in weak form against tensor test functions
+    (interior time hats times interior space hats on the masked grid), the
+    space operator realized by lumped P1 mass and stiffness pairings.
     """
     amb = W.ambient
     if not isinstance(amb, SignalAmbient):
@@ -593,21 +593,20 @@ def spectral_uc_classify(mu: float, w_mu: np.ndarray, model) -> SpectralClassifi
     return SpectralClassification(holds if q > cutoff else "UC_fails", q)
 
 
-def _vector_basis(space, dim: int, name: str) -> np.ndarray:
-    """Columns (dim, p) of an orthonormal basis for a vector-space subspace."""
-    if space is None:
-        return np.zeros((dim, 0))
-    if isinstance(space, Subspace):
-        if not isinstance(space.ambient, VectorAmbient) or space.ambient.dim != dim:
-            raise ShapeError(f"{name} must be a subspace of R^{dim}")
-        return space.basis.T.copy()
-    arr = np.asarray(space, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.shape[0] != dim:
-        raise ShapeError(f"{name} basis must have {dim}-dimensional columns")
-    sub = orthonormalize(list(arr.T), VectorAmbient(dim))
-    return sub.basis.T.copy()
+def _vector_basis(spans, dim: int, name: str) -> np.ndarray:
+    """Columns (dim, p) of an orthonormal basis for the span of every given
+    basis; None is {0}, and a 1-d array is one column."""
+    cols = []
+    for span in spans:
+        if span is None:
+            continue
+        arr = np.asarray(span, dtype=float)
+        if arr.ndim == 1:
+            arr = arr.reshape(-1, 1)
+        if arr.shape[0] != dim:
+            raise ShapeError(f"{name} basis must have {dim}-dimensional columns")
+        cols += list(arr.T)
+    return orthonormalize(cols, VectorAmbient(dim)).basis.T.copy()
 
 
 def modal_uc_check(system: LinearSystem, mus=(), rhos=()) -> ModalUCReport:
@@ -615,42 +614,32 @@ def modal_uc_check(system: LinearSystem, mus=(), rhos=()) -> ModalUCReport:
 
     For each (mu_k, W_k): only z = 0 may satisfy (mu_k I + A^T) z in W_k and
     B^T z = 0 (kernel test on the stacked matrix).  For each (rho_j, G_j):
-    only z = 0 may satisfy (rho_j I + A^T) z = 0 with B^T z in G_j.  A value
-    appearing in both lists is handled by the combined condition.  All
-    checks passing realizes, mode by mode, the time-differentiation
-    reduction to the classical uniqueness property.
+    only z = 0 may satisfy (rho_j I + A^T) z = 0 with B^T z in G_j.  Entries
+    pool by value: one within 1e-12 relative of an earlier case's value
+    joins that case, which tests the span of every W_k and every G_j given
+    at it (None is {0}); a value in both lists takes the combined condition,
+    role 'combined'.  Cases keep the order and value of their first entry,
+    mus before rhos.  All checks passing realizes, mode by mode, the
+    time-differentiation reduction to the classical uniqueness property.
     """
     n, m = system.n, system.m
-    mus = [(float(v), s) for v, s in mus]
-    rhos = [(float(v), s) for v, s in rhos]
-
-    def _check_distinct(values, label):
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                if abs(values[i] - values[j]) <= 1e-12 * max(1.0, abs(values[i])):
-                    raise FrequencyInputError(f"duplicate {label} value {values[i]}")
-
-    _check_distinct([v for v, _ in mus], "mu")
-    _check_distinct([v for v, _ in rhos], "rho")
-    # (value, W_k, G_j, role); a missing space is {0}: no projection
-    cases = []
-    rho_left = list(rhos)
-    for mu, W_k in mus:
-        partner = next(
-            (pair for pair in rho_left if abs(pair[0] - mu) <= 1e-12 * max(1.0, abs(mu))), None
-        )
-        if partner is None:
-            cases.append((mu, W_k, None, "mu"))
-        else:
-            rho_left.remove(partner)
-            cases.append((mu, W_k, partner[1], "combined"))
-    cases += [(rho, None, G_j, "rho") for rho, G_j in rho_left]
+    cases: list[tuple[float, list, list]] = []  # (value, W_k given at it, G_j given at it)
+    for pairs, side in ((mus, 1), (rhos, 2)):
+        for value, span in pairs:
+            value = float(value)
+            case = next((c for c in cases if abs(value - c[0]) <= 1e-12 * max(1.0, abs(c[0]))),
+                        None)
+            if case is None:
+                case = (value, [], [])
+                cases.append(case)
+            case[side].append(span)
     At = system.A.T
     Bt = system.B.T
     checks: list[ModalFrequencyCheck] = []
-    for value, W_k, G_j, role in cases:
-        Wb = _vector_basis(W_k, n, "W_k")
-        Gb = _vector_basis(G_j, m, "G_j")
+    for value, W_spans, G_spans in cases:
+        role = "combined" if W_spans and G_spans else "mu" if W_spans else "rho"
+        Wb = _vector_basis(W_spans, n, "W_k")
+        Gb = _vector_basis(G_spans, m, "G_j")
         shifted = value * np.eye(n) + At
         v = _sv_verdict(np.vstack([shifted - Wb @ (Wb.T @ shifted), Bt - Gb @ (Gb.T @ Bt)]))
         witness = None if v.holds else v.vt[-1].copy()

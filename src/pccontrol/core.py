@@ -131,10 +131,6 @@ class StepOperator:
     Psi: np.ndarray
     dt: float
 
-    @property
-    def n(self) -> int:
-        return self.E.shape[0]
-
 
 @dataclass
 class Trajectory:

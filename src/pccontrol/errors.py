@@ -32,6 +32,3 @@ class ProblemTooLargeError(PccontrolError, ValueError):
 class GridAlignmentError(PccontrolError, ValueError):
     """A requested time does not fall on a node of the time grid."""
 
-
-class FrequencyInputError(PccontrolError, ValueError):
-    """Duplicate frequencies were passed to a modal uniqueness check."""

@@ -137,7 +137,7 @@ class ProblemData:
         value = np.asarray(value, dtype=float)
         if value.shape != shape:
             raise ShapeError(f"{name} must have shape {shape}, got {value.shape}")
-        if not space.contains(value, tol=1e-10):
+        if not space.contains(value):
             raise ShapeError(f"{name} must lie in its subspace (projection check failed)")
         return value
 

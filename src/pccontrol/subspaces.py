@@ -76,9 +76,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def zero_element(self) -> np.ndarray:
-        return np.zeros(self.ambient.shape)
-
     def coords(self, x) -> np.ndarray:
         """Coefficients <x, b_i> of x against the orthonormal basis."""
         x = _as_element(self.ambient, x)
@@ -94,7 +91,7 @@ class Subspace:
         if c.shape[0] != self.dim:
             raise ShapeError(f"expected {self.dim} coefficients, got {c.shape[0]}")
         if self.dim == 0:
-            return self.zero_element()
+            return np.zeros(self.ambient.shape)
         return np.tensordot(c, self.basis, axes=(0, 0))
 
     def project(self, x) -> np.ndarray:
@@ -105,11 +102,13 @@ class Subspace:
         """x minus its projection."""
         return _as_element(self.ambient, x) - self.project(x)
 
-    def contains(self, x, tol: float = 1e-10) -> bool:
+    def contains(self, x) -> bool:
+        """x lies in the subspace: its complement's norm is at most 1e-10
+        times max(1, ||x||)."""
         x = _as_element(self.ambient, x)
         r = self.complement(x)
         scale = max(1.0, float(np.sqrt(self.ambient.inner(x, x))))
-        return float(np.sqrt(self.ambient.inner(r, r))) <= tol * scale
+        return float(np.sqrt(self.ambient.inner(r, r))) <= 1e-10 * scale
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -125,16 +124,12 @@ def orthonormalize(raw_basis, ambient: Ambient) -> Subspace:
     finite norm.
     """
     elements = [_as_element(ambient, x, f"raw_basis[{i}]") for i, x in enumerate(raw_basis)]
-    if not elements:
-        return Subspace(ambient, np.zeros((0,) + ambient.shape))
     with np.errstate(over="ignore"):
         norms = [np.sqrt(ambient.inner(x, x)) for x in elements]
     for i, norm in enumerate(norms):
         if not np.isfinite(norm):
             raise ShapeError(f"raw_basis[{i}] is not finite or its norm overflows")
-    max_norm = max(norms)
-    if max_norm == 0.0:
-        return Subspace(ambient, np.zeros((0,) + ambient.shape))
+    max_norm = max(norms, default=0.0)
     kept: list[np.ndarray] = []
     for x in elements:
         v = x.copy()

@@ -29,7 +29,7 @@ from pccontrol import (
     uc_check,
 )
 from pccontrol import certificates
-from pccontrol.errors import FrequencyInputError, ProblemTooLargeError, ShapeError
+from pccontrol.errors import ProblemTooLargeError, ShapeError
 
 from oracles import (
     loop_general_maps,
@@ -766,12 +766,46 @@ class TestModalCheck:
         rep_good = modal_uc_check(system, mus=[(5.0, W_k)])
         assert rep_good.ok
 
-    def test_duplicate_frequencies_rejected(self):
-        system = make_ode(np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]))
-        with pytest.raises(FrequencyInputError):
-            modal_uc_check(system, mus=[(1.0, None), (1.0, None)])
-        with pytest.raises(FrequencyInputError):
-            modal_uc_check(system, rhos=[(1.0, None), (1.0, None)])
+    def test_duplicate_frequencies_pool(self):
+        # entries at one value span one space: each report equals the one of
+        # a single entry holding the stacked span, exactly, and a value takes
+        # the role of the lists it appears in
+        def fields(rep):
+            return rep.ok, [(c.value, c.role, c.ok, c.sigma_min,
+                             None if c.witness is None else c.witness.tolist()) for c in rep.checks]
+
+        system = make_ode(np.diag([-1.0, -2.0, -3.0]), np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+        w_a, w_b = np.array([1.0, 0.0, 0.0]), np.array([0.5, 1.0, 0.25])
+        g = np.array([0.6, 0.8])
+        cases = [
+            (dict(mus=[(2.0, w_a), (2.0, w_b)]), dict(mus=[(2.0, np.column_stack([w_a, w_b]))]),
+             ["mu"]),
+            (dict(mus=[(5.0, w_a), (5.0, w_b)]), dict(mus=[(5.0, np.column_stack([w_a, w_b]))]),
+             ["mu"]),
+            (dict(rhos=[(2.0, None), (2.0, None)]), dict(rhos=[(2.0, None)]), ["rho"]),
+            (dict(mus=[(3.0, w_a), (2.0, None), (3.0, None)], rhos=[(3.0, None), (3.0, g), (5.0, g)]),
+             dict(mus=[(3.0, w_a), (2.0, None)], rhos=[(3.0, g), (5.0, g)]),
+             ["combined", "mu", "rho"]),
+        ]
+        for pooled, stacked, roles in cases:
+            rep = modal_uc_check(system, **pooled)
+            assert fields(rep) == fields(modal_uc_check(system, **stacked))
+            assert [c.role for c in rep.checks] == roles
+        assert not modal_uc_check(system, **cases[0][0]).ok  # (2I + A^T) e2 = 0, invisible
+        with pytest.raises(ShapeError):  # a pooled span of the wrong dimension
+            modal_uc_check(system, mus=[(2.0, w_a), (2.0, np.ones(2))])
+
+    def test_hautus_constant_is_grid_free(self):
+        # the Hautus test at every eigenvalue of heat reads the same smallest
+        # sigma at 16 and 48 modes, where the discrete uniqueness map decays
+        sigmas = []
+        for n_modes, want in ((16, 0.5535713599), (48, 0.5535713595)):
+            system, _ = make_heat1d(n_modes)
+            rep = modal_uc_check(system, rhos=[(lam, None) for lam in -np.diag(system.A)])
+            assert rep.ok
+            sigmas.append(min(c.sigma_min for c in rep.checks))
+            assert sigmas[-1] == pytest.approx(want, rel=1e-9)
+        assert sigmas[0] == pytest.approx(sigmas[1], rel=1e-8)
 
     def test_shared_frequency_uses_combined_condition(self):
         system = make_ode(np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]))

@@ -12,6 +12,7 @@ from pccontrol import (
     TimeGrid,
     VectorAmbient,
     apply_quadratic,
+    assemble_uc_map,
     certify_infeasibility,
     eval_J,
     exponential_profile_signal,
@@ -24,6 +25,7 @@ from pccontrol import (
     orthonormalize,
     recover_primal,
     two_time_check,
+    uc_check,
 )
 from pccontrol import functionals
 from pccontrol.errors import ConfigError, InvalidWitnessError
@@ -300,6 +302,19 @@ class TestConvergedMeansTrueGradient:
                     assert diag.final_residual == true
         assert converged >= 690
 
+    def test_approximate_stress_family(self):
+        # a converged approximate solve must pass grad_tol on the least
+        # subgradient of the full functional at the returned point, not only
+        # on the one its last outer step measured
+        opts = SolverOptions(max_iters=5000)
+        for seed in range(400):
+            for kind in APPROX_KINDS:
+                p = stress_problem(seed, kind)
+                v, diag = minimize(p, opts)
+                assert diag.verdict != "max_iters"
+                if diag.verdict == "converged":
+                    assert least_subgradient_norm(p, v) <= 10 * opts.grad_tol
+
 
 class TestDegeneratePropagator:
     def test_kernel_projection_with_injected_ops(self):
@@ -495,6 +510,18 @@ class TestSecularEquation:
         g = grad_smooth(p, v)
         free, held = (_least_subgradient(p, v, g, [at_zero]) for at_zero in (False, True))
         assert np.array_equal(free, held)
+
+    @pytest.mark.parametrize("seed, kind", [(310, "approx"), (5, "approx"), (5, "approx_relaxed")])
+    def test_divergence_exits(self, seed, kind):
+        # seed 310 stops where not even a smaller s bounds the shifted solve,
+        # seed 5 where the bisection between bounded and unbounded s closes;
+        # both uniqueness maps fail, so the verdict is certified
+        p = stress_problem(seed, kind)
+        opts = SolverOptions(max_iters=5000)
+        _, diag = minimize(p, opts)
+        assert diag.verdict == "diverged_infeasible"
+        assert diag.iterations < opts.max_iters
+        assert not uc_check(assemble_uc_map(p.system, p.grid, p.G, p.W, p.ops)).holds
 
     @pytest.mark.parametrize("kind", ["approx", "approx_relaxed"])
     def test_wave_with_W_generator_in_few_outer_steps(self, kind):
