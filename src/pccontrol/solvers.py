@@ -20,16 +20,16 @@ stopping test of the approximate kinds is the norm of the least-norm
 subgradient of the full functional, so the eps terms are never smoothed.
 
 Non-coercive instances (the uniqueness hypothesis fails, so the quadratic
-form has a kernel the data pairs against) show up as diverging iterates;
-they are reported with verdict ``diverged_infeasible`` once the iterate
-norm passes a bound proportional to the data scale, or as soon as a
-conjugate-gradient direction exposes a numerically vanishing curvature
-against a nonzero residual.  Both tests measure in the preconditioner's
-norm, the one in which CG iterates from zero grow monotonically (Steihaug,
-SIAM J. Numer. Anal. 20, 1983).  Iterates that are large in the Euclidean
-norm let CG's recursively updated residual drift, so an exact or null
-solve is ``converged`` only once the true gradient at the returned point
-passes ``grad_tol``; otherwise it too is ``diverged_infeasible``.  The
+form has a kernel the data pairs against) are reported with verdict
+``diverged_infeasible`` once a conjugate-gradient direction exposes a
+numerically vanishing curvature against a nonzero residual, measured in the
+preconditioner's norm, in which CG iterates from zero grow monotonically
+(Steihaug, SIAM J. Numer. Anal. 20, 1983).  CG's recursively updated
+residual drifts at large iterates, so an exact or null solve is
+``converged`` only once the true gradient at the returned point passes
+``grad_tol``; otherwise it too is ``diverged_infeasible``, at the rounding
+floor when the uniqueness map holds.  Only the approximate kinds also stop
+a CG solve past 1e6 times the data scale (:func:`_divergence_bound`).  The
 singular-value check in
 :mod:`pccontrol.certificates` is the authoritative pre-check;
 :func:`certify_infeasibility` converts its witness into an explicit
@@ -68,10 +68,10 @@ class SolverOptions:
     the exact and null kinds, checked on the true gradient at the returned
     point, and the least-norm subgradient norm for the approximate kinds.
     ``max_iters`` caps the CG iterations, and for the approximate kinds
-    both the outer steps and each CG solve in them.  A solve diverges once
-    an iterate, measured in the preconditioner's norm (the Euclidean norm
-    for the approximate kinds), passes 1e6 times the problem data scale
-    (:func:`_divergence_bound`).
+    both the outer steps and each CG solve in them.  A CG solve of the
+    approximate kinds diverges once an iterate's Euclidean norm passes 1e6
+    times the problem data scale (:func:`_divergence_bound`); the exact and
+    null kinds have no such bound.
     """
 
     max_iters: int = 5000
@@ -110,11 +110,10 @@ def minimize(
     (:func:`_minimize_approx`)."""
     opts = opts or SolverOptions()
     b = -grad_smooth(p, p.zero_variable())
-    bound = _divergence_bound(p)
     if p.kind in APPROX_KINDS:
-        return _minimize_approx(p, opts, b, bound)
+        return _minimize_approx(p, opts, b)
     v, res, iters, verdict, decrements = _cg_core(
-        p, b, p.zero_variable(), opts.grad_tol, opts.max_iters, bound,
+        p, b, p.zero_variable(), opts.grad_tol, opts.max_iters,
         precond=_gramian_preconditioner(p),
     )
     if verdict == "converged":
@@ -145,7 +144,7 @@ def _gramian_preconditioner(p: ProblemData) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iters: int,
-             bound: float, mu=(), precond=None):
+             bound: float = math.inf, mu=(), precond=None):
     """Preconditioned CG for (S + sum_i mu_i Pi_i) x = b from x0, with
     S = ``apply_quadratic``.
 
@@ -156,12 +155,12 @@ def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
     identity.  The other blocks are always the identity.
     Returns (x, residual_norm, iterations, verdict, objective_increments)
     where the increments reproduce the exact decrease of the quadratic
-    model per iteration.  Verdict 'diverged_infeasible' is raised by iterate
-    blowup or by a vanishing-curvature direction against a nonzero
-    residual (a numerically exposed kernel the data pairs against), both
-    measured in the preconditioner's norm, the Euclidean norm for the
-    identity.  The stopping test is the Euclidean norm of the recursively
-    updated residual.
+    model per iteration.  Verdict 'diverged_infeasible' is raised by a
+    vanishing-curvature direction against a nonzero residual (a numerically
+    exposed kernel the data pairs against) or, for a finite ``bound``, by an
+    iterate whose norm passes it, both measured in the preconditioner's
+    norm, the Euclidean norm for the identity.  The stopping test is the
+    Euclidean norm of the recursively updated residual.
     """
     held = [m if m == math.inf else 0.0 for m in mu]
 
@@ -258,8 +257,8 @@ def _least_subgradient(p: ProblemData, v: np.ndarray, g: np.ndarray, held) -> np
     return _put(p, g, parts)
 
 
-def _minimize_approx(p: ProblemData, opts: SolverOptions, b: np.ndarray,
-                     bound: float) -> tuple[np.ndarray, SolveDiagnostics]:
+def _minimize_approx(p: ProblemData, opts: SolverOptions,
+                     b: np.ndarray) -> tuple[np.ndarray, SolveDiagnostics]:
     """The secular equation, solved for s_i = 1/mu_i (s_i = 0 holds block i).
 
     Its residuals r_i = eps / psi_i - 1, psi_i = mu_i ||Pi_i v(mu)||, rise
@@ -287,6 +286,7 @@ def _minimize_approx(p: ProblemData, opts: SolverOptions, b: np.ndarray,
     def inner_tol(previous: float) -> float:
         return 0.01 * max(opts.grad_tol, min(previous, b_norm))
 
+    bound = _divergence_bound(p)
     warm, accuracy, _, verdict, _ = _cg_core(p, b, v, inner_tol(math.inf), opts.max_iters, bound)
     start = v if verdict == "diverged_infeasible" else warm
     s = np.array([np.linalg.norm(x) for x in _eps_blocks(p, warm)]) / p.epsilon

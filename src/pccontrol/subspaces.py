@@ -104,11 +104,11 @@ class Subspace:
 
     def contains(self, x) -> bool:
         """x lies in the subspace: its complement's norm is at most 1e-10
-        times max(1, ||x||)."""
+        times ||x||, whatever the scale of x."""
         x = _as_element(self.ambient, x)
         r = self.complement(x)
-        scale = max(1.0, float(np.sqrt(self.ambient.inner(x, x))))
-        return float(np.sqrt(self.ambient.inner(r, r))) <= 1e-10 * scale
+        inner = self.ambient.inner
+        return float(np.sqrt(inner(r, r))) <= 1e-10 * float(np.sqrt(inner(x, x)))
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"

@@ -214,6 +214,22 @@ class TestProblemData:
             ProblemData(kind="exact", system=system, grid=grid, y0=[0.0], y1=[1.0],
                         G=G, g_star=bad)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-11, 1e11])
+    def test_star_membership_is_scale_free(self, scale):
+        # the complement is measured against ||g_star|| alone: a signal
+        # orthogonal to G is refused at every scale, a constant accepted
+        system = make_ode([[0.0]], [[1.0]])
+        grid = TimeGrid(1.0, 4)
+        G = orthonormalize([np.ones((4, 1))], SignalAmbient(1, grid))
+        alternating = scale * np.array([[1.0], [-1.0], [1.0], [-1.0]])
+        with pytest.raises(ShapeError):
+            ProblemData(kind="exact", system=system, grid=grid, y0=[0.0], y1=[1.0],
+                        G=G, g_star=alternating)
+        constant = np.full((4, 1), scale)
+        p = ProblemData(kind="exact", system=system, grid=grid, y0=[0.0], y1=[1.0],
+                        G=G, g_star=constant)
+        assert np.array_equal(p.g_star, constant)
+
 
 class TestRecoverPrimal:
     def test_zero_data(self):
