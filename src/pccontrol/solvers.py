@@ -24,14 +24,16 @@ form has a kernel the data pairs against) are reported with verdict
 ``diverged_infeasible`` once a conjugate-gradient direction exposes a
 numerically vanishing curvature against a nonzero residual, measured in the
 preconditioner's norm, in which CG iterates from zero grow monotonically
-(Steihaug, SIAM J. Numer. Anal. 20, 1983).  CG's recursively updated
-residual drifts at large iterates, so an exact or null solve is
-``converged`` only once the true gradient at the returned point passes
-``grad_tol``; otherwise it too is ``diverged_infeasible``, at the rounding
-floor when the uniqueness map holds.  Only the approximate kinds also stop
-a CG solve past 1e6 times the data scale (:func:`_divergence_bound`).  The
-singular-value check in
-:mod:`pccontrol.certificates` is the authoritative pre-check;
+(Steihaug, SIAM J. Numer. Anal. 20, 1983); for the approximate kinds a
+shifted solve that meets one ends the minimization.  No bound on the
+iterate's norm stops a solve.  A holding uniqueness map can still leave a
+minimizer so large that rounding keeps its gradient above ``grad_tol``: an
+exact or null solve is ``converged`` only once the true gradient at the
+returned point passes ``grad_tol``, and an approximate one is
+``diverged_infeasible`` once its least subgradient has stalled within a
+multiple of the rounding floor kappa ||v|| eps_mach (Higham, "Accuracy and
+Stability of Numerical Algorithms", 2002, ch. 7).  The singular-value check
+in :mod:`pccontrol.certificates` is the authoritative pre-check;
 :func:`certify_infeasibility` converts its witness into an explicit
 unreachable neighborhood.
 """
@@ -58,6 +60,8 @@ from .functionals import (
 __all__ = ["SolverOptions", "SolveDiagnostics", "minimize", "certify_infeasibility"]
 
 _RESIDUAL_REFRESH = 50
+_STALL_STEPS = 8
+_FLOOR_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -68,10 +72,9 @@ class SolverOptions:
     the exact and null kinds, checked on the true gradient at the returned
     point, and the least-norm subgradient norm for the approximate kinds.
     ``max_iters`` caps the CG iterations, and for the approximate kinds
-    both the outer steps and each CG solve in them.  A CG solve of the
-    approximate kinds diverges once an iterate's Euclidean norm passes 1e6
-    times the problem data scale (:func:`_divergence_bound`); the exact and
-    null kinds have no such bound.
+    both the outer steps and each CG solve in them.  No option bounds the
+    iterate's norm: a solve diverges at a vanishing curvature or at the
+    rounding floor.
     """
 
     max_iters: int = 5000
@@ -92,15 +95,6 @@ class SolveDiagnostics:
     verdict: str = "converged"  # converged | max_iters | diverged_infeasible
 
 
-def _divergence_bound(p: ProblemData) -> float:
-    """1e6 times the data scale 1 + |y0| + |y1| + ||g*|| + ||w*||."""
-    dt = p.grid.dt
-    scale = 1.0 + float(np.linalg.norm(p.y0)) + float(np.linalg.norm(p.y1))
-    scale += math.sqrt(dt * float(np.sum(p.g_star**2)))
-    scale += math.sqrt(dt * float(np.sum(p.w_star**2)))
-    return 1e6 * scale
-
-
 def minimize(
     p: ProblemData, opts: SolverOptions | None = None
 ) -> tuple[np.ndarray, SolveDiagnostics]:
@@ -112,7 +106,7 @@ def minimize(
     b = -grad_smooth(p, p.zero_variable())
     if p.kind in APPROX_KINDS:
         return _minimize_approx(p, opts, b)
-    v, res, iters, verdict, decrements = _cg_core(
+    v, res, iters, verdict, decrements, _ = _cg_core(
         p, b, p.zero_variable(), opts.grad_tol, opts.max_iters,
         precond=_gramian_preconditioner(p),
     )
@@ -144,7 +138,7 @@ def _gramian_preconditioner(p: ProblemData) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iters: int,
-             bound: float = math.inf, mu=(), precond=None):
+             mu=(), precond=None):
     """Preconditioned CG for (S + sum_i mu_i Pi_i) x = b from x0, with
     S = ``apply_quadratic``.
 
@@ -153,14 +147,15 @@ def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
     iterates and in the returned x.  ``precond`` is the z_T block (V, d) of
     :func:`_gramian_preconditioner`; without one that block is (I, 1), the
     identity.  The other blocks are always the identity.
-    Returns (x, residual_norm, iterations, verdict, objective_increments)
-    where the increments reproduce the exact decrease of the quadratic
-    model per iteration.  Verdict 'diverged_infeasible' is raised by a
-    vanishing-curvature direction against a nonzero residual (a numerically
-    exposed kernel the data pairs against) or, for a finite ``bound``, by an
-    iterate whose norm passes it, both measured in the preconditioner's
-    norm, the Euclidean norm for the identity.  The stopping test is the
-    Euclidean norm of the recursively updated residual.
+    Returns (x, residual_norm, iterations, verdict, objective_increments,
+    curvature_scale) where the increments reproduce the exact decrease of
+    the quadratic model per iteration and curvature_scale is the largest
+    curvature p^T S p / p^T p of a search direction p.  Verdict
+    'diverged_infeasible' is raised by a vanishing-curvature direction
+    against a nonzero residual (a numerically exposed kernel the data pairs
+    against).  Curvatures are measured in the preconditioner's norm, the
+    Euclidean norm for the identity.  The stopping test is the Euclidean
+    norm of the recursively updated residual.
     """
     held = [m if m == math.inf else 0.0 for m in mu]
 
@@ -190,7 +185,7 @@ def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
     rr = r @ r
     decrements: list[float] = []
     if math.sqrt(rr) <= tol:
-        return P(x), math.sqrt(rr), 0, "converged", decrements
+        return P(x), math.sqrt(rr), 0, "converged", decrements, 0.0
     z = solve(r)
     rz = r @ z
     pdir = z.copy()
@@ -210,9 +205,6 @@ def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
         alpha = rz / pSp
         x = x + alpha * pdir
         decrements.append(0.5 * alpha * rz)
-        if math.sqrt(sq_norm(x)) > bound:
-            verdict = "diverged_infeasible"
-            break
         if it % _RESIDUAL_REFRESH == 0:
             r = b - apply_S(x)
         else:
@@ -226,7 +218,7 @@ def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
         beta = rz_new / rz
         rz = rz_new
         pdir = z + beta * pdir
-    return P(x), math.sqrt(rr), iters, verdict, decrements
+    return P(x), math.sqrt(rr), iters, verdict, decrements, curvature_scale
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +259,20 @@ def _minimize_approx(p: ProblemData, opts: SolverOptions,
     warm-started CG solve and one secant step per block, clipped at s_i = 0.
     A block whose secant does not rise, or whose step would move it away
     from its root, goes to the zero of the secant through its last free
-    point and (0, r_i at s_i = 0).  A step to or past an s whose solve
-    diverged goes halfway from the last bounded s to it; the problem is
-    ``diverged_infeasible`` once the two agree to a relative 1e-8, or when a
-    solve diverges although no s_i rose.
+    point and (0, r_i at s_i = 0).
 
-    ``b`` is -grad J_s(0).  J_s vanishes at 0, so each bounded step records
+    The problem is ``diverged_infeasible`` when a shifted solve meets a
+    vanishing curvature: the kernel of S + sum_i mu_i Pi_i is the common
+    kernel of S and the Pi_i for every finite mu, so once mu is below
+    rounding against S the curvature test sees the kernel of S, and no
+    other s helps.  It is also ``diverged_infeasible`` at the rounding
+    floor: when the least subgradient has made no new best for
+    ``_STALL_STEPS`` outer steps and lies within ``_FLOOR_FACTOR`` kappa
+    ||v|| eps_mach, kappa the largest curvature of the unshifted warm-start
+    solve (Higham, "Accuracy and Stability of Numerical Algorithms", 2002,
+    ch. 7).
+
+    ``b`` is -grad J_s(0).  J_s vanishes at 0, so each solved step records
     J_s(v) = 1/2 <grad J_s(v) + grad J_s(0), v> plus the eps terms.
     """
     b_norm = np.linalg.norm(b)
@@ -286,64 +286,54 @@ def _minimize_approx(p: ProblemData, opts: SolverOptions,
     def inner_tol(previous: float) -> float:
         return 0.01 * max(opts.grad_tol, min(previous, b_norm))
 
-    bound = _divergence_bound(p)
-    warm, accuracy, _, verdict, _ = _cg_core(p, b, v, inner_tol(math.inf), opts.max_iters, bound)
+    warm, accuracy, _, verdict, _, kappa = _cg_core(p, b, v, inner_tol(math.inf), opts.max_iters)
     start = v if verdict == "diverged_infeasible" else warm
     s = np.array([np.linalg.norm(x) for x in _eps_blocks(p, warm)]) / p.epsilon
     # the last free point (s, r) of each block; ||warm|| / eps bounds s
     s_last, r_last = np.full(k, np.linalg.norm(warm) / p.epsilon), np.zeros(k)
-    s_ok, s_bad = None, np.full(k, math.inf)
     r_held = np.full(k, math.nan)  # r at s_i = 0, once a held solve has read it
     s_prev, r_prev = np.zeros(k), np.full(k, math.nan)
+    best, stalled = residual, 0
     verdict = "max_iters"
     for it in range(1, opts.max_iters + 1):
         mu = [1.0 / float(si) if si > 0.0 else math.inf for si in s]
-        w, _, _, solve_verdict, _ = _cg_core(p, b, start, inner_tol(accuracy), opts.max_iters,
-                                             bound, mu)
+        w, _, _, solve_verdict, *_ = _cg_core(p, b, start, inner_tol(accuracy), opts.max_iters, mu)
         if solve_verdict == "diverged_infeasible":
             history.append(history[-1])
-            base = np.zeros(k) if s_ok is None else s_ok
-            if not (s > base).any():  # not even a smaller s bounds the solve
-                verdict = "diverged_infeasible"
-                break
-            s_bad = np.where(s > base, np.minimum(s_bad, s), s_bad)
-            # before any bounded solve, try every block held at zero
-            new = base if s_ok is None else s
-        else:
-            v = start = w
-            s_ok = base = s
-            g = grad_smooth(p, v)
-            residual = accuracy = np.linalg.norm(_least_subgradient(p, v, g, s == 0.0))
-            history.append(0.5 * ((g - b) @ v) + nonsmooth_value(p, v))
-            if residual <= opts.grad_tol:
-                verdict = "converged"
-                break
-            psi = np.array([np.linalg.norm(x) / si if si > 0.0 else np.linalg.norm(y)
-                            for x, y, si in zip(_eps_blocks(p, v), _eps_blocks(p, g), s)])
-            with np.errstate(divide="ignore"):
-                r = p.epsilon / psi - 1.0
-            s_last, r_last = np.where(s > 0.0, s, s_last), np.where(s > 0.0, r, r_last)
-            r_held = np.where(s > 0.0, r_held, r)
-            # the zero of each block's secant through (s_last, r_last) and
-            # (0, r_held), or (0, -1) where r_held is unknown or not below r_last
-            r0 = np.where(r_last > r_held, r_held, -1.0)
-            zero = s_last * -r0 / (r_last - r0)
-            # the secant through the last two bounded points, where it rises
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slope = (r - r_prev) / (s - s_prev)
-                new = np.where(slope > 0.0, np.maximum(s - r / slope, 0.0), zero)
-            new[s == 0.0] = 0.0
-            s_prev, r_prev = s, r
-            # a step that moves a block away from its root (a held block
-            # with r < 0 stays at zero) goes to its secant zero instead
-            wrong = np.where(r < 0.0, new <= s, (new >= s) & (s > 0.0))
-            new = np.where(wrong, zero, new)
-        mid = 0.5 * (base + s_bad)
-        clipped = new >= s_bad
-        if np.any(clipped & ((mid <= base) | (mid >= s_bad) | (s_bad - base <= 1e-8 * s_bad))):
             verdict = "diverged_infeasible"
             break
-        s = np.where(clipped, mid, new)
+        v = start = w
+        g = grad_smooth(p, v)
+        residual = accuracy = np.linalg.norm(_least_subgradient(p, v, g, s == 0.0))
+        history.append(0.5 * ((g - b) @ v) + nonsmooth_value(p, v))
+        if residual <= opts.grad_tol:
+            verdict = "converged"
+            break
+        best, stalled = (residual, 0) if residual < best else (best, stalled + 1)
+        if (stalled >= _STALL_STEPS
+                and residual <= _FLOOR_FACTOR * kappa * np.linalg.norm(v) * np.finfo(float).eps):
+            verdict = "diverged_infeasible"
+            break
+        psi = np.array([np.linalg.norm(x) / si if si > 0.0 else np.linalg.norm(y)
+                        for x, y, si in zip(_eps_blocks(p, v), _eps_blocks(p, g), s)])
+        with np.errstate(divide="ignore"):
+            r = p.epsilon / psi - 1.0
+        s_last, r_last = np.where(s > 0.0, s, s_last), np.where(s > 0.0, r, r_last)
+        r_held = np.where(s > 0.0, r_held, r)
+        # the zero of each block's secant through (s_last, r_last) and
+        # (0, r_held), or (0, -1) where r_held is unknown or not below r_last
+        r0 = np.where(r_last > r_held, r_held, -1.0)
+        zero = s_last * -r0 / (r_last - r0)
+        # the secant through the last two points, where it rises
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (r - r_prev) / (s - s_prev)
+            new = np.where(slope > 0.0, np.maximum(s - r / slope, 0.0), zero)
+        new[s == 0.0] = 0.0
+        s_prev, r_prev = s, r
+        # a step that moves a block away from its root (a held block
+        # with r < 0 stays at zero) goes to its secant zero instead
+        wrong = np.where(r < 0.0, new <= s, (new >= s) & (s > 0.0))
+        s = np.where(wrong, zero, new)
     return v, SolveDiagnostics(it, residual, history, verdict)
 
 

@@ -265,10 +265,10 @@ def random_problem(rng, kind: str, n: int = 3, m: int = 2, n_steps: int = 16,
 
 
 def plain_cg(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iters: int,
-             bound: float, mu=()):
-    """Unpreconditioned CG on (S + sum_i mu_i Pi_i) x = b, with the stopping,
-    divergence and curvature rules of ``solvers._cg_core`` in the Euclidean
-    norm; returns what ``_cg_core`` returns."""
+             mu=()):
+    """Unpreconditioned CG on (S + sum_i mu_i Pi_i) x = b, with the stopping
+    and curvature rules of ``solvers._cg_core`` in the Euclidean norm;
+    returns what ``_cg_core`` returns."""
     held = [m if m == math.inf else 0.0 for m in mu]
 
     def P(x):
@@ -284,7 +284,7 @@ def plain_cg(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
     rr = r @ r
     decrements = []
     if math.sqrt(rr) <= tol:
-        return P(x), math.sqrt(rr), 0, "converged", decrements
+        return P(x), math.sqrt(rr), 0, "converged", decrements, 0.0
     pdir = r.copy()
     curvature_scale = 0.0
     verdict = "max_iters"
@@ -302,9 +302,6 @@ def plain_cg(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
         alpha = rr / pSp
         x = x + alpha * pdir
         decrements.append(0.5 * alpha * rr)
-        if np.linalg.norm(x) > bound:
-            verdict = "diverged_infeasible"
-            break
         r = b - apply_S(x) if it % 50 == 0 else r - alpha * Sp
         rr_new = r @ r
         if math.sqrt(rr_new) <= tol:
@@ -314,4 +311,4 @@ def plain_cg(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
         beta = rr_new / rr
         rr = rr_new
         pdir = r + beta * pdir
-    return P(x), math.sqrt(rr), iters, verdict, decrements
+    return P(x), math.sqrt(rr), iters, verdict, decrements, curvature_scale

@@ -34,6 +34,38 @@ def infeasible_config():
     }
 
 
+def floor_stop_config():
+    """A five-state random ODE, N = 7, kind approx with E one vector (the
+    draw of seed 3 in the solver tests' stress family), with the uniqueness
+    check.  The map holds, but the minimizer lies so far out that the least
+    subgradient stalls at the rounding floor."""
+    return {
+        "model": {"family": "ode",
+                  "A": [[-0.2838848030639649, -0.22632464605522293, -0.10779858154488295,
+                         -1.0099930645736255, -0.11596618882209474],
+                        [-0.43260653813747085, 1.6614997583224413, 0.11289330661396088,
+                         -0.1763153971707977, -0.1406437090756752],
+                        [-0.33402317305447504, -0.5275752756025607, -0.19540048861732737,
+                         0.24097269425339293, -0.11927680328668334],
+                        [0.47887935147988203, -0.09990106453329, 0.012129782538332311,
+                         0.772910425606406, 0.2725527613438223],
+                        [-0.252614367807009, -0.09141948729886745, 0.27026256587740105,
+                         0.9675440170494264, -0.13481016367095675]],
+                  "B": [[-0.24355867907910456], [1.0023136012756912], [-0.8864599431605871],
+                        [-0.291720232439864], [0.8825389674564839]]},
+        "grid": {"T": 1.0, "n_steps": 7},
+        "problem": {"kind": "approx",
+                    "y0": [0.5803500161908991, 0.09151670328235219, 0.6701043548284794,
+                           -2.8281623068437627, 1.02130681750008],
+                    "y1": [-0.9596447598081417, -1.6686198426559695, 0.27644575952099965,
+                           0.7005448853493901, -0.4447674556827841],
+                    "epsilon": 0.07701081169363559,
+                    "E": [[0.026124833534033623, -0.05274730824287927, 1.4055981660180925,
+                           0.7474079874793504, 0.19381564626462]]},
+        "checks": {"uc": True},
+    }
+
+
 def two_time_config(t_tilde=0.5):
     """The scalar integrator, N = 2, G the constants: its two-time check
     fails on the uniqueness map cut at t~ = 1/2, and no uc check runs."""
@@ -84,8 +116,13 @@ class TestSolveCommand:
             -math.cosh(1.0 - float(row0[0])) / math.sinh(1.0), abs=1e-4
         )
 
-    def test_infeasible_exits_3_with_radius(self, tmp_path, capsys):
-        path = write(tmp_path, infeasible_config())
+    @pytest.mark.parametrize("kind", ["exact", "approx", "approx_relaxed"])
+    def test_infeasible_exits_3_with_radius(self, tmp_path, capsys, kind):
+        cfg = infeasible_config()
+        cfg["problem"]["kind"] = kind
+        if kind != "exact":
+            cfg["problem"]["epsilon"] = 0.1
+        path = write(tmp_path, cfg)
         out = tmp_path / "out"
         assert run_config(path, out) == 3
         assert "problem certified non-coercive" in capsys.readouterr().err
@@ -508,6 +545,18 @@ class TestExitCodes:
         report = json.loads((out / "report.json").read_text())
         assert report["checks"]["uc"]["holds"]
         assert "witness" not in report["infeasibility"]
+
+    def test_floor_stop_is_not_certified(self, tmp_path, capsys):
+        # the uniqueness map holds and the approximate solve stops where its
+        # least subgradient has stalled at the rounding floor: exit 3, but
+        # nothing certifies non-coercivity
+        out = tmp_path / "out"
+        assert run_config(write(tmp_path, floor_stop_config()), out) == 3
+        assert "not certified" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["checks"]["uc"]["holds"]
+        assert report["solve"]["verdict"] == "diverged_infeasible"
+        assert report["solve"]["final_residual"] <= 1e-2
 
     def test_undamped_heat_target_at_16_modes_converges(self, tmp_path):
         # 16 modes, N = 128 (sigma_min 2.5e-5): solvable, and the Gramian

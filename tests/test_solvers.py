@@ -33,7 +33,6 @@ from pccontrol.certificates import _split_constant, _sv_verdict, _theta_verdict
 from pccontrol.functionals import APPROX_KINDS
 from pccontrol.solvers import (
     _cg_core,
-    _divergence_bound,
     _gramian_preconditioner,
     _least_subgradient,
 )
@@ -267,30 +266,31 @@ class TestGramianPreconditioner:
     def test_identity_reproduces_plain_cg(self):
         # the approximate kinds run _cg_core with the identity: bit for bit
         # the unpreconditioned CG, shifted, held and warm-started alike; tol
-        # 0 runs to the cap through a residual refresh
+        # 0 runs to the cap through a residual refresh.  The curvature scale
+        # sums p^T p in another order, so it agrees to rounding
         for seed in range(12):
             kind = APPROX_KINDS[seed % 2]
             p = stress_problem(seed, kind)
             b = -grad_smooth(p, p.zero_variable())
-            bound = _divergence_bound(p)
             x0 = np.random.default_rng(seed).standard_normal(p.size)
             blocks = 2 if kind == "approx_relaxed" else 1
             for mu, tol in (((), 1e-9), ((0.3,) * blocks, 0.0),
                             ((math.inf,) + (2.0,) * (blocks - 1), 1e-12)):
                 for start in (p.zero_variable(), x0):
-                    got = _cg_core(p, b, start, tol, 60, bound, mu)
-                    want = plain_cg(p, b, start, tol, 60, bound, mu)
+                    got = _cg_core(p, b, start, tol, 60, mu)
+                    want = plain_cg(p, b, start, tol, 60, mu)
                     assert np.array_equal(got[0], want[0])
-                    assert got[1:] == want[1:]
+                    assert got[1:5] == want[1:5]
+                    assert got[5] == pytest.approx(want[5], rel=1e-14)
 
 
 class TestConvergedMeansTrueGradient:
     def test_exact_and_null_stress_family(self):
         # CG stops on its recursively updated residual; a converged exact or
-        # null solve must also pass grad_tol on the true gradient.  With no
-        # data-scale bound the uniqueness map tells the divergences apart: a
-        # failing map never converges, and a holding one diverges only
-        # through its true gradient staying above grad_tol
+        # null solve must also pass grad_tol on the true gradient.  The
+        # uniqueness map tells the divergences apart: a failing map never
+        # converges (CG meets a vanishing curvature), and a holding one
+        # diverges only through its true gradient staying above grad_tol
         opts = SolverOptions(max_iters=5000)
         converged = 0
         for seed in range(400):
@@ -311,15 +311,27 @@ class TestConvergedMeansTrueGradient:
     def test_approximate_stress_family(self):
         # a converged approximate solve must pass grad_tol on the least
         # subgradient of the full functional at the returned point, not only
-        # on the one its last outer step measured
+        # on the one its last outer step measured.  A divergence whose
+        # uniqueness map holds ends at the rounding floor: its least
+        # subgradient lies within 10 ||S||_2 ||v|| eps_mach
         opts = SolverOptions(max_iters=5000)
+        converged = set()
         for seed in range(400):
             for kind in APPROX_KINDS:
                 p = stress_problem(seed, kind)
                 v, diag = minimize(p, opts)
                 assert diag.verdict != "max_iters"
+                holds = uc_check(assemble_uc_map(p.system, p.grid, p.G, p.W, p.ops)).holds
                 if diag.verdict == "converged":
+                    converged.add((seed, kind))
                     assert least_subgradient_norm(p, v) <= 10 * opts.grad_tol
+                elif holds:
+                    S = np.column_stack([apply_quadratic(p, e) for e in np.eye(p.size)])
+                    floor = 10 * np.linalg.norm(S, 2) * np.linalg.norm(v) * np.finfo(float).eps
+                    assert diag.final_residual <= floor
+        # four holding maps whose minimizers are large, ||v|| 5.8e6 to 1.6e8
+        assert {(seed, kind) for seed in (44, 75, 83, 164) for kind in APPROX_KINDS} <= converged
+        assert len(converged) >= 725
 
 
 class TestDegeneratePropagator:
@@ -528,15 +540,36 @@ class TestSecularEquation:
 
     @pytest.mark.parametrize("seed, kind", [(310, "approx"), (5, "approx"), (5, "approx_relaxed")])
     def test_divergence_exits(self, seed, kind):
-        # seed 310 stops where not even a smaller s bounds the shifted solve,
-        # seed 5 where the bisection between bounded and unbounded s closes;
-        # both uniqueness maps fail, so the verdict is certified
+        # a shifted solve meets a vanishing curvature, which ends the solve:
+        # the kernel of S + mu Pi is the common kernel of S and Pi for every
+        # finite mu, so no other s helps; both uniqueness maps fail, so the
+        # verdict is certified
         p = stress_problem(seed, kind)
-        opts = SolverOptions(max_iters=5000)
-        _, diag = minimize(p, opts)
+        _, diag = minimize(p, SolverOptions(max_iters=5000))
         assert diag.verdict == "diverged_infeasible"
-        assert diag.iterations < opts.max_iters
+        assert diag.iterations <= 5
         assert not uc_check(assemble_uc_map(p.system, p.grid, p.G, p.W, p.ops)).holds
+
+    @pytest.mark.parametrize("kind", APPROX_KINDS)
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 0.99, 1.5])
+    def test_divergence_exits_with_constants_in_G(self, eps, kind):
+        # the scalar integrator with G the constants: every control ends at
+        # y(T) = y0 = 0, so the target y1 = 1 is out of reach for eps < 1.
+        # S vanishes on the kernel of the uniqueness map, but Pi = z_T does
+        # not, so every shifted operator is definite: the shifted solves walk
+        # out until mu falls below rounding against S and CG sees the kernel
+        grid = TimeGrid(1.0, 32)
+        G = orthonormalize([np.ones((32, 1))], SignalAmbient(1, grid))
+        p = ProblemData(kind=kind, system=scalar_system(), grid=grid, y0=[0.0], y1=[1.0], G=G,
+                        epsilon=eps)
+        assert not uc_check(assemble_uc_map(p.system, p.grid, p.G, p.W, p.ops)).holds
+        v, diag = minimize(p, SolverOptions(max_iters=5000))
+        if eps < 1.0:
+            assert diag.verdict == "diverged_infeasible"
+            assert diag.iterations <= 5
+        else:
+            assert (diag.iterations, diag.verdict) == (0, "converged")
+            assert np.array_equal(v, p.zero_variable())
 
     @pytest.mark.parametrize("kind", ["approx", "approx_relaxed"])
     def test_wave_with_W_generator_in_few_outer_steps(self, kind):
