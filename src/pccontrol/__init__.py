@@ -49,6 +49,7 @@ from .certificates import (
     spectral_uc_classify,
     two_time_check,
     uc_check,
+    uc_verdict,
 )
 from .models import (
     ModelDescriptor,
@@ -73,7 +74,8 @@ __all__ = [
     "recover_primal",
     "SolverOptions", "SolveDiagnostics", "minimize", "certify_infeasibility",
     "UCReport", "ObservabilityReport", "TwoTimeReport", "ModalUCReport",
-    "SpectralClassification", "assemble_uc_map", "uc_check", "observability_constants",
+    "SpectralClassification", "assemble_uc_map", "uc_check", "uc_verdict",
+    "observability_constants",
     "two_time_check", "restriction_kernel_check", "spectral_uc_classify", "modal_uc_check",
     "ModelDescriptor", "make_heat1d", "make_wave1d", "make_ode",
     "exponential_profile_signal",

@@ -23,6 +23,13 @@ B* z = Q R z lies in that range, so an assembled map has N*r + p_g signal
 rows instead of N*m and differs from the map in plain coordinates only by
 an orthogonal transform of its rows: singular values and right singular
 vectors are the same.
+
+The uniqueness map has N*r + p_g rows and only k = n + p_g + p_w columns.
+:func:`assemble_uc_map` returns it whole and :func:`uc_check` decides it;
+:func:`uc_verdict` reaches the same verdict without ever holding it: the
+R of its QR accumulates block by block during the backward sweep, so it
+holds O(``UC_BLOCK_BYTES`` + k^2) bytes whatever N is, and its report
+carries the same ``map_dims``.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigvalsh
+from scipy.linalg import eigvalsh, qr
 from scipy.linalg.lapack import dtrtri
 
 from .core import LinearSystem, StepOperator, TimeGrid, adjoint_solve, build_propagator
@@ -50,6 +57,7 @@ __all__ = [
     "SpectralClassification",
     "assemble_uc_map",
     "uc_check",
+    "uc_verdict",
     "observability_constants",
     "two_time_check",
     "restriction_kernel_check",
@@ -59,8 +67,13 @@ __all__ = [
 
 OBS_KINDS = ("final_state", "initial_state", "general_final", "general_initial")
 # float64 entries of the 'general_*' map M plus the n_cols x n_cols triangular
-# factor of its QR; the measured peak of 'general_final' is about M + 3.1 n_cols^2
+# factor of its QR, which overwrites M; the measured peak (heat1d, 4-6 modes,
+# M about 2 n_cols^2) is M + 1.15 n_cols^2 for 'general_final' and, once M is
+# dropped, M + 2.05 n_cols^2 for 'general_initial', which inverts the factor
 DENSE_CAP = 2**27
+# bytes of z nodes, and so of uniqueness-map rows, in one block of the sweep
+# of uc_verdict; a map this small or smaller is factored in one block
+UC_BLOCK_BYTES = 2**22
 
 
 @dataclass
@@ -244,18 +257,69 @@ def assemble_uc_map(
     return _uc_columns(system, ops or build_propagator(system, grid), G.basis, W.basis)[0]
 
 
+def _uc_report(v: _Verdict, map_dims: tuple[int, int],
+               block_dims: tuple[int, int, int] | None) -> UCReport:
+    witness = None
+    if not v.holds:
+        # every vector is in the kernel of a map without rows: take the first
+        witness = v.vt[-1].copy() if map_dims[0] else np.eye(map_dims[1])[0]
+    return UCReport(v.sigma_min, v.holds, witness, map_dims, block_dims)
+
+
 def uc_check(M: np.ndarray, block_dims: tuple[int, int, int] | None = None) -> UCReport:
     """SVD verdict on an assembled uniqueness map: the property holds when
     sigma_min exceeds the numerical-rank cutoff of the map, so scaling the
     map never changes the verdict."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    rows, cols = M.shape
-    v = _sv_verdict(M)
-    witness = None
-    if not v.holds:
-        # every vector is in the kernel of a map without rows: take the first
-        witness = v.vt[-1].copy() if rows else np.eye(cols)[0]
-    return UCReport(v.sigma_min, v.holds, witness, (rows, cols), block_dims)
+    return _uc_report(_sv_verdict(M), M.shape, block_dims)
+
+
+def _uc_sweep(system: LinearSystem, ops: StepOperator, G_basis, W_basis) -> UCReport:
+    """The verdict of :func:`uc_check` on the map of :func:`_uc_columns`,
+    which is never held.  The backward sweep runs in blocks of at most
+    ``UC_BLOCK_BYTES`` of z nodes (so of map rows, r <= n), each one batched
+    solve from the z node the previous block ended at; the block's rows go
+    below the running R in one buffer and are refactored into it
+    (sequential TSQR: Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
+    Comput. 34, 2012).  The p_g rows of G outside range(B^T) join the last
+    block, so a map of one block is factored exactly as ``uc_check`` does."""
+    n, p_g, (p_w, N) = system.n, G_basis.shape[0], W_basis.shape[:2]
+    k = n + p_g + p_w
+    Q, Rb = np.linalg.qr(system.B.T)
+    r = Q.shape[1]
+    rows = N * r + p_g
+    framed = _framed_signals(Q, G_basis, ops.dt)
+    rest = np.zeros((p_g, k))
+    rest[:, n:n + p_g] = -framed[N * r:]
+    R, z = np.zeros((0, k)), np.eye(k, n)
+    step = max(1, UC_BLOCK_BYTES // (8 * k * n))  # intervals per block
+    for b in range(N, 0, -step):
+        a = max(b - step, 0)
+        F = np.zeros((b - a, k, n))
+        F[:, n + p_g:] = W_basis[:, a:b].transpose(1, 0, 2)
+        obs, nodes = _observe(system, ops, Rb, z, F)
+        z = nodes[0].T.copy()
+        obs[:, n:n + p_g] = -framed[a * r:b * r]
+        del F, nodes  # the block's rows are its only array alive through the QR
+        R = np.linalg.qr(np.vstack([R, obs, rest if a == 0 else rest[:0]]), mode="r")
+        del obs  # and none is alive through the next block's solve
+    return _uc_report(_sv_verdict(R, rows=rows), (rows, k), (n, p_g, p_w))
+
+
+def uc_verdict(
+    system: LinearSystem,
+    grid: TimeGrid,
+    G: Subspace,
+    W: Subspace,
+    ops: StepOperator | None = None,
+) -> UCReport:
+    """``uc_check(assemble_uc_map(...))`` without the map: the same rule,
+    sigma_min, ``map_dims`` and witness (up to sign), with the block dims
+    set.  The map's R accumulates block by block during the backward
+    sweep, so the verdict holds O(``UC_BLOCK_BYTES`` + k^2) bytes for k =
+    n + p_g + p_w columns, whatever the number of steps."""
+    _check_spaces(system, grid, G, W)
+    return _uc_sweep(system, ops or build_propagator(system, grid), G.basis, W.basis)
 
 
 def _general_maps(system, grid, G, W, ops):
@@ -289,7 +353,7 @@ def _general_maps(system, grid, G, W, ops):
     last_sources[:, N - 1] = np.eye(n) / sqrt_dt  # unit norm in sqrt(dt)-scaled coordinates
     uc, nodes = _uc_columns(system, ops, G.basis, last_sources)
     f0 = n + p_g + p_w  # first source column
-    M = np.zeros((sig_rows + N * n, n_cols))
+    M = np.zeros((sig_rows + N * n, n_cols), order="F")  # LAPACK's order, factored in place
     M[:sig_rows, :n] = uc[:, :n]
     M[:sig_rows, n:n + p_g] = -uc[:, n:n + p_g]  # B* z - g back to B* z + g
     M[sig_rows:, n + p_g:f0] = sqrt_dt * W.basis.reshape(p_w, N * n).T
@@ -395,7 +459,8 @@ def observability_constants(
     bounds the sum-of-norms form of the inequality as well.  The
     homogeneous kinds share the n x n factor of :func:`_theta_verdict`,
     with z(0) = (E^T)^N z_T.  The 'general_*' kinds share one assembly of
-    the dense map M, one QR of M and one singular-value verdict on its R;
+    the dense map M, one QR of M, which overwrites it and after which M is
+    dropped, and one singular-value verdict on its R;
     they refuse, before allocating, when M and that R would hold more than
     ``DENSE_CAP`` float64 entries.  Each constant is then read off the
     shared factor (:func:`_split_constant`), given the first rows of the
@@ -417,7 +482,12 @@ def observability_constants(
             split["initial_state"] = (v, np.linalg.matrix_power(ops.E.T, N))
     if "general_final" in kinds or "general_initial" in kinds:
         M, Z0 = _general_maps(system, grid, G, W, ops)
-        v = _sv_verdict(M, vectors=False)
+        rows = M.shape[0]
+        # mode "raw" keeps the triangle of the first n_cols rows ("r" would
+        # return all rows); M and the raw factor are dropped before the verdict
+        R = qr(M, mode="raw", overwrite_a=True, check_finite=False)[1]
+        del M
+        v = _sv_verdict(R, vectors=False, rows=rows)
         split["general_final"] = (v, None)
         split["general_initial"] = (v, Z0)
     return {kind: ObservabilityReport(kind, *_split_constant(*split[kind])) for kind in kinds}
@@ -464,8 +534,7 @@ def two_time_check(
         or _sv_verdict(sqrt_dt * S.basis[:, :k_cut].reshape(S.dim, -1).T, vectors=False).holds
         for S in (G, W)
     )
-    M = _uc_columns(system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])[0]
-    uc_tilde = uc_check(M, block_dims=(system.n, G.dim, W.dim))
+    uc_tilde = _uc_sweep(system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])
     D = np.linalg.matrix_power(ops.E.T, N - k_cut)
     obs_tilde = ObservabilityReport("tilde_T", *_split_constant(_theta_verdict(system, ops, N), D))
     certified = restriction_ok and uc_tilde.holds and math.isfinite(obs_tilde.constant_C)

@@ -7,7 +7,7 @@ solve --config FILE --out DIR
     recover the control, and write report.json, control.csv (interval
     midpoints and values) and trajectory.csv (node values).
 check-uc --config FILE
-    Assemble the uniqueness map and print its verdict.
+    Decide the uniqueness property and print its verdict.
 obs-constant --config FILE --kind KIND
     Print one observability constant.
 models list
@@ -91,10 +91,9 @@ def _run_checks(problem: ProblemData, checks: dict) -> tuple[dict, list[str]]:
     section: dict = {}
     failed: list[str] = []
     if checks.get("uc"):
-        M = certificates.assemble_uc_map(
+        uc = certificates.uc_verdict(
             problem.system, problem.grid, problem.G, problem.W, ops=problem.ops
         )
-        uc = certificates.uc_check(M, block_dims=(problem.system.n, problem.G.dim, problem.W.dim))
         entry = {
             "sigma_min": uc.sigma_min,
             "holds": uc.holds,

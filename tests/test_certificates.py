@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pccontrol import (
@@ -12,9 +12,11 @@ from pccontrol import (
     SolverOptions,
     TimeGrid,
     VectorAmbient,
+    adjoint_solve,
     assemble_uc_map,
     build_propagator,
     certify_infeasibility,
+    control_observation,
     exponential_profile_signal,
     make_heat1d,
     make_ode,
@@ -27,8 +29,9 @@ from pccontrol import (
     spectral_uc_classify,
     two_time_check,
     uc_check,
+    uc_verdict,
 )
-from pccontrol import certificates
+from pccontrol import certificates, cli
 from pccontrol.errors import ProblemTooLargeError, ShapeError
 
 from oracles import (
@@ -537,9 +540,10 @@ class TestObservabilityConstants:
             assert got == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0.0)
 
     def test_general_initial_holds_no_square_measured_map(self):
-        # heat1d, 6 modes, N = 192: the measured map enters as its n rows,
-        # so the peak stays below M + 4.5 n_cols^2 float64 entries; it reads
-        # M + 4.04 n_cols^2, and a dense n_cols x n_cols D would add n_cols^2
+        # heat1d, 6 modes, N = 192: the measured map enters as its n rows
+        # and M is factored in place and dropped before the verdict, so the
+        # peak stays below M + 2.5 n_cols^2 float64 entries; it reads
+        # M + 2.05 n_cols^2, and a dense n_cols x n_cols D would add n_cols^2
         system, _ = make_heat1d(6)
         grid = TimeGrid(1.0, 192)
         G = orthonormalize([], SignalAmbient(system.m, grid))
@@ -554,7 +558,7 @@ class TestObservabilityConstants:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (M_entries + 4.5 * cols * cols)
+        assert peak < 8 * (M_entries + 2.5 * cols * cols)
 
     @pytest.mark.parametrize("a22, initial", [(-40.0, 1.1477641779795815), (-1.0, math.inf)])
     def test_unobserved_mode(self, a22, initial):
@@ -648,6 +652,104 @@ class TestTwoTime:
 
         with pytest.raises(GridAlignmentError):
             two_time_check(system, grid, G, W, 0.377)
+
+
+def _assert_same_uc_report(got, ref, M):
+    """``got`` is the verdict ``ref`` = uc_check(M) up to rounding: the same
+    verdict, shapes and block dims, sigma_min within 1e-12 of M's largest
+    singular value, and a witness that M maps to sigma_min, equal to the
+    reference's up to sign when M's smallest singular value is simple."""
+    assert (got.holds, got.map_dims, got.block_dims) == (ref.holds, ref.map_dims, ref.block_dims)
+    s = _padded_singular_values(M)
+    s_max = np.max(s, initial=0.0)
+    assert abs(got.sigma_min - ref.sigma_min) <= 1e-12 * s_max
+    if ref.holds:
+        assert got.witness is None
+        return
+    w = got.witness
+    assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(M @ w) <= ref.sigma_min + 1e-12 * s_max
+    if M.shape[0] >= M.shape[1] and s.size > 1 and s[-2] > 1e-6 * s_max:
+        assert abs(float(w @ ref.witness)) == pytest.approx(1.0, abs=1e-6)
+
+
+class TestUCVerdict:
+    """The blocked sweep against the explicit map: uc_verdict against
+    uc_check(assemble_uc_map(...)), and the cut map of two_time_check
+    against uc_check of the cut map from _uc_columns."""
+
+    @given(uc_cases(), st.integers(1, 40), st.booleans(), st.floats(0.0, 1.0))
+    @example((1, 0, 8, 0, 0, 1), 3, False, 0.5)  # m = 0: a map without rows
+    @example((3, 1, 7, 0, 0, 2), 3, False, 1.0)  # m < n, blocks 3 + 3 + 1, no G or W
+    @example((5, 1, 2, 1, 2, 3), 1, False, 0.0)  # fewer rows than columns
+    @example((3, 2, 9, 2, 1, 4), 1, True, 0.6)  # one-interval blocks, a planted kernel
+    @example((2, 3, 10, 1, 0, 5), 4, True, 1.0)  # p_w = 0, a planted kernel
+    def test_matches_the_explicit_map(self, case, steps, plant, cut):
+        n, m, N, p_g, _, seed = case
+        system, grid, G, W, ops = _batch_setup(*case)
+        if plant and p_g:
+            # a G generator that is the B* z signal of a homogeneous solve:
+            # (z_T, -its coefficient, 0) is in the kernel of every cut
+            rng = np.random.default_rng(seed)
+            B_z = control_observation(system, adjoint_solve(system, ops, rng.normal(size=n),
+                                                            np.zeros((N, n))))
+            G = orthonormalize([B_z] + list(G.basis[1:]), SignalAmbient(m, grid))
+        k = n + G.dim + W.dim
+        k_cut = max(1, round(cut * N))
+        M = assemble_uc_map(system, grid, G, W, ops=ops)
+        M_cut = certificates._uc_columns(system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])[0]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return adjoint_solve(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certificates, "UC_BLOCK_BYTES", 8 * k * n * steps)
+            mp.setattr(certificates, "adjoint_solve", counted)
+            got = uc_verdict(system, grid, G, W, ops=ops)
+            assert len(calls) == -(-N // steps)
+            calls.clear()
+            got_cut = two_time_check(system, grid, G, W, grid.nodes()[k_cut], ops=ops).uc_tilde
+            assert len(calls) == -(-k_cut // steps)
+        dims = (n, G.dim, W.dim)
+        _assert_same_uc_report(got, uc_check(M, block_dims=dims), M)
+        _assert_same_uc_report(got_cut, uc_check(M_cut, block_dims=dims), M_cut)
+
+    def test_one_block_is_the_explicit_factor(self):
+        # a map of at most UC_BLOCK_BYTES is one solve and one QR of the
+        # same rows in the same order as uc_check's, so the verdict is the
+        # same to the last bit
+        system, _ = make_heat1d(16)
+        grid = TimeGrid(1.0, 1024)
+        G = orthonormalize([exponential_profile_signal(grid, 1.0, system.B.T @ np.eye(16)[0])],
+                           SignalAmbient(system.m, grid))
+        W = orthonormalize([exponential_profile_signal(grid, 0.0, np.eye(16)[0])],
+                           SignalAmbient(16, grid))
+        ops = build_propagator(system, grid)
+        M = assemble_uc_map(system, grid, G, W, ops=ops)
+        assert M.nbytes <= certificates.UC_BLOCK_BYTES
+        ref = uc_check(M, block_dims=(16, 1, 1))
+        got = uc_verdict(system, grid, G, W, ops=ops)
+        assert (got.sigma_min, got.holds, got.map_dims) == (ref.sigma_min, ref.holds, ref.map_dims)
+
+    def test_uc_stage_memory_does_not_grow_with_N(self):
+        # the uniqueness map of wave1d with 32 modes over N = 2048 is
+        # 131072 x 64 (67 MB); the check stage holds one block of the sweep
+        # (its sources, z nodes, interval averages with a temporary, then
+        # its map rows) and a k x k factor: 3.9 blocks measured
+        system, _ = make_wave1d(32)
+        p = ProblemData(kind="null", system=system, grid=TimeGrid(2.5, 2048), y0=np.ones(64))
+        p.ops  # the propagator is the problem's, not the check's
+        tracemalloc.start()
+        try:
+            section, failed = cli._run_checks(p, {"uc": True})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * certificates.UC_BLOCK_BYTES + 8 * 64 * 64
+        assert section["uc"]["map_dims"] == [2048 * 64, 64]
+        assert section["uc"]["holds"] and not failed
 
 
 class TestRestrictionKernel:
