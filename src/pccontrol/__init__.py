@@ -5,7 +5,7 @@ inputs, minimizes convex dual functionals to produce controls achieving
 approximate, exact, or null final-state targets while matching prescribed
 projections of the control and of the trajectory, and certifies the
 uniqueness/observability hypotheses those constructions require through
-singular-value computations on assembled linear maps.
+singular-value verdicts on the discrete linear maps that express them.
 """
 
 from .core import (
@@ -42,13 +42,11 @@ from .certificates import (
     SpectralClassification,
     TwoTimeReport,
     UCReport,
-    assemble_uc_map,
     modal_uc_check,
     observability_constants,
     restriction_kernel_check,
     spectral_uc_classify,
     two_time_check,
-    uc_check,
     uc_verdict,
 )
 from .models import (
@@ -74,7 +72,7 @@ __all__ = [
     "recover_primal",
     "SolverOptions", "SolveDiagnostics", "minimize", "certify_infeasibility",
     "UCReport", "ObservabilityReport", "TwoTimeReport", "ModalUCReport",
-    "SpectralClassification", "assemble_uc_map", "uc_check", "uc_verdict",
+    "SpectralClassification", "uc_verdict",
     "observability_constants",
     "two_time_check", "restriction_kernel_check", "spectral_uc_classify", "modal_uc_check",
     "ModelDescriptor", "make_heat1d", "make_wave1d", "make_ode",

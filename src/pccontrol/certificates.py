@@ -25,11 +25,10 @@ an orthogonal transform of its rows: singular values and right singular
 vectors are the same.
 
 The uniqueness map has N*r + p_g rows and only k = n + p_g + p_w columns.
-:func:`assemble_uc_map` returns it whole and :func:`uc_check` decides it;
-:func:`uc_verdict` reaches the same verdict without ever holding it: the
-R of its QR accumulates block by block during the backward sweep, so it
-holds O(``UC_BLOCK_BYTES`` + k^2) bytes whatever N is, and its report
-carries the same ``map_dims``.
+:func:`uc_verdict` decides it without ever holding it: the R of its QR
+accumulates block by block during the backward sweep, so the verdict holds
+O(``UC_BLOCK_BYTES`` + k^2) bytes whatever N is, and its report carries
+the shape of the map as ``map_dims``.
 """
 
 from __future__ import annotations
@@ -55,8 +54,6 @@ __all__ = [
     "ModalFrequencyCheck",
     "ModalUCReport",
     "SpectralClassification",
-    "assemble_uc_map",
-    "uc_check",
     "uc_verdict",
     "observability_constants",
     "two_time_check",
@@ -81,19 +78,19 @@ class UCReport:
     """Singular-value verdict on a uniqueness map.
 
     ``witness`` is the unit-norm right singular vector of the smallest
-    singular value, present only when the property fails; its block
-    structure (z_T, g coefficients, w coefficients) is available through
-    :meth:`witness_parts` when the map was assembled with known block dims.
+    singular value, present only when the property fails; its blocks
+    (z_T, g coefficients, w coefficients), of sizes ``block_dims`` =
+    (n, p_g, p_w), are available through :meth:`witness_parts`.
     """
 
     sigma_min: float
     holds: bool
     witness: np.ndarray | None
     map_dims: tuple[int, int]
-    block_dims: tuple[int, int, int] | None = None
+    block_dims: tuple[int, int, int]
 
     def witness_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        if self.witness is None or self.block_dims is None:
+        if self.witness is None:
             return None
         n, p_g, p_w = self.block_dims
         w = self.witness
@@ -221,68 +218,17 @@ def _framed_signals(Q: np.ndarray, basis: np.ndarray, dt: float) -> np.ndarray:
     return np.vstack([frame.reshape(p, N * Q.shape[1]).T, rest])
 
 
-def _uc_columns(system: LinearSystem, ops: StepOperator, G_basis, W_basis):
-    """(z_T, g, w) -> B* z - g over the horizon of the bases (p, N, dim) in
-    the output frame with N*r + p_g rows, and the nodes (N+1, n, k) of z,
-    from one batched solve whose g columns are zero right-hand sides, so it
-    returns the map in its final column order."""
-    n, p_g, N = system.n, G_basis.shape[0], W_basis.shape[1]
-    k = n + p_g + W_basis.shape[0]
-    F = np.zeros((N, k, n))
-    F[:, n + p_g:] = W_basis.transpose(1, 0, 2)
-    Q, R = np.linalg.qr(system.B.T)
-    obs, nodes = _observe(system, ops, R, np.eye(k, n), F)
-    M = np.vstack([obs, np.zeros((p_g, k))])
-    M[:, n:n + p_g] = -_framed_signals(Q, G_basis, ops.dt)
-    return M, nodes
-
-
-def assemble_uc_map(
-    system: LinearSystem,
-    grid: TimeGrid,
-    G: Subspace,
-    W: Subspace,
-    ops: StepOperator | None = None,
-) -> np.ndarray:
-    """Matrix of (z_T, g, w) -> B* z - g, with z driven by the source w.
-
-    Domain coordinates are orthonormal (state Euclidean, subspace
-    coefficients).  The output signal is scaled by sqrt(dt) and written in
-    the output frame of the module docstring: N*r rows of interval
-    coordinates (r = min(m, n)), then p_g rows for the part of the g
-    columns outside range(B^T).  The uniqueness property holds at the
-    discrete level iff this map has trivial kernel.
-    """
-    _check_spaces(system, grid, G, W)
-    return _uc_columns(system, ops or build_propagator(system, grid), G.basis, W.basis)[0]
-
-
-def _uc_report(v: _Verdict, map_dims: tuple[int, int],
-               block_dims: tuple[int, int, int] | None) -> UCReport:
-    witness = None
-    if not v.holds:
-        # every vector is in the kernel of a map without rows: take the first
-        witness = v.vt[-1].copy() if map_dims[0] else np.eye(map_dims[1])[0]
-    return UCReport(v.sigma_min, v.holds, witness, map_dims, block_dims)
-
-
-def uc_check(M: np.ndarray, block_dims: tuple[int, int, int] | None = None) -> UCReport:
-    """SVD verdict on an assembled uniqueness map: the property holds when
-    sigma_min exceeds the numerical-rank cutoff of the map, so scaling the
-    map never changes the verdict."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    return _uc_report(_sv_verdict(M), M.shape, block_dims)
-
-
 def _uc_sweep(system: LinearSystem, ops: StepOperator, G_basis, W_basis) -> UCReport:
-    """The verdict of :func:`uc_check` on the map of :func:`_uc_columns`,
-    which is never held.  The backward sweep runs in blocks of at most
-    ``UC_BLOCK_BYTES`` of z nodes (so of map rows, r <= n), each one batched
-    solve from the z node the previous block ended at; the block's rows go
-    below the running R in one buffer and are refactored into it
+    """The verdict on the uniqueness map (z_T, g, w) -> B* z - g over the
+    horizon of the bases (p, N, dim), in the output frame with N*r + p_g
+    rows, which is never held.  The backward sweep runs in blocks of at
+    most ``UC_BLOCK_BYTES`` of z nodes (so of map rows, r <= n), each one
+    batched solve from the z node the previous block ended at; the block's
+    rows go below the running R in one buffer and are refactored into it
     (sequential TSQR: Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci.
     Comput. 34, 2012).  The p_g rows of G outside range(B^T) join the last
-    block, so a map of one block is factored exactly as ``uc_check`` does."""
+    block.  A failing map's witness is its last right singular vector, or
+    e_0 for a map without rows, whose kernel is every vector."""
     n, p_g, (p_w, N) = system.n, G_basis.shape[0], W_basis.shape[:2]
     k = n + p_g + p_w
     Q, Rb = np.linalg.qr(system.B.T)
@@ -303,7 +249,11 @@ def _uc_sweep(system: LinearSystem, ops: StepOperator, G_basis, W_basis) -> UCRe
         del F, nodes  # the block's rows are its only array alive through the QR
         R = np.linalg.qr(np.vstack([R, obs, rest if a == 0 else rest[:0]]), mode="r")
         del obs  # and none is alive through the next block's solve
-    return _uc_report(_sv_verdict(R, rows=rows), (rows, k), (n, p_g, p_w))
+    v = _sv_verdict(R, rows=rows)
+    witness = None
+    if not v.holds:
+        witness = v.vt[-1].copy() if rows else np.eye(k)[0]
+    return UCReport(v.sigma_min, v.holds, witness, (rows, k), (n, p_g, p_w))
 
 
 def uc_verdict(
@@ -313,11 +263,18 @@ def uc_verdict(
     W: Subspace,
     ops: StepOperator | None = None,
 ) -> UCReport:
-    """``uc_check(assemble_uc_map(...))`` without the map: the same rule,
-    sigma_min, ``map_dims`` and witness (up to sign), with the block dims
-    set.  The map's R accumulates block by block during the backward
-    sweep, so the verdict holds O(``UC_BLOCK_BYTES`` + k^2) bytes for k =
-    n + p_g + p_w columns, whatever the number of steps."""
+    """Singular-value verdict on the uniqueness map (z_T, g, w) -> B* z - g,
+    with z driven by the source w.
+
+    Domain coordinates are orthonormal (state Euclidean, subspace
+    coefficients).  The output signal is scaled by sqrt(dt) and written in
+    the output frame of the module docstring, N*r + p_g rows, which is
+    ``map_dims``.  The uniqueness property holds at the discrete level iff
+    this map has trivial kernel, decided against its numerical-rank cutoff,
+    so scaling the map never changes the verdict.  The map's R accumulates
+    block by block during the backward sweep (:func:`_uc_sweep`), so the
+    verdict holds O(``UC_BLOCK_BYTES`` + k^2) bytes for k = n + p_g + p_w
+    columns, whatever the number of steps."""
     _check_spaces(system, grid, G, W)
     return _uc_sweep(system, ops or build_propagator(system, grid), G.basis, W.basis)
 
@@ -334,9 +291,10 @@ def _general_maps(system, grid, G, W, ops):
     The n*N columns of unit sources are time shifts: a unit source on
     interval k, component i, observes on intervals j <= k what one on the
     last interval observes on interval j + N-1-k, and its z(0) is that
-    response's node N-1-k.  One :func:`_uc_columns` call, its W the n unit
-    sources on the last interval, gives the z_T and G columns and those n
-    responses, and the source columns are filled block-Toeplitz from them.
+    response's node N-1-k.  One batched solve of 2n right-hand sides, the
+    n unit z_T and the n unit sources on the last interval, gives the z_T
+    columns and those n responses, and the source columns are filled
+    block-Toeplitz from them; the G columns are the framed G signals.
     """
     n, N = system.n, grid.n_steps
     p_g, p_w = G.dim, W.dim
@@ -349,22 +307,23 @@ def _general_maps(system, grid, G, W, ops):
         raise ProblemTooLargeError(
             f"dense observability assembly needs {entries} float64 entries, cap is {DENSE_CAP}"
         )
-    last_sources = np.zeros((n, N, n))
-    last_sources[:, N - 1] = np.eye(n) / sqrt_dt  # unit norm in sqrt(dt)-scaled coordinates
-    uc, nodes = _uc_columns(system, ops, G.basis, last_sources)
+    Q, R = np.linalg.qr(system.B.T)
+    F = np.zeros((N, 2 * n, n))
+    F[N - 1, n:] = np.eye(n) / sqrt_dt  # unit norm in sqrt(dt)-scaled coordinates
+    obs, nodes = _observe(system, ops, R, np.eye(2 * n, n), F)
     f0 = n + p_g + p_w  # first source column
     M = np.zeros((sig_rows + N * n, n_cols), order="F")  # LAPACK's order, factored in place
-    M[:sig_rows, :n] = uc[:, :n]
-    M[:sig_rows, n:n + p_g] = -uc[:, n:n + p_g]  # B* z - g back to B* z + g
+    M[:N * r, :n] = obs[:, :n]
+    M[:sig_rows, n:n + p_g] = _framed_signals(Q, G.basis, grid.dt)
     M[sig_rows:, n + p_g:f0] = sqrt_dt * W.basis.reshape(p_w, N * n).T
     diag = np.arange(N * n)
     M[sig_rows + diag, f0 + diag] = 1.0
-    last = uc[:N * r, n + p_g:]
+    last = obs[:, n:]
     for k in range(N):
         M[:(k + 1) * r, f0 + k * n:f0 + (k + 1) * n] = last[(N - 1 - k) * r:]
     Z0 = np.zeros((n, n_cols))  # g and w do not drive z
     Z0[:, :n] = nodes[0, :, :n]
-    Z0[:, f0:] = nodes[N - 1::-1, :, n + p_g:].transpose(1, 0, 2).reshape(n, N * n)
+    Z0[:, f0:] = nodes[N - 1::-1, :, n:].transpose(1, 0, 2).reshape(n, N * n)
     return M, Z0
 
 

@@ -224,7 +224,10 @@ def _build_model(model: dict) -> LinearSystem:
     )
     if family == "ode":
         A, B = _matrix(model["A"], "model.A"), _matrix(model["B"], "model.B")
-        return make_ode(A, B, name=model.get("name", "ode"))
+        name = model.get("name", "ode")
+        if not isinstance(name, str):
+            raise ConfigError("model.name must be a string")
+        return make_ode(A, B, name=name)
     n_modes = _integer(model["n_modes"], "model.n_modes")
     omega = tuple(_number_list(model.get("omega", [0.3, 0.7]), "model.omega"))
     if len(omega) != 2:
@@ -238,10 +241,13 @@ def _build_model(model: dict) -> LinearSystem:
 
 def _build_grid(section: dict) -> TimeGrid:
     _check_keys(section, _GRID_KEYS, _GRID_KEYS, "grid")
-    return TimeGrid(
-        horizon=_number(section["T"], "grid.T"),
-        n_steps=_integer(section["n_steps"], "grid.n_steps"),
-    )
+    horizon = _number(section["T"], "grid.T")
+    n_steps = _integer(section["n_steps"], "grid.n_steps")
+    if horizon <= 0.0:
+        raise ConfigError(f"grid.T must be positive, got {horizon}")
+    if n_steps < 2:
+        raise ConfigError(f"grid.n_steps must be at least 2, got {n_steps}")
+    return TimeGrid(horizon, n_steps)
 
 
 def _build_problem(prob: dict, system: LinearSystem, grid: TimeGrid) -> ProblemData:

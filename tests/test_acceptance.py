@@ -15,7 +15,6 @@ from pccontrol import (
     TimeGrid,
     VectorAmbient,
     adjoint_solve,
-    assemble_uc_map,
     build_propagator,
     certify_infeasibility,
     control_observation,
@@ -34,7 +33,7 @@ from pccontrol import (
     signal_inner,
     spectral_uc_classify,
     two_time_check,
-    uc_check,
+    uc_verdict,
 )
 
 from oracles import kkt_control, random_problem
@@ -136,7 +135,7 @@ def test_criterion_03_gradient_check():
 
 def test_criterion_04_exact_constraint_exactness():
     system, _, grid, G, W = heat_exact_setup()
-    rep = uc_check(assemble_uc_map(system, grid, G, W))
+    rep = uc_verdict(system, grid, G, W)
     rng = np.random.default_rng(4)
     p = ProblemData(
         kind="exact", system=system, grid=grid,
@@ -206,7 +205,7 @@ def test_criterion_06_kkt_cross_validation():
         if n * n_steps > 2000:
             continue
         p = random_problem(rng, kind, n=n, m=m, n_steps=n_steps)
-        rep = uc_check(assemble_uc_map(p.system, p.grid, p.G, p.W, ops=p.ops))
+        rep = uc_verdict(p.system, p.grid, p.G, p.W, ops=p.ops)
         if not rep.holds or rep.sigma_min < 1e-3:
             continue
         v, diag = minimize(p, SolverOptions(grad_tol=1e-11, max_iters=20000))
@@ -227,7 +226,7 @@ def test_criterion_07_infeasibility_detection():
     grid = TimeGrid(1.0, 64)
     G = orthonormalize([np.ones((64, 1))], SignalAmbient(1, grid))
     W = orthonormalize([], SignalAmbient(1, grid))
-    rep = uc_check(assemble_uc_map(system, grid, G, W), block_dims=(1, 1, 0))
+    rep = uc_verdict(system, grid, G, W)
     p = ProblemData(kind="exact", system=system, grid=grid, y0=[0.0], y1=[1.0], G=G)
     _, diag = minimize(p)
     radius = certify_infeasibility((np.array([1.0]), np.array([1.0]), np.zeros(0)))
@@ -299,7 +298,7 @@ def test_criterion_10_wave_exact_control():
         SignalAmbient(system.m, grid),
     )
     W = orthonormalize([], SignalAmbient(12, grid))
-    rep = uc_check(assemble_uc_map(system, grid, G, W))
+    rep = uc_verdict(system, grid, G, W)
     rng = np.random.default_rng(10)
     y0 = rng.normal(size=12)
     y0 /= np.linalg.norm(y0)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from pccontrol import (
     TimeGrid,
     VectorAmbient,
     adjoint_solve,
-    assemble_uc_map,
     build_propagator,
     certify_infeasibility,
     control_observation,
@@ -28,7 +28,6 @@ from pccontrol import (
     restriction_kernel_check,
     spectral_uc_classify,
     two_time_check,
-    uc_check,
     uc_verdict,
 )
 from pccontrol import certificates, cli
@@ -56,8 +55,7 @@ class TestUCMap:
     def test_constants_in_G_kernel(self):
         system, grid, _, W = scalar_setup()
         G = orthonormalize([np.ones((64, 1))], SignalAmbient(1, grid))
-        M = assemble_uc_map(system, grid, G, W)
-        rep = uc_check(M, block_dims=(1, 1, 0))
+        rep = uc_verdict(system, grid, G, W)
         assert rep.sigma_min <= 1e-12
         assert not rep.holds
         assert np.allclose(np.abs(rep.witness), 1.0 / math.sqrt(2.0), atol=1e-10)
@@ -69,20 +67,25 @@ class TestUCMap:
         t = grid.midpoints()
         G = orthonormalize([np.sin(2 * math.pi * t).reshape(-1, 1)],
                            SignalAmbient(1, grid))
-        M = assemble_uc_map(system, grid, G, W)
-        rep = uc_check(M)
+        rep = uc_verdict(system, grid, G, W)
         assert rep.holds
         assert rep.sigma_min > 0.5
 
     def test_control_free_system_fails(self):
+        # a map without rows sends every vector to 0; its witness is e_0,
+        # all of it final data, so the unreachable radius is 1
         system = make_ode([[0.0]], np.zeros((1, 0)))
         grid = TimeGrid(1.0, 8)
         G = orthonormalize([], SignalAmbient(0, grid))
-        W = orthonormalize([], SignalAmbient(1, grid))
-        M = assemble_uc_map(system, grid, G, W)
-        rep = uc_check(M)
+        W = orthonormalize([np.ones((8, 1))], SignalAmbient(1, grid))
+        rep = uc_verdict(system, grid, G, W)
         assert rep.sigma_min == 0.0
         assert not rep.holds
+        assert rep.map_dims == (0, 2)
+        assert np.array_equal(rep.witness, [1.0, 0.0])
+        z_part, g_part, w_part = rep.witness_parts()
+        assert (z_part.tolist(), g_part.shape, w_part.tolist()) == ([1.0], (0,), [0.0])
+        assert certify_infeasibility(rep.witness_parts()) == 1.0
 
     def test_heat_48_modes_is_numerically_injective(self):
         # sigma_min ~ 4e-11 lies below any fixed 1e-8 but far above the
@@ -91,7 +94,7 @@ class TestUCMap:
         grid = TimeGrid(1.0, 512)
         G = orthonormalize([], SignalAmbient(system.m, grid))
         W = orthonormalize([], SignalAmbient(system.n, grid))
-        rep = uc_check(assemble_uc_map(system, grid, G, W))
+        rep = uc_verdict(system, grid, G, W)
         assert rep.holds
         assert rep.sigma_min < 1e-8
 
@@ -100,8 +103,8 @@ class TestUCMap:
         # residual at the sigma_min level, and a positive unreachability radius
         system, grid, _, W = scalar_setup()
         G = orthonormalize([np.ones((64, 1))], SignalAmbient(1, grid))
-        M = assemble_uc_map(system, grid, G, W)
-        rep = uc_check(M, block_dims=(1, 1, 0))
+        rep = uc_verdict(system, grid, G, W)
+        M = loop_uc_map(system, build_propagator(system, grid), G.basis, W.basis)
         residual = np.linalg.norm(M @ rep.witness)
         assert residual <= rep.sigma_min + 1e-12
         radius = certify_infeasibility(rep.witness_parts())
@@ -114,12 +117,10 @@ class TestUCMap:
         raw_g = [rng.normal(size=(16, 2)) for _ in range(3)]
         raw_w = [rng.normal(size=(16, 3)) for _ in range(2)]
         amb_g, amb_w = SignalAmbient(2, grid), SignalAmbient(3, grid)
-        small = uc_check(assemble_uc_map(system, grid,
-                                         orthonormalize(raw_g[:1], amb_g),
-                                         orthonormalize(raw_w[:1], amb_w)))
-        large = uc_check(assemble_uc_map(system, grid,
-                                         orthonormalize(raw_g, amb_g),
-                                         orthonormalize(raw_w, amb_w)))
+        small = uc_verdict(system, grid, orthonormalize(raw_g[:1], amb_g),
+                           orthonormalize(raw_w[:1], amb_w))
+        large = uc_verdict(system, grid, orthonormalize(raw_g, amb_g),
+                           orthonormalize(raw_w, amb_w))
         assert large.sigma_min <= small.sigma_min + 1e-12
 
     def test_holds_implies_solvable(self):
@@ -129,7 +130,7 @@ class TestUCMap:
             grid = TimeGrid(1.0, 16)
             G = random_signal_subspace(rng, 2, grid, 1)
             W = random_signal_subspace(rng, 3, grid, 1)
-            rep = uc_check(assemble_uc_map(system, grid, G, W))
+            rep = uc_verdict(system, grid, G, W)
             if not rep.holds or rep.sigma_min < 1e-3:
                 continue
             p = ProblemData(kind="exact", system=system, grid=grid,
@@ -138,19 +139,28 @@ class TestUCMap:
             assert diag.verdict != "diverged_infeasible"
 
 
+def matrix_report(M):
+    """The uniqueness verdict's rule on a literal map M: holds, sigma_min and,
+    when it fails, the witness of :func:`certificates._sv_verdict`."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    v = certificates._sv_verdict(M)
+    return SimpleNamespace(holds=v.holds, sigma_min=v.sigma_min, map_dims=M.shape,
+                           witness=None if v.holds else v.vt[-1])
+
+
 class TestUCCheckMatrixExamples:
     def test_identity(self):
-        rep = uc_check(np.eye(3))
+        rep = matrix_report(np.eye(3))
         assert rep.holds and rep.sigma_min == pytest.approx(1.0)
         assert rep.witness is None
 
     def test_rank_one_difference(self):
-        rep = uc_check(np.array([[1.0, -1.0]]))
+        rep = matrix_report(np.array([[1.0, -1.0]]))
         assert not rep.holds
         assert np.allclose(np.abs(rep.witness), 1.0 / math.sqrt(2.0), atol=1e-14)
 
     def test_zero_map(self):
-        rep = uc_check(np.zeros((4, 2)))
+        rep = matrix_report(np.zeros((4, 2)))
         assert not rep.holds
         assert rep.sigma_min == 0.0
         assert rep.map_dims == (4, 2)
@@ -176,7 +186,7 @@ class TestUCCheckMatrixExamples:
         grid = TimeGrid(1.0, 2)
         G = orthonormalize([exponential_profile_signal(grid, 0.0, [1.0])], SignalAmbient(1, grid))
         W = orthonormalize([], SignalAmbient(1, grid))
-        for rep in (uc_check(M), two_time_check(system, grid, G, W, 0.5).uc_tilde):
+        for rep in (matrix_report(M), two_time_check(system, grid, G, W, 0.5).uc_tilde):
             assert not rep.holds
             assert rep.sigma_min == 0.0 and math.copysign(1.0, rep.sigma_min) == 1.0
 
@@ -198,7 +208,7 @@ class TestUCCheckMatrixExamples:
             planted[min(rank, cols - 1):] = factor * cutoff
             M = (U * planted) @ V.T
             s = np.linalg.svd(M, compute_uv=False)
-            rep = uc_check(M)
+            rep = matrix_report(M)
             assert abs(rep.sigma_min - s[-1]) <= 1e-12 * s[0]
             assert rep.holds == (cols == 1 or factor > 1.0)
             if rep.holds:
@@ -219,7 +229,7 @@ class TestUCCheckMatrixExamples:
         if deficient and cols > 1:
             M[:, -1] = M[:, 0]
         c = 10.0 ** k
-        base, scaled = uc_check(M), uc_check(c * M)
+        base, scaled = matrix_report(M), matrix_report(c * M)
         assert scaled.holds == base.holds == (not deficient or cols == 1)
         if not base.holds:
             assert abs(float(base.witness @ scaled.witness)) == pytest.approx(1.0, abs=1e-8)
@@ -286,15 +296,13 @@ def _assert_same_singular_values(got, ref):
     assert np.max(np.abs(s_got - s_ref), initial=0.0) <= 1e-12 * np.max(s_ref, initial=0.0)
 
 
-def _assert_in_frame(got, ref, system, N, p_g):
+def _assert_in_frame(got, ref, Q, N, g_cols):
     """``got`` is ``ref`` with its N*m signal rows in the output frame of
     B^T = Q R: N*r rows (I_N x Q^T) ref, then p_g rows that vanish outside
-    the G columns (n .. n + p_g) and whose Gram matrix on them is Y^T Y, Y
-    the part of the G columns outside the frame.  Later rows are compared
-    entry by entry."""
-    m, cols, g_cols = system.m, ref.shape[1], slice(system.n, system.n + p_g)
-    Q = np.linalg.qr(system.B.T)[0]
-    r = Q.shape[1]
+    the G columns ``g_cols`` (a slice of p_g columns) and whose Gram matrix
+    on them is Y^T Y, Y the part of the G columns outside the frame.  Later
+    rows are compared entry by entry."""
+    (m, r), cols, p_g = Q.shape, ref.shape[1], g_cols.stop - g_cols.start
     sig = ref[:N * m].reshape(N, m, cols)
     frame = np.einsum("mr,jmc->jrc", Q, sig)
     _assert_close(got[:N * r], frame.reshape(N * r, cols))
@@ -308,46 +316,55 @@ def _assert_in_frame(got, ref, system, N, p_g):
     _assert_same_singular_values(got, ref)
 
 
+def _assert_framed_signals(system, basis, dt):
+    """The G columns of the uniqueness map, ``_framed_signals`` of ``basis``
+    (p, N, m), against their sqrt(dt)-scaled plain coordinates."""
+    Q = np.linalg.qr(system.B.T)[0]
+    p, N, m = basis.shape
+    _assert_in_frame(certificates._framed_signals(Q, basis, dt),
+                     math.sqrt(dt) * basis.reshape(p, N * m).T, Q, N, slice(0, p))
+
+
 class TestBatchedAssembly:
-    """Maps from batched adjoint solves against one solve per column; the
-    oracles assemble in plain coordinates, N*m signal rows."""
+    """Maps and verdicts from batched adjoint solves against one solve per
+    column; the oracles assemble in plain coordinates, N*m signal rows."""
 
     @pytest.mark.parametrize("case", BATCH_CASES)
     def test_uc_map(self, case):
         system, grid, G, W, ops = _batch_setup(*case)
-        _assert_in_frame(assemble_uc_map(system, grid, G, W, ops=ops),
-                         loop_uc_map(system, ops, G.basis, W.basis),
-                         system, grid.n_steps, G.dim)
+        _assert_framed_signals(system, G.basis, grid.dt)
+        _assert_same_uc_report(uc_verdict(system, grid, G, W, ops=ops),
+                               system, ops, G.basis, W.basis)
 
     @pytest.mark.parametrize("case", BATCH_CASES)
     def test_two_time_map(self, case):
         system, grid, G, W, ops = _batch_setup(*case)
         k_cut = grid.n_steps // 2
-        ref = loop_uc_map(system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])
-        _assert_in_frame(certificates._uc_columns(system, ops, G.basis[:, :k_cut],
-                                                   W.basis[:, :k_cut])[0],
-                         ref, system, k_cut, G.dim)
+        _assert_framed_signals(system, G.basis[:, :k_cut], grid.dt)
         rep = two_time_check(system, grid, G, W, k_cut * grid.dt, ops=ops)
-        s = np.linalg.svd(ref, compute_uv=False)
-        sigma = s[-1] if ref.shape[0] >= ref.shape[1] else 0.0
-        assert abs(rep.uc_tilde.sigma_min - sigma) <= 1e-12 * np.max(s, initial=0.0)
+        _assert_same_uc_report(rep.uc_tilde, system, ops, G.basis[:, :k_cut],
+                               W.basis[:, :k_cut])
 
     @pytest.mark.parametrize("case", BATCH_CASES)
     def test_general_maps(self, case):
         system, grid, G, W, ops = _batch_setup(*case)
         M, Z0 = certificates._general_maps(system, grid, G, W, ops)
         M_ref, D_ref = loop_general_maps(system, ops, G, W)
-        _assert_in_frame(M, M_ref, system, grid.n_steps, G.dim)
-        # the measured map is z(0) over every column, then the identity on (g, w, f)
         n = system.n
+        _assert_in_frame(M, M_ref, np.linalg.qr(system.B.T)[0], grid.n_steps,
+                         slice(n, n + G.dim))
+        # the measured map is z(0) over every column, then the identity on (g, w, f)
         _assert_close(Z0, D_ref[:n])
         assert np.array_equal(D_ref[n:], np.eye(*D_ref.shape)[n:])
 
     @given(uc_cases())
     def test_uc_singular_values_match_loop(self, case):
+        # at the default block size every drawn map is one block; a map
+        # with fewer rows than columns has a padded zero singular value
         system, grid, G, W, ops = _batch_setup(*case)
-        _assert_same_singular_values(assemble_uc_map(system, grid, G, W, ops=ops),
-                                     loop_uc_map(system, ops, G.basis, W.basis))
+        rep = uc_verdict(system, grid, G, W, ops=ops)
+        s = _padded_singular_values(loop_uc_map(system, ops, G.basis, W.basis))
+        assert abs(rep.sigma_min - s[-1]) <= 1e-12 * np.max(s, initial=0.0)
 
 
 class TestObservabilityConstants:
@@ -637,9 +654,7 @@ class TestTwoTime:
         system, grid, G, W, ops = _batch_setup(*case)
         n, p_g, p_w = system.n, G.dim, W.dim
         assert p_g == 2
-        _assert_in_frame(certificates._uc_columns(system, ops, G.basis[:, :1], W.basis[:, :1])[0],
-                         loop_uc_map(system, ops, G.basis[:, :1], W.basis[:, :1]),
-                         system, 1, p_g)
+        _assert_framed_signals(system, G.basis[:, :1], grid.dt)
         rep = two_time_check(system, grid, G, W, grid.dt, ops=ops)
         assert rep.uc_tilde.map_dims == (1 + p_g, n + p_g + p_w)
         assert not rep.restriction_ok
@@ -654,13 +669,24 @@ class TestTwoTime:
             two_time_check(system, grid, G, W, 0.377)
 
 
-def _assert_same_uc_report(got, ref, M):
-    """``got`` is the verdict ``ref`` = uc_check(M) up to rounding: the same
-    verdict, shapes and block dims, sigma_min within 1e-12 of M's largest
-    singular value, and a witness that M maps to sigma_min, equal to the
-    reference's up to sign when M's smallest singular value is simple."""
-    assert (got.holds, got.map_dims, got.block_dims) == (ref.holds, ref.map_dims, ref.block_dims)
-    s = _padded_singular_values(M)
+def _assert_same_uc_report(got, system, ops, G_basis, W_basis):
+    """``got`` is the verdict on the uniqueness map over the horizon of the
+    bases (p, N, dim) up to rounding.  The reference decides the oracle's
+    map in plain coordinates, with the rows of the framed map, N*r + p_g,
+    so with the same cutoff; zero rows pad that map to at least as many
+    rows as columns, which adds the zero singular values of a wide map.
+    The same verdict, shapes and block dims, sigma_min within 1e-12 of the
+    map's largest singular value, and a witness that the map sends to
+    sigma_min, equal to the reference's up to sign when the map's smallest
+    singular value is simple."""
+    M = loop_uc_map(system, ops, G_basis, W_basis)
+    (p_g, N), k = G_basis.shape[:2], M.shape[1]
+    rows = N * min(system.m, system.n) + p_g
+    padded = np.vstack([M, np.zeros((max(k - M.shape[0], 0), k))])
+    ref = certificates._sv_verdict(np.linalg.qr(padded, mode="r"), rows=rows)
+    assert (got.holds, got.map_dims) == (ref.holds, (rows, k))
+    assert got.block_dims == (system.n, p_g, W_basis.shape[0])
+    s = ref.s
     s_max = np.max(s, initial=0.0)
     assert abs(got.sigma_min - ref.sigma_min) <= 1e-12 * s_max
     if ref.holds:
@@ -669,14 +695,13 @@ def _assert_same_uc_report(got, ref, M):
     w = got.witness
     assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(M @ w) <= ref.sigma_min + 1e-12 * s_max
-    if M.shape[0] >= M.shape[1] and s.size > 1 and s[-2] > 1e-6 * s_max:
-        assert abs(float(w @ ref.witness)) == pytest.approx(1.0, abs=1e-6)
+    if s.size > 1 and s[-2] > 1e-6 * s_max:
+        assert abs(float(w @ ref.vt[-1])) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestUCVerdict:
-    """The blocked sweep against the explicit map: uc_verdict against
-    uc_check(assemble_uc_map(...)), and the cut map of two_time_check
-    against uc_check of the cut map from _uc_columns."""
+    """The blocked sweep of uc_verdict, and the cut map of two_time_check,
+    against the oracle's map, one adjoint solve per column."""
 
     @given(uc_cases(), st.integers(1, 40), st.booleans(), st.floats(0.0, 1.0))
     @example((1, 0, 8, 0, 0, 1), 3, False, 0.5)  # m = 0: a map without rows
@@ -696,8 +721,6 @@ class TestUCVerdict:
             G = orthonormalize([B_z] + list(G.basis[1:]), SignalAmbient(m, grid))
         k = n + G.dim + W.dim
         k_cut = max(1, round(cut * N))
-        M = assemble_uc_map(system, grid, G, W, ops=ops)
-        M_cut = certificates._uc_columns(system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])[0]
         calls = []
 
         def counted(*args):
@@ -712,26 +735,8 @@ class TestUCVerdict:
             calls.clear()
             got_cut = two_time_check(system, grid, G, W, grid.nodes()[k_cut], ops=ops).uc_tilde
             assert len(calls) == -(-k_cut // steps)
-        dims = (n, G.dim, W.dim)
-        _assert_same_uc_report(got, uc_check(M, block_dims=dims), M)
-        _assert_same_uc_report(got_cut, uc_check(M_cut, block_dims=dims), M_cut)
-
-    def test_one_block_is_the_explicit_factor(self):
-        # a map of at most UC_BLOCK_BYTES is one solve and one QR of the
-        # same rows in the same order as uc_check's, so the verdict is the
-        # same to the last bit
-        system, _ = make_heat1d(16)
-        grid = TimeGrid(1.0, 1024)
-        G = orthonormalize([exponential_profile_signal(grid, 1.0, system.B.T @ np.eye(16)[0])],
-                           SignalAmbient(system.m, grid))
-        W = orthonormalize([exponential_profile_signal(grid, 0.0, np.eye(16)[0])],
-                           SignalAmbient(16, grid))
-        ops = build_propagator(system, grid)
-        M = assemble_uc_map(system, grid, G, W, ops=ops)
-        assert M.nbytes <= certificates.UC_BLOCK_BYTES
-        ref = uc_check(M, block_dims=(16, 1, 1))
-        got = uc_verdict(system, grid, G, W, ops=ops)
-        assert (got.sigma_min, got.holds, got.map_dims) == (ref.sigma_min, ref.holds, ref.map_dims)
+        _assert_same_uc_report(got, system, ops, G.basis, W.basis)
+        _assert_same_uc_report(got_cut, system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])
 
     def test_uc_stage_memory_does_not_grow_with_N(self):
         # the uniqueness map of wave1d with 32 modes over N = 2048 is

@@ -408,6 +408,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="n_steps"):
             RunConfig.from_dict(cfg).build()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("T", -1.0, r"grid\.T must be positive, got -1\.0"),
+        ("T", 0, r"grid\.T must be positive, got 0\.0"),
+        ("n_steps", 1, r"grid\.n_steps must be at least 2, got 1"),
+    ], ids=["negative_T", "zero_T", "one_step"])
+    def test_grid_values_name_their_key(self, tmp_path, capsys, key, value, message):
+        cfg = scalar_null_config()
+        cfg["grid"][key] = value
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_dict(cfg).build()
+        assert main(["check-uc", "--config", str(write(tmp_path, cfg))]) == 1
+        assert f"grid.{key}" in capsys.readouterr().err
+
+    def test_model_name_must_be_a_string(self, tmp_path, capsys):
+        # a mapping used to pass through to report.json
+        cfg = scalar_null_config(n_steps=16)
+        cfg["model"]["name"] = {"not": "a string"}
+        with pytest.raises(ConfigError, match=r"model\.name must be a string"):
+            RunConfig.from_dict(cfg).build()
+        assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
+        assert "model.name" in capsys.readouterr().err
+
     @pytest.mark.parametrize("A, B, where", [
         ([["x"]], [[1.0]], r"model\.A\[0\]\[0\] must be a number"),
         ([[True]], [[1.0]], r"model\.A\[0\]\[0\] must be a number"),

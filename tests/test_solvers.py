@@ -12,7 +12,6 @@ from pccontrol import (
     TimeGrid,
     VectorAmbient,
     apply_quadratic,
-    assemble_uc_map,
     certify_infeasibility,
     eval_J,
     exponential_profile_signal,
@@ -25,7 +24,7 @@ from pccontrol import (
     orthonormalize,
     recover_primal,
     two_time_check,
-    uc_check,
+    uc_verdict,
 )
 from pccontrol import functionals
 from pccontrol.errors import ConfigError, InvalidWitnessError
@@ -299,7 +298,7 @@ class TestConvergedMeansTrueGradient:
                 v, diag = minimize(p, opts)
                 assert diag.verdict != "max_iters"
                 true = np.linalg.norm(grad_smooth(p, v))
-                holds = uc_check(assemble_uc_map(p.system, p.grid, p.G, p.W, p.ops)).holds
+                holds = uc_verdict(p.system, p.grid, p.G, p.W, p.ops).holds
                 if diag.verdict == "converged":
                     converged += 1
                     assert holds and true <= opts.grad_tol
@@ -321,7 +320,7 @@ class TestConvergedMeansTrueGradient:
                 p = stress_problem(seed, kind)
                 v, diag = minimize(p, opts)
                 assert diag.verdict != "max_iters"
-                holds = uc_check(assemble_uc_map(p.system, p.grid, p.G, p.W, p.ops)).holds
+                holds = uc_verdict(p.system, p.grid, p.G, p.W, p.ops).holds
                 if diag.verdict == "converged":
                     converged.add((seed, kind))
                     assert least_subgradient_norm(p, v) <= 10 * opts.grad_tol
@@ -548,7 +547,7 @@ class TestSecularEquation:
         _, diag = minimize(p, SolverOptions(max_iters=5000))
         assert diag.verdict == "diverged_infeasible"
         assert diag.iterations <= 5
-        assert not uc_check(assemble_uc_map(p.system, p.grid, p.G, p.W, p.ops)).holds
+        assert not uc_verdict(p.system, p.grid, p.G, p.W, p.ops).holds
 
     @pytest.mark.parametrize("kind", APPROX_KINDS)
     @pytest.mark.parametrize("eps", [0.1, 0.5, 0.99, 1.5])
@@ -562,7 +561,7 @@ class TestSecularEquation:
         G = orthonormalize([np.ones((32, 1))], SignalAmbient(1, grid))
         p = ProblemData(kind=kind, system=scalar_system(), grid=grid, y0=[0.0], y1=[1.0], G=G,
                         epsilon=eps)
-        assert not uc_check(assemble_uc_map(p.system, p.grid, p.G, p.W, p.ops)).holds
+        assert not uc_verdict(p.system, p.grid, p.G, p.W, p.ops).holds
         v, diag = minimize(p, SolverOptions(max_iters=5000))
         if eps < 1.0:
             assert diag.verdict == "diverged_infeasible"
