@@ -16,7 +16,6 @@ from .core import (
     adjoint_solve,
     build_propagator,
     control_observation,
-    duality_residual,
     forward_solve,
     signal_inner,
     signal_norm,
@@ -29,8 +28,6 @@ from .functionals import (
     ProblemData,
     SolutionResiduals,
     apply_quadratic,
-    eval_J,
-    eval_smooth,
     grad_smooth,
     nonsmooth_value,
     recover_primal,
@@ -63,12 +60,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TimeGrid", "LinearSystem", "StepOperator", "Trajectory",
-    "build_propagator", "forward_solve", "adjoint_solve", "duality_residual",
+    "build_propagator", "forward_solve", "adjoint_solve",
     "control_observation", "signal_inner", "signal_norm",
     "VectorAmbient", "SignalAmbient", "Subspace", "orthonormalize",
     "KINDS", "APPROX_KINDS",
     "ProblemData", "ControlSolution", "SolutionResiduals",
-    "eval_J", "eval_smooth", "nonsmooth_value", "grad_smooth", "apply_quadratic",
+    "nonsmooth_value", "grad_smooth", "apply_quadratic",
     "recover_primal",
     "SolverOptions", "SolveDiagnostics", "minimize", "certify_infeasibility",
     "UCReport", "ObservabilityReport", "TwoTimeReport", "ModalUCReport",

@@ -587,7 +587,8 @@ def spectral_uc_classify(mu: float, w_mu: np.ndarray, model) -> SpectralClassifi
 
     The restricted norm is the quadrature L2 norm over the control window,
     read from the model descriptor's omega quadrature; mu counts as
-    resonant within 1e-9 relative of an eigenvalue.  "Nonzero" is the
+    resonant within 1e-9 |lambda_j| of an eigenvalue lambda_j, a tolerance
+    that scales with the spectrum.  "Nonzero" is the
     numerical-rank rule (:func:`_rank_cutoff`), so no verdict depends on the
     scale of w: the eigenspace component counts above
     ||w|| * n_modes * eps_mach, and the restricted norm of the minimizing Z
@@ -599,7 +600,7 @@ def spectral_uc_classify(mu: float, w_mu: np.ndarray, model) -> SpectralClassifi
         raise ShapeError("w_mu must have one coefficient per mode")
     vals = model.mode_values_omega  # (n_modes, n_quad_omega)
     wq = model.w_omega
-    resonant = np.abs(mu - lam) <= 1e-9 * np.maximum(1.0, np.abs(lam))
+    resonant = np.abs(mu - lam) <= 1e-9 * np.abs(lam)
     p_eig = float(np.linalg.norm(w_mu[resonant]))
     if resonant.any() and p_eig > _rank_cutoff(w_mu.shape, float(np.linalg.norm(w_mu))):
         return SpectralClassification("UC_holds_no_solution", p_eig)
@@ -643,10 +644,12 @@ def modal_uc_check(system: LinearSystem, mus=(), rhos=()) -> ModalUCReport:
     For each (mu_k, W_k): only z = 0 may satisfy (mu_k I + A^T) z in W_k and
     B^T z = 0 (kernel test on the stacked matrix).  For each (rho_j, G_j):
     only z = 0 may satisfy (rho_j I + A^T) z = 0 with B^T z in G_j.  Entries
-    pool by value: one within 1e-12 relative of an earlier case's value
-    joins that case, which tests the span of every W_k and every G_j given
-    at it (None is {0}); a value in both lists takes the combined condition,
-    role 'combined'.  Cases keep the order and value of their first entry,
+    pool by value: one within 1e-12 of an earlier case's value, relative to
+    the larger of the two magnitudes (so only equal values pool at 0, and
+    rescaling A and the values together pools the same entries), joins that
+    case, which tests the span of every W_k and every G_j given at it (None
+    is {0}); a value in both lists takes the combined condition, role
+    'combined'.  Cases keep the order and value of their first entry,
     mus before rhos.  All checks passing realizes, mode by mode, the
     time-differentiation reduction to the classical uniqueness property.
     """
@@ -655,8 +658,8 @@ def modal_uc_check(system: LinearSystem, mus=(), rhos=()) -> ModalUCReport:
     for pairs, side in ((mus, 1), (rhos, 2)):
         for value, span in pairs:
             value = float(value)
-            case = next((c for c in cases if abs(value - c[0]) <= 1e-12 * max(1.0, abs(c[0]))),
-                        None)
+            case = next((c for c in cases
+                         if abs(value - c[0]) <= 1e-12 * max(abs(value), abs(c[0]))), None)
             if case is None:
                 case = (value, [], [])
                 cases.append(case)

@@ -13,10 +13,6 @@ class InvalidSystemError(PccontrolError, ValueError):
     """System matrices are malformed (non-finite entries, bad dimensions)."""
 
 
-class EvaluationOverflowError(PccontrolError, ArithmeticError):
-    """A functional evaluation produced a non-finite value."""
-
-
 class ConfigError(PccontrolError, ValueError):
     """A run configuration is malformed or inconsistent."""
 

@@ -12,9 +12,12 @@ z(T) = z_T:
       [ + eps ||w||                for the relaxed approximate kind ]
 
 All signal pairings use exact interval averages, so the gradient of the
-smooth part is the exact transpose of the evaluation chain: one adjoint
-solve to evaluate, one forward solve to differentiate.  The control and
-trajectory are recovered from the minimizer through
+smooth part is the exact transpose of the chain that defines it: one
+adjoint solve gives B* z, one forward solve the gradient.  The smooth part
+is quadratic and vanishes at 0, so the library never evaluates J itself:
+the solver reads it off the gradients at the point and at 0, plus
+:func:`nonsmooth_value`.  The control and trajectory are recovered from the
+minimizer through
 
     u = B* Z + G + g*,        y = F + W + w*   (interval-wise),
 
@@ -45,10 +48,9 @@ from .core import (
     build_propagator,
     control_observation,
     forward_solve,
-    signal_inner,
     signal_norm,
 )
-from .errors import EvaluationOverflowError, ShapeError
+from .errors import ShapeError
 from .subspaces import SignalAmbient, Subspace, VectorAmbient, orthonormalize
 
 __all__ = [
@@ -57,8 +59,6 @@ __all__ = [
     "ProblemData",
     "ControlSolution",
     "SolutionResiduals",
-    "eval_J",
-    "eval_smooth",
     "nonsmooth_value",
     "grad_smooth",
     "apply_quadratic",
@@ -199,12 +199,6 @@ class ControlSolution:
     residuals: SolutionResiduals
 
 
-def _observation(p: ProblemData, z_T: np.ndarray, f: np.ndarray) -> tuple[Trajectory, np.ndarray]:
-    """Adjoint trajectory for (z_T, f) and the signal B* z (interval averages)."""
-    z = adjoint_solve(p.system, p.ops, z_T, f)
-    return z, control_observation(p.system, z)
-
-
 def _w_slice(p: ProblemData) -> slice:
     n, p_g, p_w, _ = p.dims
     return slice(n + p_g, n + p_g + p_w)
@@ -236,30 +230,6 @@ def nonsmooth_value(p: ProblemData, v: np.ndarray) -> float:
     return sum((p.epsilon * float(np.linalg.norm(x)) for x in _eps_blocks(p, v)), 0.0)
 
 
-def eval_smooth(p: ProblemData, v: np.ndarray) -> float:
-    """Smooth part of the dual functional (everything but the eps norms)."""
-    z_T, g_coef, w_coef, f = p.blocks(v)
-    dt = p.grid.dt
-    z, q = _observation(p, z_T, f)
-    g = p.G.lift(g_coef)
-    w = p.W.lift(w_coef)
-    val = 0.5 * signal_inner(q + g, q + g, dt)
-    val += 0.5 * signal_inner(f + w, f + w, dt)
-    val += float(p.y0 @ z.initial)
-    val -= float(p.y1 @ z_T)
-    val += signal_inner(q, p.g_star, dt)
-    val += signal_inner(f, p.w_star, dt)
-    return val
-
-
-def eval_J(p: ProblemData, v: np.ndarray) -> float:
-    """Full dual functional for the problem's kind."""
-    val = eval_smooth(p, v) + nonsmooth_value(p, v)
-    if not np.isfinite(val):
-        raise EvaluationOverflowError("dual functional evaluated to a non-finite value")
-    return val
-
-
 def _transpose_chain(p: ProblemData, v: np.ndarray, affine: bool):
     """One adjoint solve for B* z, then one forward solve under B* z + g.
 
@@ -269,7 +239,7 @@ def _transpose_chain(p: ProblemData, v: np.ndarray, affine: bool):
     the gradient, the control the forward solve ran under, and its state.
     """
     z_T, g_coef, w_coef, f = p.blocks(v)
-    _, q = _observation(p, z_T, f)
+    q = control_observation(p.system, adjoint_solve(p.system, p.ops, z_T, f))
     qg = q + p.G.lift(g_coef)
     fw = f + p.W.lift(w_coef)
     if affine:

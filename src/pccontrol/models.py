@@ -154,10 +154,11 @@ def make_ode(A, B, name: str = "ode") -> LinearSystem:
 
 def support_mask(grid: TimeGrid, support) -> np.ndarray:
     """Intervals lying inside the window support = (t0, t1), to a tolerance
-    of 1e-9 * max(1, T) at both ends; window ends should be grid-aligned."""
+    of 1e-9 T at both ends (relative to the horizon, as in
+    :meth:`TimeGrid.node_index`); window ends should be grid-aligned."""
     t0, t1 = float(support[0]), float(support[1])
     t_left = np.arange(grid.n_steps) * grid.dt
-    tol = 1e-9 * max(1.0, grid.horizon)
+    tol = 1e-9 * grid.horizon
     return (t_left >= t0 - tol) & (t_left + grid.dt <= t1 + tol)
 
 

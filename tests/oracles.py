@@ -10,6 +10,10 @@ library's forward solver) and solves its optimality system by a dense
 factorization.  The dual-method control must agree with it to solver
 tolerance because the discretization keeps the forward/adjoint pairing
 exact.
+
+The dual functional (:func:`eval_smooth`, :func:`eval_J`) and the pairing
+identity (:func:`duality_residual`) are evaluated here from their
+definitions; the library itself only differentiates the functional.
 """
 
 from __future__ import annotations
@@ -24,10 +28,55 @@ from pccontrol import (
     TimeGrid,
     adjoint_solve,
     apply_quadratic,
+    control_observation,
+    forward_solve,
     make_ode,
+    nonsmooth_value,
     orthonormalize,
+    signal_inner,
 )
 from pccontrol.solvers import _shift
+
+
+def duality_residual(system, ops, y0, u, z_T, f) -> float:
+    """Defect of the forward/adjoint pairing identity.
+
+    Returns <y(T), z_T> - <y0, z(0)> - int <y, f> - int <u, B* z>, all time
+    integrals evaluated with exact interval averages.  For the transpose
+    scheme of :mod:`pccontrol.core` this vanishes up to roundoff for every
+    input.
+    """
+    y = forward_solve(system, ops, y0, u)
+    z = adjoint_solve(system, ops, z_T, f)
+    dt = ops.dt
+    return (
+        float(y.final @ np.asarray(z_T, dtype=float))
+        - float(np.asarray(y0, dtype=float) @ z.initial)
+        - signal_inner(y.interval_averages, f, dt)
+        - signal_inner(u, control_observation(system, z), dt)
+    )
+
+
+def eval_smooth(p: ProblemData, v: np.ndarray) -> float:
+    """Smooth part of the dual functional (everything but the eps norms)."""
+    z_T, g_coef, w_coef, f = p.blocks(v)
+    dt = p.grid.dt
+    z = adjoint_solve(p.system, p.ops, z_T, f)
+    q = control_observation(p.system, z)
+    g = p.G.lift(g_coef)
+    w = p.W.lift(w_coef)
+    val = 0.5 * signal_inner(q + g, q + g, dt)
+    val += 0.5 * signal_inner(f + w, f + w, dt)
+    val += float(p.y0 @ z.initial)
+    val -= float(p.y1 @ z_T)
+    val += signal_inner(q, p.g_star, dt)
+    val += signal_inner(f, p.w_star, dt)
+    return val
+
+
+def eval_J(p: ProblemData, v: np.ndarray) -> float:
+    """Full dual functional for the problem's kind."""
+    return eval_smooth(p, v) + nonsmooth_value(p, v)
 
 
 def impulse_responses(ops, B: np.ndarray, n_steps: int):

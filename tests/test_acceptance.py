@@ -18,8 +18,6 @@ from pccontrol import (
     build_propagator,
     certify_infeasibility,
     control_observation,
-    duality_residual,
-    eval_smooth,
     exponential_profile_signal,
     forward_solve,
     grad_smooth,
@@ -36,7 +34,7 @@ from pccontrol import (
     uc_verdict,
 )
 
-from oracles import kkt_control, random_problem
+from oracles import duality_residual, eval_smooth, kkt_control, random_problem
 
 
 def record(number: int, ok: bool, label: str):

@@ -918,6 +918,16 @@ class TestModalCheck:
         with pytest.raises(ShapeError):  # a pooled span of the wrong dimension
             modal_uc_check(system, mus=[(2.0, w_a), (2.0, np.ones(2))])
 
+    @pytest.mark.parametrize("k", [-14, -13, -12, -6, 0, 6, 12])
+    def test_pooling_is_scale_free(self, k):
+        # rhos at both eigenvalues of 10^k diag(-1, -2): mode 1 is observed,
+        # mode 2 is not, and two distinct values never pool near 0
+        s = 10.0**k
+        system = make_ode(s * np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]))
+        rep = modal_uc_check(system, rhos=[(s, None), (2.0 * s, None)])
+        assert not rep.ok
+        assert [(c.value, c.ok) for c in rep.checks] == [(s, True), (2.0 * s, False)]
+
     def test_hautus_constant_is_grid_free(self):
         # the Hautus test at every eigenvalue of heat reads the same smallest
         # sigma at 16 and 48 modes, where the discrete uniqueness map decays

@@ -329,17 +329,19 @@ class TestConfigParsing:
     @pytest.mark.parametrize("offset, last", [(1e-10, 4), (1e-6, 3)])
     def test_signal_and_profile_support_agree(self, offset, last):
         # the window end lies offset * T before the end of interval 4: inside
-        # the alignment tolerance that interval stays, outside it it is cut
-        T, N = 2.0, 8
-        window = [0.25, 1.25 - offset * T]
-        entries = ({"signal": [[1.5]] * N, "support": window},
-                   {"rate": 0.0, "vector": [1.5], "support": window})
-        for entry in entries:
-            cfg = scalar_null_config(n_steps=N)
-            cfg["grid"]["T"] = T
-            cfg["problem"]["G"] = [entry]
-            basis = RunConfig.from_dict(cfg).build().problem.G.basis
-            assert np.flatnonzero(basis[0, :, 0]).tolist() == list(range(1, last + 1))
+        # the alignment tolerance that interval stays, outside it it is cut,
+        # at any horizon
+        N = 8
+        for T in (2.0, 2e-6):
+            window = [0.125 * T, (0.625 - offset) * T]
+            entries = ({"signal": [[1.5]] * N, "support": window},
+                       {"rate": 0.0, "vector": [1.5], "support": window})
+            for entry in entries:
+                cfg = scalar_null_config(n_steps=N)
+                cfg["grid"]["T"] = T
+                cfg["problem"]["G"] = [entry]
+                basis = RunConfig.from_dict(cfg).build().problem.G.basis
+                assert np.flatnonzero(basis[0, :, 0]).tolist() == list(range(1, last + 1))
 
     @pytest.mark.parametrize("tol", [-1, 0, 1e-8])
     def test_tol_uc_is_unknown_key(self, tmp_path, capsys, tol):

@@ -12,14 +12,13 @@ from pccontrol import (
     adjoint_solve,
     build_propagator,
     control_observation,
-    duality_residual,
     forward_solve,
     make_ode,
     signal_inner,
 )
 from pccontrol.errors import InvalidSystemError, ShapeError
 
-from oracles import loop_adjoint_nodes, loop_forward_nodes
+from oracles import duality_residual, loop_adjoint_nodes, loop_forward_nodes
 
 
 def scalar_system(a=0.0, b=1.0):
@@ -38,12 +37,17 @@ class TestTimeGrid:
             TimeGrid(-1.0, 8)
 
     def test_node_index(self):
-        grid = TimeGrid(2.0, 8)
-        assert grid.node_index(0.5) == 2
+        # the alignment tolerance is relative to the horizon, so the same
+        # offsets decide the same way on a rescaled grid
         from pccontrol.errors import GridAlignmentError
 
-        with pytest.raises(GridAlignmentError):
-            grid.node_index(0.4)
+        for scale in (1.0, 1e-6):
+            grid = TimeGrid(2.0 * scale, 8)
+            assert grid.node_index(0.5 * scale) == 2
+            assert grid.node_index((0.5 + 1e-10) * scale) == 2
+            for t in (0.4, 0.5 + 1e-6):
+                with pytest.raises(GridAlignmentError):
+                    grid.node_index(t * scale)
 
 
 class TestPropagator:

@@ -13,7 +13,6 @@ from pccontrol import (
     VectorAmbient,
     apply_quadratic,
     certify_infeasibility,
-    eval_J,
     exponential_profile_signal,
     grad_smooth,
     make_heat1d,
@@ -36,7 +35,14 @@ from pccontrol.solvers import (
     _least_subgradient,
 )
 
-from oracles import kkt_control, loop_invisible_final_data, loop_theta, plain_cg, random_problem
+from oracles import (
+    eval_J,
+    kkt_control,
+    loop_invisible_final_data,
+    loop_theta,
+    plain_cg,
+    random_problem,
+)
 
 
 def scalar_system():
