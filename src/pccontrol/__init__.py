@@ -32,7 +32,7 @@ from .functionals import (
     nonsmooth_value,
     recover_primal,
 )
-from .solvers import SolveDiagnostics, SolverOptions, certify_infeasibility, minimize
+from .solvers import SolveDiagnostics, SolverOptions, minimize
 from .certificates import (
     ModalUCReport,
     ObservabilityReport,
@@ -67,7 +67,7 @@ __all__ = [
     "ProblemData", "ControlSolution", "SolutionResiduals",
     "nonsmooth_value", "grad_smooth", "apply_quadratic",
     "recover_primal",
-    "SolverOptions", "SolveDiagnostics", "minimize", "certify_infeasibility",
+    "SolverOptions", "SolveDiagnostics", "minimize",
     "UCReport", "ObservabilityReport", "TwoTimeReport", "ModalUCReport",
     "SpectralClassification", "uc_verdict",
     "observability_constants",

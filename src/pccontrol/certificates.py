@@ -27,8 +27,9 @@ vectors are the same.
 The uniqueness map has N*r + p_g rows and only k = n + p_g + p_w columns.
 :func:`uc_verdict` decides it without ever holding it: the R of its QR
 accumulates block by block during the backward sweep, so the verdict holds
-O(``UC_BLOCK_BYTES`` + k^2) bytes whatever N is, and its report carries
-the shape of the map as ``map_dims``.
+O(``UC_BLOCK_BYTES`` + k^2) bytes whatever N is.  Its report carries the
+shape of the map as ``map_dims`` and, for a failing map, the kernel witness
+and the radius of the neighborhood of -z_T that it proves unreachable.
 """
 
 from __future__ import annotations
@@ -78,23 +79,27 @@ class UCReport:
     """Singular-value verdict on a uniqueness map.
 
     ``witness`` is the unit-norm right singular vector of the smallest
-    singular value, present only when the property fails; its blocks
-    (z_T, g coefficients, w coefficients), of sizes ``block_dims`` =
-    (n, p_g, p_w), are available through :meth:`witness_parts`.
+    singular value, present only when the property fails, with blocks
+    (z_T, g coefficients, w coefficients) of sizes n, p_g and p_w.
+
+    ``infeasibility_radius`` is also present only when the property fails.
+    For a kernel vector (z_T, g, w) of the map, every trajectory from
+    y0 = 0 whose control and trajectory projections equal g and w
+    satisfies ||y(T) + z_T|| >= (||z_T||^2 + ||g||^2 + ||w||^2) / ||z_T||,
+    the radius of a neighborhood of -z_T that no constrained control
+    reaches; it is +inf when z_T = 0 (the constraints alone are
+    contradictory).  Subspace coefficients are orthonormal, so their
+    Euclidean norms are the L2 norms of the lifted signals.  The bound
+    assumes an exact kernel vector: the witness leaves a residual of norm
+    sigma_min, which adds <u, residual> to the pairing, so for sigma_min > 0
+    the radius of a control u shrinks by ||u|| sigma_min / ||z_T||.
     """
 
     sigma_min: float
     holds: bool
     witness: np.ndarray | None
     map_dims: tuple[int, int]
-    block_dims: tuple[int, int, int]
-
-    def witness_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        if self.witness is None:
-            return None
-        n, p_g, p_w = self.block_dims
-        w = self.witness
-        return w[:n], w[n:n + p_g], w[n + p_g:n + p_g + p_w]
+    infeasibility_radius: float | None
 
 
 @dataclass
@@ -250,10 +255,18 @@ def _uc_sweep(system: LinearSystem, ops: StepOperator, G_basis, W_basis) -> UCRe
         R = np.linalg.qr(np.vstack([R, obs, rest if a == 0 else rest[:0]]), mode="r")
         del obs  # and none is alive through the next block's solve
     v = _sv_verdict(R, rows=rows)
-    witness = None
+    witness = radius = None
     if not v.holds:
         witness = v.vt[-1].copy() if rows else np.eye(k)[0]
-    return UCReport(v.sigma_min, v.holds, witness, (rows, k), (n, p_g, p_w))
+        radius = _infeasibility_radius(witness, n, p_g)
+    return UCReport(v.sigma_min, v.holds, witness, (rows, k), radius)
+
+
+def _infeasibility_radius(witness: np.ndarray, n: int, p_g: int) -> float:
+    """The radius of :class:`UCReport` for a witness whose blocks have sizes
+    n, p_g and the rest."""
+    nz, ng, nw = (float(np.linalg.norm(part)) for part in np.split(witness, [n, n + p_g]))
+    return math.inf if nz == 0.0 else (nz**2 + ng**2 + nw**2) / nz
 
 
 def uc_verdict(

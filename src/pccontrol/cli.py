@@ -43,7 +43,7 @@ from . import certificates
 from .config import RunConfig
 from .errors import PccontrolError
 from .functionals import ControlSolution, ProblemData, recover_primal
-from .solvers import SolveDiagnostics, certify_infeasibility, minimize
+from .solvers import SolveDiagnostics, minimize
 
 __all__ = ["main", "run_config", "emit_report"]
 
@@ -77,9 +77,9 @@ def _json_ready(value):
     if isinstance(value, np.ndarray):
         return [_json_ready(v) for v in value.tolist()]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)  # "inf", "-inf" or "nan": JSON has no such number
     return value
 
 
@@ -102,7 +102,7 @@ def _run_checks(problem: ProblemData, checks: dict) -> tuple[dict, list[str]]:
         }
         if not uc.holds:
             failed.append("uc")
-            entry["infeasibility_radius"] = certify_infeasibility(uc.witness_parts())
+            entry["infeasibility_radius"] = uc.infeasibility_radius
         section["uc"] = entry
     if checks.get("observability"):
         reports = certificates.observability_constants(

@@ -155,7 +155,9 @@ def build_propagator(system: LinearSystem, grid: TimeGrid) -> StepOperator:
 
     The top row blocks of ``expm(dt * [[A, I, 0], [0, 0, I], [0, 0, 0]])``
     are exp(A dt), the single integral, and the double integral of the
-    exponential; no special-casing of singular A is required.
+    exponential; no special-casing of singular A is required.  A system
+    whose propagator over the whole horizon, E^N, overflows is refused:
+    every solve and certificate steps through it.
     """
     n = system.n
     dt = grid.dt
@@ -163,12 +165,19 @@ def build_propagator(system: LinearSystem, grid: TimeGrid) -> StepOperator:
     aug[:n, :n] = system.A * dt
     aug[:n, n:2 * n] = np.eye(n) * dt
     aug[n:2 * n, 2 * n:] = np.eye(n) * dt
-    X = expm(aug)
-    E = X[:n, :n].copy()
-    Phi = X[:n, n:2 * n].copy()
-    Psi = X[:n, 2 * n:].copy() / dt
-    if not (np.all(np.isfinite(E)) and np.all(np.isfinite(Phi)) and np.all(np.isfinite(Psi))):
-        raise InvalidSystemError("propagator has non-finite entries (A too stiff for dt?)")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        X = expm(aug)
+        E = X[:n, :n].copy()
+        Phi = X[:n, n:2 * n].copy()
+        Psi = X[:n, 2 * n:].copy() / dt
+        if not (np.all(np.isfinite(E)) and np.all(np.isfinite(Phi))
+                and np.all(np.isfinite(Psi))):
+            raise InvalidSystemError("propagator has non-finite entries (A too stiff for dt?)")
+        if not np.all(np.isfinite(np.linalg.matrix_power(E, grid.n_steps))):
+            raise InvalidSystemError(
+                f"propagator over the horizon T = {grid.horizon} has non-finite entries "
+                "(exp(A T) overflows double precision)"
+            )
     return StepOperator(E=E, Phi=Phi, Psi=Psi, dt=dt)
 
 

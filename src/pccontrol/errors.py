@@ -17,10 +17,6 @@ class ConfigError(PccontrolError, ValueError):
     """A run configuration is malformed or inconsistent."""
 
 
-class InvalidWitnessError(PccontrolError, ValueError):
-    """An infeasibility witness is degenerate (identically zero)."""
-
-
 class ProblemTooLargeError(PccontrolError, ValueError):
     """A dense certificate was requested above the configured size cap."""
 

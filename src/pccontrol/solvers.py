@@ -1,4 +1,4 @@
-"""Minimizers for the dual functionals, and an infeasibility certificate.
+"""Minimizers for the dual functionals.
 
 Every kind is minimized by one conjugate-gradient routine on the
 normal-equations operator S (the gradient of the homogeneous quadratic
@@ -33,9 +33,8 @@ returned point passes ``grad_tol``, and an approximate one is
 ``diverged_infeasible`` once its least subgradient has stalled within a
 multiple of the rounding floor kappa ||v|| eps_mach (Higham, "Accuracy and
 Stability of Numerical Algorithms", 2002, ch. 7).  The singular-value check
-in :mod:`pccontrol.certificates` is the authoritative pre-check;
-:func:`certify_infeasibility` converts its witness into an explicit
-unreachable neighborhood.
+in :mod:`pccontrol.certificates` is the authoritative pre-check; its report
+turns a failing map's witness into an explicit unreachable neighborhood.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import _theta_verdict
-from .errors import ConfigError, InvalidWitnessError
+from .errors import ConfigError
 from .functionals import (
     APPROX_KINDS,
     ProblemData,
@@ -57,7 +56,7 @@ from .functionals import (
     nonsmooth_value,
 )
 
-__all__ = ["SolverOptions", "SolveDiagnostics", "minimize", "certify_infeasibility"]
+__all__ = ["SolverOptions", "SolveDiagnostics", "minimize"]
 
 _RESIDUAL_REFRESH = 50
 _STALL_STEPS = 8
@@ -335,25 +334,3 @@ def _minimize_approx(p: ProblemData, opts: SolverOptions,
         wrong = np.where(r < 0.0, new <= s, (new >= s) & (s > 0.0))
         s = np.where(wrong, zero, new)
     return v, SolveDiagnostics(it, residual, history, verdict)
-
-
-def certify_infeasibility(witness) -> float:
-    """Radius of a neighborhood of -z_T unreachable under the constraints.
-
-    For a kernel witness (z_T, g, w) of the uniqueness map, every trajectory
-    from y0 = 0 whose control and trajectory projections equal g and w
-    satisfies ||y(T) + z_T|| >= (||z_T||^2 + ||w||^2 + ||g||^2) / ||z_T||.
-    Returns that radius; returns +inf when z_T = 0 but (g, w) != 0 (the
-    constraints alone are contradictory).  Subspace coefficients are taken
-    in orthonormal coordinates, so their Euclidean norms are the L2 norms of
-    the lifted signals.
-    """
-    z_T, g_coef, w_coef = (np.asarray(part, dtype=float).reshape(-1) for part in witness)
-    nz = float(np.linalg.norm(z_T))
-    ng = float(np.linalg.norm(g_coef))
-    nw = float(np.linalg.norm(w_coef))
-    if nz == 0.0 and ng == 0.0 and nw == 0.0:
-        raise InvalidWitnessError("witness must be nonzero")
-    if nz == 0.0:
-        return math.inf
-    return (nz**2 + ng**2 + nw**2) / nz

@@ -16,7 +16,6 @@ from pccontrol import (
     VectorAmbient,
     adjoint_solve,
     build_propagator,
-    certify_infeasibility,
     control_observation,
     exponential_profile_signal,
     forward_solve,
@@ -227,11 +226,12 @@ def test_criterion_07_infeasibility_detection():
     rep = uc_verdict(system, grid, G, W)
     p = ProblemData(kind="exact", system=system, grid=grid, y0=[0.0], y1=[1.0], G=G)
     _, diag = minimize(p)
-    radius = certify_infeasibility((np.array([1.0]), np.array([1.0]), np.zeros(0)))
+    # the unit witness is (1/sqrt(2), +-1/sqrt(2)), so the radius is sqrt(2)
+    radius = rep.infeasibility_radius
     ok = (
         rep.sigma_min <= 1e-12
         and diag.verdict == "diverged_infeasible"
-        and abs(radius - 2.0) <= 1e-10
+        and abs(radius - math.sqrt(2.0)) <= 1e-10
     )
     record(7, ok, f"constants-in-G instance: sigma_min = {rep.sigma_min:.2e}, "
                   f"verdict = {diag.verdict}, radius = {radius:.12f}")

@@ -15,7 +15,6 @@ from pccontrol import (
     VectorAmbient,
     adjoint_solve,
     build_propagator,
-    certify_infeasibility,
     control_observation,
     exponential_profile_signal,
     make_heat1d,
@@ -58,9 +57,9 @@ class TestUCMap:
         rep = uc_verdict(system, grid, G, W)
         assert rep.sigma_min <= 1e-12
         assert not rep.holds
+        assert rep.witness.shape == (2,)  # z_T, then one g coefficient and no w
         assert np.allclose(np.abs(rep.witness), 1.0 / math.sqrt(2.0), atol=1e-10)
-        z_part, g_part, w_part = rep.witness_parts()
-        assert z_part.shape == (1,) and g_part.shape == (1,) and w_part.shape == (0,)
+        assert rep.infeasibility_radius == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
     def test_sinusoid_in_G_is_far_from_constants(self):
         system, grid, _, W = scalar_setup(n_steps=64)
@@ -82,10 +81,8 @@ class TestUCMap:
         assert rep.sigma_min == 0.0
         assert not rep.holds
         assert rep.map_dims == (0, 2)
-        assert np.array_equal(rep.witness, [1.0, 0.0])
-        z_part, g_part, w_part = rep.witness_parts()
-        assert (z_part.tolist(), g_part.shape, w_part.tolist()) == ([1.0], (0,), [0.0])
-        assert certify_infeasibility(rep.witness_parts()) == 1.0
+        assert np.array_equal(rep.witness, [1.0, 0.0])  # z_T = 1, no g, w = 0
+        assert rep.infeasibility_radius == 1.0
 
     def test_heat_48_modes_is_numerically_injective(self):
         # sigma_min ~ 4e-11 lies below any fixed 1e-8 but far above the
@@ -107,8 +104,7 @@ class TestUCMap:
         M = loop_uc_map(system, build_propagator(system, grid), G.basis, W.basis)
         residual = np.linalg.norm(M @ rep.witness)
         assert residual <= rep.sigma_min + 1e-12
-        radius = certify_infeasibility(rep.witness_parts())
-        assert radius > 0.0
+        assert rep.infeasibility_radius > 0.0
 
     def test_monotone_in_subspaces(self):
         rng = np.random.default_rng(8)
@@ -385,6 +381,18 @@ class TestObservabilityConstants:
         initial = reps["initial_state"]
         assert (initial.constant_C, initial.sigma_min) == (0.0, math.inf)
         assert reps["final_state"].constant_C == pytest.approx(1000.0 / math.sqrt(2.0), rel=1e-12)
+
+    def test_control_free_underflowing_trace_gives_zero_initial_constant(self):
+        # no control columns: Theta has no rows, so it fails at rank 0, and
+        # (E^T)^N = exp(-1000) underflows to 0, so the initial trace vanishes
+        # on every direction Theta misses and C = 0
+        system = make_ode([[-1000.0]], np.zeros((1, 0)))
+        grid = TimeGrid(1.0, 8)
+        G = orthonormalize([], SignalAmbient(0, grid))
+        W = orthonormalize([], SignalAmbient(1, grid))
+        reps = observability_constants(system, grid, G, W, ["final_state", "initial_state"])
+        assert (reps["initial_state"].constant_C, reps["initial_state"].sigma_min) == (0.0, math.inf)
+        assert (reps["final_state"].constant_C, reps["final_state"].sigma_min) == (math.inf, 0.0)
 
     def test_general_final_fails_for_constants(self):
         system, grid, _, W = scalar_setup(n_steps=16)
@@ -675,7 +683,7 @@ def _assert_same_uc_report(got, system, ops, G_basis, W_basis):
     map in plain coordinates, with the rows of the framed map, N*r + p_g,
     so with the same cutoff; zero rows pad that map to at least as many
     rows as columns, which adds the zero singular values of a wide map.
-    The same verdict, shapes and block dims, sigma_min within 1e-12 of the
+    The same verdict and shape, sigma_min within 1e-12 of the
     map's largest singular value, and a witness that the map sends to
     sigma_min, equal to the reference's up to sign when the map's smallest
     singular value is simple."""
@@ -685,15 +693,15 @@ def _assert_same_uc_report(got, system, ops, G_basis, W_basis):
     padded = np.vstack([M, np.zeros((max(k - M.shape[0], 0), k))])
     ref = certificates._sv_verdict(np.linalg.qr(padded, mode="r"), rows=rows)
     assert (got.holds, got.map_dims) == (ref.holds, (rows, k))
-    assert got.block_dims == (system.n, p_g, W_basis.shape[0])
     s = ref.s
     s_max = np.max(s, initial=0.0)
     assert abs(got.sigma_min - ref.sigma_min) <= 1e-12 * s_max
     if ref.holds:
-        assert got.witness is None
+        assert got.witness is None and got.infeasibility_radius is None
         return
     w = got.witness
     assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+    assert got.infeasibility_radius >= 1.0 - 1e-12  # ||w||^2 / ||z_T|| for a unit w
     assert np.linalg.norm(M @ w) <= ref.sigma_min + 1e-12 * s_max
     if s.size > 1 and s[-2] > 1e-6 * s_max:
         assert abs(float(w @ ref.vt[-1])) == pytest.approx(1.0, abs=1e-6)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pccontrol import RunConfig, cli
-from pccontrol.cli import _write_csv, main, run_config
+from pccontrol.cli import _json_ready, _write_csv, main, run_config
 from pccontrol.errors import ConfigError
 
 
@@ -215,6 +215,15 @@ class TestCsv:
             b"a,b\n0,-0,inf,-inf,nan,4.9406564584124654e-324,1.7976931348623157e+308,"
             b"0.10000000000000001,-0.33333333333333331\n"
         )
+
+
+class TestJson:
+    def test_nonfinite_numpy_scalars_are_strings(self):
+        # json.dump would write inf as Infinity and nan as NaN, which are not JSON
+        assert _json_ready(np.float64("inf")) == "inf"
+        assert _json_ready(np.float64("-inf")) == "-inf"
+        assert _json_ready(np.float64("nan")) == "nan"
+        assert _json_ready([math.nan, np.float64(0.5), 2]) == ["nan", 0.5, 2]
 
 
 class TestOtherCommands:
@@ -634,6 +643,42 @@ class TestExitCodes:
         assert run_config(write(tmp_path, two_time_config(t_tilde)), tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: checks.two_time.t_tilde")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["check-uc"],
+        ["obs-constant", "--kind", "initial_state"],
+        ["obs-constant", "--kind", "general_initial"],
+        ["solve", "--out", "out"],
+    ], ids=["check-uc", "obs-constant-initial_state", "obs-constant-general_initial", "solve"])
+    def test_propagator_overflowing_the_horizon_exits_1(self, tmp_path, capsys, command):
+        # exp(A dt) = exp(300) is finite, but E^N = exp(1200) is not: every
+        # command refuses the system with one error line and no warning
+        cfg = {
+            "model": {"family": "ode", "A": [[300.0]], "B": [[1.0]]},
+            "grid": {"T": 4.0, "n_steps": 4},
+            "problem": {"kind": "null", "y0": [1.0]},
+            "checks": {"uc": True, "observability": ["initial_state", "general_initial"],
+                       "two_time": {"t_tilde": 2.0}},
+        }
+        command = [str(tmp_path / arg) if arg == "out" else arg for arg in command]
+        assert main(command + ["--config", str(write(tmp_path, cfg))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: propagator over the horizon T = 4.0")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("blocked, message", [
+        ("report.json", "error: cannot write report"),
+        ("trajectory.csv", "error: cannot write"),
+    ])
+    def test_unwritable_output_file_exits_1(self, tmp_path, capsys, blocked, message):
+        # a directory where an output file goes
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert run_config(write(tmp_path, scalar_null_config(n_steps=8)), out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and blocked in err
         assert len(err.splitlines()) == 1
 
     def test_unwritable_output_after_failed_certification_exits_1(self, tmp_path, capsys):

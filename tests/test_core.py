@@ -103,6 +103,15 @@ class TestPropagator:
         with pytest.raises(InvalidSystemError):
             make_ode([[np.nan]], [[1.0]])
 
+    @pytest.mark.parametrize("a, grid, message", [
+        (2000.0, TimeGrid(1.0, 2), "A too stiff for dt"),  # E = exp(1000) overflows
+        (300.0, TimeGrid(4.0, 4), "horizon T = 4.0"),  # E = exp(300), E^N = exp(1200)
+    ])
+    def test_rejects_overflowing_propagator(self, a, grid, message):
+        # refused without a warning: the suite turns every RuntimeWarning into a failure
+        with pytest.raises(InvalidSystemError, match=message):
+            build_propagator(scalar_system(a), grid)
+
 
 class TestForwardSolve:
     def test_pure_integration_scalar(self):

@@ -12,7 +12,6 @@ from pccontrol import (
     TimeGrid,
     VectorAmbient,
     apply_quadratic,
-    certify_infeasibility,
     exponential_profile_signal,
     grad_smooth,
     make_heat1d,
@@ -26,8 +25,13 @@ from pccontrol import (
     uc_verdict,
 )
 from pccontrol import functionals
-from pccontrol.errors import ConfigError, InvalidWitnessError
-from pccontrol.certificates import _split_constant, _sv_verdict, _theta_verdict
+from pccontrol.errors import ConfigError
+from pccontrol.certificates import (
+    _infeasibility_radius,
+    _split_constant,
+    _sv_verdict,
+    _theta_verdict,
+)
 from pccontrol.functionals import APPROX_KINDS
 from pccontrol.solvers import (
     _cg_core,
@@ -619,24 +623,21 @@ class TestOneChainPerStep:
 
 
 class TestCertifyInfeasibility:
+    # the witness blocks (z_T, g, w) have sizes n, p_g and the rest
     def test_hand_radius(self):
-        r = certify_infeasibility((np.array([1.0]), np.array([1.0]), np.zeros(0)))
+        r = _infeasibility_radius(np.array([1.0, 1.0]), 1, 1)
         assert r == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_final_datum_gives_infinity(self):
-        r = certify_infeasibility((np.zeros(3), np.array([1.0]), np.zeros(1)))
+        r = _infeasibility_radius(np.array([0.0, 0.0, 0.0, 1.0, 0.0]), 3, 1)
         assert math.isinf(r)
 
     def test_degree_one_homogeneity(self):
         rng = np.random.default_rng(19)
-        w = (rng.normal(size=3), rng.normal(size=1), rng.normal(size=1))
-        r1 = certify_infeasibility(w)
-        r2 = certify_infeasibility(tuple(2.0 * part for part in w))
+        w = np.concatenate([rng.normal(size=3), rng.normal(size=1), rng.normal(size=1)])
+        r1 = _infeasibility_radius(w, 3, 1)
+        r2 = _infeasibility_radius(2.0 * w, 3, 1)
         assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
-
-    def test_zero_witness_rejected(self):
-        with pytest.raises(InvalidWitnessError):
-            certify_infeasibility((np.zeros(3), np.zeros(1), np.zeros(1)))
 
 
 class TestScalarExactWithSinusoidG:
