@@ -18,11 +18,11 @@ Exit codes: 0 success, 1 configuration or output error (one line
 (all run one check stage; ``solve`` names the failed checks on stderr and
 serializes a failed uniqueness check's witness into the report,
 ``check-uc`` prints that witness, ``obs-constant`` exits 2 on an infinite
-constant), 3 diverged minimization
-(diverged_infeasible; certified non-coercive only when the report's
-infeasibility section holds a uniqueness witness), 4 iteration cap
-reached.  Verbosity is controlled by the PCCONTROL_LOG environment
-variable only.
+constant), 3 diverged minimization (diverged_infeasible; ``solve`` then
+writes ``checks.uc`` whether or not the config asked for it, and the
+divergence is certified non-coercive only when that entry holds a
+uniqueness witness), 4 iteration cap reached.  Verbosity is controlled by
+the PCCONTROL_LOG environment variable only.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from . import certificates
 from .config import RunConfig
 from .errors import PccontrolError
 from .functionals import ControlSolution, ProblemData, recover_primal
-from .solvers import SolveDiagnostics, minimize
+from .solvers import minimize
 
 __all__ = ["main", "run_config", "emit_report"]
 
@@ -150,28 +150,9 @@ def _output_dir(out_dir) -> Path:
     return out
 
 
-def emit_report(
-    out_dir,
-    config: RunConfig,
-    checks_section: dict,
-    solution: ControlSolution | None = None,
-    diagnostics: SolveDiagnostics | None = None,
-    grid=None,
-    extra: dict | None = None,
-):
-    """Write report.json (always) and the CSV pair (when a solve ran)."""
+def emit_report(out_dir, report: dict, solution: ControlSolution | None = None, grid=None):
+    """Write ``report`` as report.json and, given a solution, the CSV pair."""
     out = _output_dir(out_dir)
-    report: dict = {"config": config.to_dict(), "checks": checks_section}
-    if diagnostics is not None:
-        report["solve"] = {
-            "verdict": diagnostics.verdict,
-            "iterations": diagnostics.iterations,
-            "final_residual": diagnostics.final_residual,
-            "objective": diagnostics.objective_history[-1],
-            "residuals": dataclasses.asdict(solution.residuals),
-        }
-    if extra:
-        report.update(extra)
     try:
         with open(out / "report.json", "w") as fh:
             json.dump(_json_ready(report), fh, sort_keys=True, indent=2)
@@ -206,33 +187,36 @@ def _one_error_exit(command):
 
 @_one_error_exit
 def run_config(config_path, out_dir) -> int:
-    """Execute certifications and the solve for one configuration."""
+    """Run the checks and the solve of one configuration, and build the whole
+    report (``config``, ``checks``, ``solve``) that :func:`emit_report` writes."""
     config = RunConfig.from_file(config_path)
     build = config.build()
     _output_dir(out_dir)  # an unwritable one fails before the checks and the solve
     problem = build.problem
     log.info("model %s built, grid T=%s n_steps=%s", problem.system.name,
              problem.grid.horizon, problem.grid.n_steps)
-    checks_section, failed = _run_checks(problem, build.checks)
+    checks, failed = _run_checks(problem, build.checks)
+    report = {"config": config.to_dict(), "checks": checks}
     if failed:
-        emit_report(out_dir, config, checks_section)
+        emit_report(out_dir, report)
         witness = "; witness serialized in report.json" if "uc" in failed else ""
         print(f"certification failed: {', '.join(failed)}{witness}", file=sys.stderr)
         return _EXIT_CERTIFICATION
     v, diag = minimize(problem, build.solver)
     solution = recover_primal(problem, v)
-    extra = None
-    if diag.verdict == "diverged_infeasible":
+    report["solve"] = {
+        "verdict": diag.verdict,
+        "iterations": diag.iterations,
+        "final_residual": diag.final_residual,
+        "objective": diag.objective_history[-1],
+        "residuals": dataclasses.asdict(solution.residuals),
+    }
+    if diag.verdict == "diverged_infeasible" and "uc" not in checks:
         # the uniqueness verdict decides whether the divergence is certified
-        uc = checks_section.get("uc") or _run_checks(problem, {"uc": True})[0]["uc"]
-        infeasibility = {"sigma_min": uc["sigma_min"]}
-        if uc["witness"] is not None:
-            infeasibility["witness"] = uc["witness"]
-            infeasibility["radius"] = uc["infeasibility_radius"]
-        extra = {"infeasibility": infeasibility}
-    emit_report(out_dir, config, checks_section, solution, diag, problem.grid, extra)
+        checks.update(_run_checks(problem, {"uc": True})[0])
+    emit_report(out_dir, report, solution, problem.grid)
     if diag.verdict == "diverged_infeasible":
-        if "witness" in extra["infeasibility"]:
+        if checks["uc"]["witness"] is not None:
             print("minimization diverged: problem certified non-coercive", file=sys.stderr)
         else:
             print("minimization diverged; not certified: the uniqueness map has no witness",

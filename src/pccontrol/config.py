@@ -114,10 +114,6 @@ class RunConfig:
     data: dict
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        return cls(copy.deepcopy(raw))
-
-    @classmethod
     def from_file(cls, path) -> "RunConfig":
         try:
             with open(path) as fh:

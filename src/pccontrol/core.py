@@ -181,20 +181,6 @@ def build_propagator(system: LinearSystem, grid: TimeGrid) -> StepOperator:
     return StepOperator(E=E, Phi=Phi, Psi=Psi, dt=dt)
 
 
-def _check_signal(x, n_steps: int, dim: int, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n_steps, dim):
-        raise ShapeError(f"{name} must have shape {(n_steps, dim)}, got {x.shape}")
-    return x
-
-
-def _check_vector(x, dim: int, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (dim,):
-        raise ShapeError(f"{name} must have shape ({dim},), got {x.shape}")
-    return x
-
-
 def signal_inner(a: np.ndarray, b: np.ndarray, dt: float) -> float:
     """Exact L2 pairing of two piecewise-constant signals."""
     return dt * float(np.sum(a * b))
@@ -255,14 +241,14 @@ def forward_solve(
     recursion of :func:`_recur` (chunks of about sqrt(N/2) steps when the
     N steps number at least n^2/32, single steps otherwise); interval
     averages are (Phi/dt) y_k + Psi B u_k, exact up to roundoff.
-    A signal of zero steps gives the single node y0.
+    ``u`` has shape (N, m) and ``y0`` holds n values (any shape); a signal
+    of zero steps gives the single node y0.
     """
     u = np.asarray(u, dtype=float)
-    if u.ndim != 2:
-        raise ShapeError(f"u must be a 2-d signal array, got ndim={u.ndim}")
-    n_steps = u.shape[0]
-    u = _check_signal(u, n_steps, system.m, "u")
-    y0 = _check_vector(y0, system.n, "y0")
+    y0 = np.asarray(y0, dtype=float).reshape(-1)
+    if u.ndim != 2 or u.shape[1] != system.m or y0.shape != (system.n,):
+        raise ShapeError(f"u must have shape (N, {system.m}) and y0 shape ({system.n},), "
+                         f"got {u.shape} and {y0.shape}")
     c = u @ system.B.T
     nodes = _recur(ops.E, c @ ops.Phi.T, y0)
     averages = nodes[:-1] @ (ops.Phi.T / ops.dt) + c @ ops.Psi.T
@@ -284,25 +270,16 @@ def adjoint_solve(
     C-contiguous array.  Interval averages are (Phi^T/dt) z_{k+1} - Psi^T f_k.
     A signal of zero steps gives the single node z_T.
 
-    A block of k right-hand sides solves in one pass: ``z_T`` of shape
-    (k, n) and ``f`` of shape (N, k, n) give node values (N+1, k, n) and
-    interval averages (N, k, n), column j being the solve from z_T[j] and
-    f[:, j].  With ``f`` of shape (N, n), ``z_T`` is a single n-vector.
+    One input rule: ``f`` of shape (N, k, n) and ``z_T`` of shape f.shape[1:]
+    solve k right-hand sides in one pass, giving node values (N+1, k, n) and
+    interval averages (N, k, n), column j the solve from z_T[j] and f[:, j];
+    a single solve is the rule without the k axis, f (N, n) and z_T (n,).
     """
     f = np.asarray(f, dtype=float)
-    if f.ndim not in (2, 3):
-        raise ShapeError(f"f must be a 2-d signal array or a 3-d block, got ndim={f.ndim}")
-    n_steps, n = f.shape[0], system.n
-    if f.ndim == 2:
-        f = _check_signal(f, n_steps, n, "f")
-        z_T = _check_vector(z_T, n, "z_T")
-    else:
-        z_T = np.asarray(z_T, dtype=float)
-        if f.shape[2] != n or z_T.shape != f.shape[1:]:
-            raise ShapeError(
-                f"a block needs z_T of shape (k, {n}) and f of shape (N, k, {n}), "
-                f"got {z_T.shape} and {f.shape}"
-            )
+    z_T = np.asarray(z_T, dtype=float)
+    if f.ndim not in (2, 3) or f.shape[-1] != system.n or z_T.shape != f.shape[1:]:
+        raise ShapeError(f"f must have shape (N, {system.n}) or (N, k, {system.n}) and z_T "
+                         f"shape f.shape[1:], got {f.shape} and {z_T.shape}")
     nodes = np.ascontiguousarray(_recur(ops.E.T, f[::-1] @ -ops.Phi, z_T)[::-1])
     averages = nodes[1:] @ (ops.Phi / ops.dt)
     averages -= f @ ops.Psi

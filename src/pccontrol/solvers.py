@@ -100,9 +100,15 @@ def minimize(
     """Minimize the dual functional of ``p``: preconditioned CG from zero
     for the exact and null kinds, confirmed on the true gradient, and
     shifted CG solves on the eps-multipliers for the approximate ones
-    (:func:`_minimize_approx`)."""
+    (:func:`_minimize_approx`).  Data whose gradient at zero has no finite
+    norm are refused with :class:`ConfigError`: CG squares that norm."""
     opts = opts or SolverOptions()
-    b = -grad_smooth(p, p.zero_variable())
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        b = -grad_smooth(p, p.zero_variable())
+        b_norm = np.linalg.norm(b)
+    if not math.isfinite(b_norm):  # CG squares this norm
+        raise ConfigError("problem data overflow double precision: the dual gradient at "
+                          "zero, a function of y0, y1, g_star and w_star, has no finite norm")
     if p.kind in APPROX_KINDS:
         return _minimize_approx(p, opts, b)
     v, res, iters, verdict, decrements, _ = _cg_core(

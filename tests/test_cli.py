@@ -127,10 +127,11 @@ class TestSolveCommand:
         assert run_config(path, out) == 3
         assert "problem certified non-coercive" in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
-        info = report["infeasibility"]
-        assert info["sigma_min"] <= 1e-12
-        assert len(info["witness"]) == 1 + 1 + 0  # n + dim G + dim W
-        assert info["radius"] > 0.0
+        # no check was asked for: the divergence path runs the uniqueness check
+        uc = report["checks"]["uc"]
+        assert uc["sigma_min"] <= 1e-12
+        assert len(uc["witness"]) == 1 + 1 + 0  # n + dim G + dim W
+        assert uc["infeasibility_radius"] > 0.0
 
     def test_unknown_key_exits_1(self, tmp_path):
         cfg = scalar_null_config()
@@ -193,7 +194,7 @@ class TestSolveCommand:
         out = tmp_path / "out"
         assert run_config(path, out) == 0
         report = json.loads((out / "report.json").read_text())
-        assert RunConfig.from_dict(report["config"]) == RunConfig.from_dict(cfg)
+        assert RunConfig(report["config"]) == RunConfig(cfg)
 
     def test_observability_section(self, tmp_path):
         cfg = scalar_null_config(checks={"observability": ["final_state"]})
@@ -263,29 +264,29 @@ class TestConfigParsing:
         cfg = scalar_null_config()
         cfg["extra"] = 1
         with pytest.raises(ConfigError, match="extra"):
-            RunConfig.from_dict(cfg).build()
+            RunConfig(cfg).build()
 
     def test_null_forbids_target(self):
         cfg = scalar_null_config()
         cfg["problem"]["y1"] = [0.0]
         with pytest.raises(ConfigError, match="y1"):
-            RunConfig.from_dict(cfg).build()
+            RunConfig(cfg).build()
 
     def test_approx_requires_epsilon(self):
         cfg = scalar_null_config()
         cfg["problem"]["kind"] = "approx"
         cfg["problem"]["y1"] = [0.0]
         with pytest.raises(ConfigError, match="epsilon"):
-            RunConfig.from_dict(cfg).build()
+            RunConfig(cfg).build()
 
     def test_entry_shape_rules(self):
         cfg = scalar_null_config()
         cfg["problem"]["G"] = [{"rate": 0.0}]
         with pytest.raises(ConfigError):
-            RunConfig.from_dict(cfg).build()
+            RunConfig(cfg).build()
         cfg["problem"]["G"] = [{"signal": [[0.0]], "rate": 1.0}]
         with pytest.raises(ConfigError):
-            RunConfig.from_dict(cfg).build()
+            RunConfig(cfg).build()
 
     def test_build_heat_model_with_subspaces(self):
         cfg = {
@@ -300,7 +301,7 @@ class TestConfigParsing:
                 "w_star": [0.1],
             },
         }
-        build = RunConfig.from_dict(cfg).build()
+        build = RunConfig(cfg).build()
         assert build.problem.W.dim == 1
         assert build.problem.w_star.shape == (32, 4)
         assert build.problem.system.n == 4
@@ -309,7 +310,7 @@ class TestConfigParsing:
         cfg = scalar_null_config()
         cfg["problem"]["y0"] = {"coords": [[5, 1.0]]}
         with pytest.raises(ConfigError, match="out of range"):
-            RunConfig.from_dict(cfg).build()
+            RunConfig(cfg).build()
 
     def test_duplicate_key_exits_1(self, tmp_path, capsys):
         # json.load keeps the last of two equal keys: grid.T would be 2.0 unnoticed
@@ -324,7 +325,7 @@ class TestConfigParsing:
         cfg = scalar_null_config(n_steps=16)
         cfg["problem"]["y0"] = {"coords": [[0, 1.0], [0, 2.0]]}
         with pytest.raises(ConfigError, match=r"problem\.y0\.coords\[1\] repeats index 0"):
-            RunConfig.from_dict(cfg).build()
+            RunConfig(cfg).build()
         path = write(tmp_path, cfg)
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "problem.y0.coords[1]" in capsys.readouterr().err
@@ -332,7 +333,7 @@ class TestConfigParsing:
     def test_literal_signal_entry(self):
         cfg = scalar_null_config(n_steps=4)
         cfg["problem"]["G"] = [{"signal": [[1.0], [1.0], [0.0], [0.0]]}]
-        build = RunConfig.from_dict(cfg).build()
+        build = RunConfig(cfg).build()
         assert build.problem.G.dim == 1
 
     @pytest.mark.parametrize("offset, last", [(1e-10, 4), (1e-6, 3)])
@@ -349,7 +350,7 @@ class TestConfigParsing:
                 cfg = scalar_null_config(n_steps=N)
                 cfg["grid"]["T"] = T
                 cfg["problem"]["G"] = [entry]
-                basis = RunConfig.from_dict(cfg).build().problem.G.basis
+                basis = RunConfig(cfg).build().problem.G.basis
                 assert np.flatnonzero(basis[0, :, 0]).tolist() == list(range(1, last + 1))
 
     @pytest.mark.parametrize("tol", [-1, 0, 1e-8])
@@ -359,7 +360,7 @@ class TestConfigParsing:
         cfg = infeasible_config()
         cfg["checks"] = {"uc": True, "tol_uc": tol}
         with pytest.raises(ConfigError, match="unknown key 'tol_uc' in checks"):
-            RunConfig.from_dict(cfg).build()
+            RunConfig(cfg).build()
         assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
         assert "'tol_uc'" in capsys.readouterr().err
 
@@ -375,7 +376,7 @@ class TestConfigParsing:
         cfg = scalar_null_config()
         cfg["problem"] = {"kind": kind, "y0": [1.0], **data}
         with pytest.raises(ConfigError, match=rf"^problem: .*\b{field}\b"):
-            RunConfig.from_dict(cfg).build()
+            RunConfig(cfg).build()
         path = write(tmp_path, cfg)
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert field in capsys.readouterr().err
@@ -386,7 +387,7 @@ class TestConfigParsing:
         cfg = scalar_null_config()
         cfg["solver"]["divergence_bound"] = 1e-3
         with pytest.raises(ConfigError, match="unknown key 'divergence_bound' in solver"):
-            RunConfig.from_dict(cfg).build()
+            RunConfig(cfg).build()
         extra = {"solve": ["--out", str(tmp_path / "out")], "check-uc": [],
                  "obs-constant": ["--kind", "final_state"]}[command]
         assert main([command, "--config", str(write(tmp_path, cfg))] + extra) == 1
@@ -397,7 +398,7 @@ class TestConfigParsing:
         cfg = infeasible_config()
         cfg["checks"] = {"uc": flag}
         with pytest.raises(ConfigError, match="checks.uc"):
-            RunConfig.from_dict(cfg).build()
+            RunConfig(cfg).build()
         assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
         assert "checks.uc" in capsys.readouterr().err
 
@@ -409,7 +410,7 @@ class TestConfigParsing:
         cfg = scalar_null_config(n_steps=16)
         cfg["problem"]["y0"] = [value]
         with pytest.raises(ConfigError, match=r"problem\.y0\[0\] must be a finite number"):
-            RunConfig.from_dict(cfg).build()
+            RunConfig(cfg).build()
         assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
         assert "problem.y0[0]" in capsys.readouterr().err
 
@@ -417,7 +418,7 @@ class TestConfigParsing:
         cfg = scalar_null_config()
         cfg["grid"]["n_steps"] = 8.5
         with pytest.raises(ConfigError, match="n_steps"):
-            RunConfig.from_dict(cfg).build()
+            RunConfig(cfg).build()
 
     @pytest.mark.parametrize("key, value, message", [
         ("T", -1.0, r"grid\.T must be positive, got -1\.0"),
@@ -428,7 +429,7 @@ class TestConfigParsing:
         cfg = scalar_null_config()
         cfg["grid"][key] = value
         with pytest.raises(ConfigError, match=message):
-            RunConfig.from_dict(cfg).build()
+            RunConfig(cfg).build()
         assert main(["check-uc", "--config", str(write(tmp_path, cfg))]) == 1
         assert f"grid.{key}" in capsys.readouterr().err
 
@@ -437,7 +438,7 @@ class TestConfigParsing:
         cfg = scalar_null_config(n_steps=16)
         cfg["model"]["name"] = {"not": "a string"}
         with pytest.raises(ConfigError, match=r"model\.name must be a string"):
-            RunConfig.from_dict(cfg).build()
+            RunConfig(cfg).build()
         assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
         assert "model.name" in capsys.readouterr().err
 
@@ -453,14 +454,14 @@ class TestConfigParsing:
         cfg = scalar_null_config(n_steps=16)
         cfg["model"].update(A=A, B=B)
         with pytest.raises(ConfigError, match=where):
-            RunConfig.from_dict(cfg).build()
+            RunConfig(cfg).build()
         assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
         assert "model." in capsys.readouterr().err
 
     def test_ode_without_control_columns(self):
         cfg = scalar_null_config(n_steps=16)
         cfg["model"]["B"] = [[]]
-        assert RunConfig.from_dict(cfg).build().problem.system.m == 0
+        assert RunConfig(cfg).build().problem.system.m == 0
 
     def test_non_string_family_exits_1(self, tmp_path, capsys):
         # a list is unhashable: the family lookup used to raise TypeError
@@ -483,14 +484,14 @@ class TestConfigParsing:
         cfg = scalar_null_config(n_steps=16)
         cfg["problem"]["G"] = [{"rate": 800.0, "vector": [1.0]}]
         with pytest.raises(ConfigError, match=r"problem\.G\[0\] is not finite"):
-            RunConfig.from_dict(cfg).build()
+            RunConfig(cfg).build()
         assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
         assert "problem.G[0]" in capsys.readouterr().err
 
     def test_generator_overflowing_outside_its_window_is_kept(self):
         cfg = scalar_null_config(n_steps=16)
         cfg["problem"]["G"] = [{"rate": 800.0, "vector": [1.0], "support": [0.0, 0.25]}]
-        assert RunConfig.from_dict(cfg).build().problem.G.dim == 1
+        assert RunConfig(cfg).build().problem.G.dim == 1
 
 
 class TestHeatConfigEndToEnd:
@@ -577,7 +578,7 @@ class TestExitCodes:
         assert "not certified" in err and "certified non-coercive" not in err
         report = json.loads((out / "report.json").read_text())
         assert report["checks"]["uc"]["holds"]
-        assert "witness" not in report["infeasibility"]
+        assert report["checks"]["uc"]["witness"] is None
 
     def test_floor_stop_is_not_certified(self, tmp_path, capsys):
         # the uniqueness map holds and the approximate solve stops where its
@@ -667,6 +668,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: propagator over the horizon T = 4.0")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["exact", "approx"])
+    @pytest.mark.parametrize("y0", [1e308, 1e200])
+    def test_overflowing_data_exits_1(self, tmp_path, capsys, kind, y0):
+        # the forward solve from y0 overflows (1e308), or the squared norm of
+        # the dual gradient at zero does (1e200): the data, not the system,
+        # are out of range, so solve refuses them with one error line
+        cfg = {
+            "model": {"family": "ode", "A": [[1.0]], "B": [[1.0]]},
+            "grid": {"T": 1.0, "n_steps": 8},
+            "problem": {"kind": kind, "y0": [y0], "y1": [0.0]},
+        }
+        if kind == "approx":
+            cfg["problem"]["epsilon"] = 0.1
+        assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem data overflow double precision")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("blocked, message", [
         ("report.json", "error: cannot write report"),

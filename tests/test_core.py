@@ -196,6 +196,8 @@ class TestAdjointSolve:
             adjoint_solve(system, ops, np.zeros(2), np.zeros((4, 1, 2)))
         with pytest.raises(ShapeError):
             adjoint_solve(system, ops, np.zeros((1, 3)), np.zeros((4, 1, 3)))
+        with pytest.raises(ShapeError):  # a k axis on z_T alone
+            adjoint_solve(system, ops, np.zeros((1, 2)), np.zeros((4, 2)))
 
     def test_backward_decay(self):
         system = scalar_system(-1.0)

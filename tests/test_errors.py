@@ -50,7 +50,7 @@ def build_with(*edits):
             del section[key]
         else:
             section[key] = value
-    return lambda tmp_path: RunConfig.from_dict(cfg).build()
+    return lambda tmp_path: RunConfig(cfg).build()
 
 
 def read_text(text):
