@@ -7,8 +7,11 @@ the discrete level this is the kernel-freeness of an assembled linear map,
 decided by its smallest singular value against the numerical-rank cutoff
 sigma_max * max(rows, cols) * eps_mach, so no verdict depends on the scale
 of the map; the companion observability constants are inverses of
-(generalized) smallest singular values, read off the triangular factor of
-a QR of the observation map.
+(generalized) smallest singular values, read off the triangular factor R of
+a QR of the observation map.  For a holding 'general_*' map these are
+Golub-Kahan norms of R, R^-1 and D R^-1 (:func:`_norm2`), each product a
+matvec or a triangular solve, with no SVD, inverse or Gram formed; a
+failing map takes an SVD of R.
 
 Every report produced here is a discrete-level certificate: it speaks
 about the discretized system on its grid, not about any continuous limit.
@@ -40,8 +43,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigvalsh, qr
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg import qr, solve_triangular
+from scipy.linalg.blas import dnrm2
 
 from .core import LinearSystem, StepOperator, TimeGrid, adjoint_solve, build_propagator
 from .errors import ProblemTooLargeError, ShapeError
@@ -66,12 +69,16 @@ __all__ = [
 OBS_KINDS = ("final_state", "initial_state", "general_final", "general_initial")
 # float64 entries of the 'general_*' map M plus the n_cols x n_cols triangular
 # factor of its QR, which overwrites M; the measured peak (heat1d, 4-6 modes,
-# M about 2 n_cols^2) is M + 1.15 n_cols^2 for 'general_final' and, once M is
-# dropped, M + 2.05 n_cols^2 for 'general_initial', which inverts the factor
+# M about 2 n_cols^2) is the QR's, M + 1.14-1.20 n_cols^2, for either kind and
+# both, since a holding map's constants are Krylov norms of the factor; a
+# failing map's SVD holds 3 n_cols^2 once M is dropped
 DENSE_CAP = 2**27
 # bytes of z nodes, and so of uniqueness-map rows, in one block of the sweep
 # of uc_verdict; a map this small or smaller is factored in one block
 UC_BLOCK_BYTES = 2**22
+# the least sigma_max a rank cutoff scales from, so a map of rounding noise
+# alone fails
+_SIGMA_FLOOR = 1e-300
 
 
 @dataclass
@@ -152,7 +159,7 @@ class _Verdict(NamedTuple):
     holds: bool
     sigma_min: float
     rank: int  # singular values above the cutoff, a prefix of s
-    s: np.ndarray  # singular values, descending
+    s: np.ndarray | None  # singular values, descending; None when read without an SVD
     vt: np.ndarray | None  # complete right singular basis (cols x cols)
     factor: np.ndarray  # ||M x|| = ||factor x||; upper triangular when rows >= cols
 
@@ -165,7 +172,7 @@ def _rank_cutoff(shape: tuple[int, int], sigma_max: float) -> float:
     return sigma_max * max(shape) * float(np.finfo(float).eps)
 
 
-def _sv_verdict(M: np.ndarray, floor: float = 1e-300, vectors: bool = True,
+def _sv_verdict(M: np.ndarray, floor: float = _SIGMA_FLOOR, vectors: bool = True,
                 rows: int | None = None) -> _Verdict:
     """Decide whether M is injective from its singular values.
 
@@ -193,6 +200,85 @@ def _sv_verdict(M: np.ndarray, floor: float = 1e-300, vectors: bool = True,
     sigma_min = math.inf if cols == 0 else (abs(float(s[-1])) if rows >= cols else 0.0)
     cutoff = _rank_cutoff((rows, cols), max(float(s[0]) if s.size else 0.0, floor))
     return _Verdict(sigma_min > cutoff, sigma_min, int(np.sum(s > cutoff)), s, vt, M)
+
+
+def _norm2(apply, apply_t, n: int) -> float:
+    """||X||_2 of an operator X with n >= 1 columns, given x -> X x and
+    y -> X^T y on vectors, by Golub-Kahan-Lanczos bidiagonalization (Golub &
+    Kahan, SIAM J. Numer. Anal. B 2, 1965) with full reorthogonalization.
+
+    From a fixed pseudo-random unit vector v_1, the steps
+    alpha_j u_j = X v_j - beta_(j-1) u_(j-1) and
+    beta_j v_(j+1) = X^T u_j - alpha_j v_j give X V_j = U_j B_j, B_j upper
+    bidiagonal, and X^T U_j = V_j B_j^T + beta_j v_(j+1) e_j^T.  So the
+    largest singular value s of B_j, with left singular vector p, lies
+    within beta_j |p_j| of a singular value of X.  The loop stops when that
+    bound falls to eps_mach s, or at step n, where V_n spans the domain
+    and s is exact to rounding; a zero alpha_j or beta_j ends it with an
+    invariant pair of subspaces, where s is exact too.  Norms are BLAS nrm2
+    and X is never squared, so nothing overflows or underflows where
+    ||X|| does not; a product that does overflow gives +inf.
+    """
+    eps = float(np.finfo(float).eps)
+    v = np.random.default_rng(0).standard_normal(n)
+    v /= dnrm2(v)
+    V, U, alpha, beta = [v], [], [], []
+    for j in range(1, n + 1):
+        u = apply(v)
+        if U:
+            u -= beta[-1] * U[-1]
+        a = dnrm2(_orthogonalize(u, U))
+        w, b = None, 0.0
+        if a > 0.0:
+            u /= a
+            U.append(u)
+            w = _orthogonalize(apply_t(u) - a * v, V)
+            b = dnrm2(w)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return math.inf
+        alpha.append(a)
+        P, s, _ = np.linalg.svd(np.diag(alpha) + np.diag(beta, 1))
+        if j == n or b * abs(P[-1, 0]) <= eps * s[0]:
+            return float(s[0])
+        beta.append(b)
+        v = w / b
+        V.append(v)
+
+
+def _orthogonalize(x: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+    """x minus its projection on the span of the orthonormal ``basis``, in
+    place, by two passes of classical Gram-Schmidt."""
+    if basis:
+        Q = np.array(basis)
+        for _ in range(2):
+            x -= (Q @ x) @ Q
+    return x
+
+
+def _factor_verdict(R: np.ndarray, rows: int) -> _Verdict:
+    """``_sv_verdict(R, vectors=False, rows=rows)`` for the triangular factor
+    R of a QR of a map with ``rows`` rows, without an SVD when the map holds.
+
+    sigma_max = ||R|| comes off :func:`_norm2`, matvecs with R.  Since
+    sigma_min <= min |r_ii|, a square R whose diagonal clears the rank
+    cutoff may hold, and then sigma_min = 1/||R^-1||, from :func:`_norm2`
+    on triangular solves.  A sigma_min above the cutoff decides that the
+    map holds: the verdict has rank cols, ``s`` and ``vt`` None.  Any other
+    R, a failing one included, takes the SVD of :func:`_sv_verdict`, so a
+    failing verdict is always that one.
+    """
+    cols = R.shape[1]
+    if rows >= cols > 0:
+        sigma_max = _norm2(lambda x: R @ x, lambda y: R.T @ y, cols)
+        cutoff = _rank_cutoff((rows, cols), max(sigma_max, _SIGMA_FLOOR))
+        if float(np.abs(np.diagonal(R)).min()) > cutoff:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sigma_min = 1.0 / _norm2(
+                    lambda x: solve_triangular(R, x, check_finite=False),
+                    lambda y: solve_triangular(R, y, trans=1, check_finite=False), cols)
+            if math.isfinite(sigma_min) and sigma_min > cutoff:
+                return _Verdict(True, sigma_min, cols, None, None, R)
+    return _sv_verdict(R, vectors=False, rows=rows)
 
 
 def _observe(system: LinearSystem, ops: StepOperator, R: np.ndarray, Z_T: np.ndarray,
@@ -370,44 +456,61 @@ def _theta_verdict(system: LinearSystem, ops: StepOperator, N: int) -> _Verdict:
     return _sv_verdict(acc, rows=N * R.shape[0])
 
 
+def _measured_norm(rows: np.ndarray, Y, Y_t, n: int) -> float:
+    """||D Y||_2 for the measured map D whose first k rows are ``rows`` (k,
+    cols) and which is the identity on the remaining coordinates, and the
+    operator Y with n columns given as x -> Y x and y -> Y^T y; D is applied
+    as those rows, never stacked square."""
+    k = rows.shape[0]
+
+    def apply(x):
+        y = Y(x)
+        return np.concatenate([rows @ y, y[k:]])
+
+    def apply_t(z):
+        y = rows.T @ z[:k]
+        y[k:] += z[k:]
+        return Y_t(y)
+
+    return _norm2(apply, apply_t, n)
+
+
 def _split_constant(v: _Verdict, rows: np.ndarray | None) -> tuple[float, float]:
     """Best C with ||D x|| <= C ||M x||, for the map M of the verdict ``v``
     and the measured map D whose first k rows are ``rows`` (k, cols) and
     which is the identity on the remaining coordinates; ``rows`` = None
     stands for the identity, where C = 1/sigma_min(M).
 
-    When M holds, its factor R is square and invertible, and C = ||D R^-1||,
-    the square root of the largest eigenvalue of X X^T for X = D R^-1 (from
-    a triangular inverse, whose first k rows are multiplied by ``rows``).
-    Forming that Gram squares only the small end of the spectrum, so its
-    largest eigenvalue keeps O(eps) relative accuracy; X is scaled to a
-    largest entry of 1 first, so the Gram neither overflows nor underflows
-    at any scale of M.  When M fails, an SVD of R with right vectors splits
-    it against the square D: C = +inf when M has a kernel direction that D
-    does not annihilate, else C bounds D on the rest through the singular
-    values above the cutoff.
+    When M holds, its factor R is square and invertible, and C = ||D R^-1||
+    (:func:`_measured_norm`, each product a triangular solve), with no
+    inverse and no Gram formed.  When M fails, an SVD of R with right
+    vectors splits it against D: C = +inf when M has a kernel direction
+    that D does not annihilate, measured against the rank cutoff of D,
+    else C = ||D V_r S_r^-1|| bounds D on the rest through the r singular
+    values above the cutoff.  D is applied as its rows in every norm, so
+    neither branch holds a square D.
 
     Returns (C, sigma) with sigma = 1/C the smallest generalized singular
     value.
     """
     if rows is None:
         return (1.0 / v.sigma_min, v.sigma_min) if v.holds else (math.inf, 0.0)
-    k, cols = rows.shape
+    cols = rows.shape[1]
     if v.holds:
-        X = dtrtri(v.factor)[0]
-        X[:k] = rows @ X
-        scale = float(np.abs(X).max()) or 1.0
-        X /= scale
-        C = scale * math.sqrt(float(eigvalsh(X @ X.T, subset_by_index=[cols - 1, cols - 1])[0]))
+        R = v.factor
+        C = _measured_norm(rows, lambda x: solve_triangular(R, x, check_finite=False),
+                           lambda y: solve_triangular(R, y, trans=1, check_finite=False), cols)
     else:
-        D = np.vstack([rows, np.eye(cols)[k:]])
-        _, s, vt = np.linalg.svd(v.factor)
-        d_max = float(np.linalg.norm(D, 2))
-        if float(np.linalg.norm(D @ vt[v.rank:].T, 2)) > _rank_cutoff(D.shape, d_max):
+        s, vt = np.linalg.svd(v.factor)[1:]
+        null, top, s_top = vt[v.rank:], vt[:v.rank], s[:v.rank]
+        d_max = _measured_norm(rows, lambda x: x, lambda y: y, cols)
+        if _measured_norm(rows, lambda x: x @ null, lambda y: null @ y,
+                          cols - v.rank) > _rank_cutoff((cols, cols), d_max):
             return math.inf, 0.0
         if v.rank == 0:
             return 0.0, math.inf  # M and D both vanish; inequality is trivial
-        C = float(np.linalg.norm((D @ vt[:v.rank].T) / s[:v.rank], 2))
+        C = _measured_norm(rows, lambda x: (x / s_top) @ top, lambda y: (top @ y) / s_top,
+                           v.rank)
     if C == 0.0:
         return 0.0, math.inf
     return C, 1.0 / C
@@ -432,13 +535,14 @@ def observability_constants(
     homogeneous kinds share the n x n factor of :func:`_theta_verdict`,
     with z(0) = (E^T)^N z_T.  The 'general_*' kinds share one assembly of
     the dense map M, one QR of M, which overwrites it and after which M is
-    dropped, and one singular-value verdict on its R;
-    they refuse, before allocating, when M and that R would hold more than
-    ``DENSE_CAP`` float64 entries.  Each constant is then read off the
-    shared factor (:func:`_split_constant`), given the first rows of the
-    map it measures: none for the final-state kinds, (E^T)^N for
-    'initial_state', and the n rows of z(0) over (z_T, g, w, f) for
-    'general_initial'.
+    dropped, and one verdict on its R (:func:`_factor_verdict`): sigma_max
+    and sigma_min are Golub-Kahan norms of R and R^-1 when M holds, and an
+    SVD of R decides it otherwise; they refuse, before allocating, when M
+    and that R would hold more than ``DENSE_CAP`` float64 entries.  Each
+    constant is then read off the shared factor (:func:`_split_constant`),
+    given the first rows of the map it measures: none for the final-state
+    kinds, (E^T)^N for 'initial_state', and the n rows of z(0) over
+    (z_T, g, w, f) for 'general_initial'.
     """
     for kind in kinds:
         if kind not in OBS_KINDS:
@@ -459,7 +563,7 @@ def observability_constants(
         # return all rows); M and the raw factor are dropped before the verdict
         R = qr(M, mode="raw", overwrite_a=True, check_finite=False)[1]
         del M
-        v = _sv_verdict(R, vectors=False, rows=rows)
+        v = _factor_verdict(R, rows)
         split["general_final"] = (v, None)
         split["general_initial"] = (v, Z0)
     return {kind: ObservabilityReport(kind, *_split_constant(*split[kind])) for kind in kinds}

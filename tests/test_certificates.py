@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from pccontrol import (
     ProblemData,
@@ -272,6 +273,18 @@ def _unobserved_setup(a22):
     grid = TimeGrid(1.0, 16)
     G = orthonormalize([], SignalAmbient(1, grid))
     W = orthonormalize([], SignalAmbient(2, grid))
+    return system, grid, G, W, build_propagator(system, grid)
+
+
+def _dense_heat_setup():
+    """A certify-dense operation's size: heat1d, 6 modes, N = 96, one G and
+    one W generator, so the general maps have 584 columns and hold."""
+    system, _ = make_heat1d(6)
+    grid = TimeGrid(1.0, 96)
+    G = orthonormalize([exponential_profile_signal(grid, 1.0, np.eye(system.m)[0])],
+                       SignalAmbient(system.m, grid))
+    W = orthonormalize([exponential_profile_signal(grid, 0.0, np.eye(system.n)[0])],
+                       SignalAmbient(system.n, grid))
     return system, grid, G, W, build_propagator(system, grid)
 
 
@@ -565,10 +578,12 @@ class TestObservabilityConstants:
             assert got == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0.0)
 
     def test_general_initial_holds_no_square_measured_map(self):
-        # heat1d, 6 modes, N = 192: the measured map enters as its n rows
-        # and M is factored in place and dropped before the verdict, so the
-        # peak stays below M + 2.5 n_cols^2 float64 entries; it reads
-        # M + 2.05 n_cols^2, and a dense n_cols x n_cols D would add n_cols^2
+        # heat1d, 6 modes, N = 192: the measured map enters as its n rows,
+        # M is factored in place and dropped before the verdict, and the
+        # constant of the holding map is a Krylov norm of D R^-1, so the
+        # peak is the QR's, below M + 1.5 n_cols^2 float64 entries; it reads
+        # M + 1.14 n_cols^2, as general_final does, where a triangular
+        # inverse read M + 2.05 n_cols^2
         system, _ = make_heat1d(6)
         grid = TimeGrid(1.0, 192)
         G = orthonormalize([], SignalAmbient(system.m, grid))
@@ -583,7 +598,57 @@ class TestObservabilityConstants:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (M_entries + 2.5 * cols * cols)
+        assert peak < 8 * (M_entries + 1.5 * cols * cols)
+
+    def test_failing_general_initial_holds_no_square_measured_map(self):
+        # the unobserved mode at a22 = -1, N = 250: a failing map of 502
+        # columns, M about 1.5 n_cols^2 entries.  Its SVD (R, U and V^T,
+        # 3 n_cols^2 once M is dropped) sets the peak, M + 1.52 n_cols^2;
+        # a square D beside it, with its norm by a dense SVD, read
+        # M + 2.52 n_cols^2
+        system, grid, G, W, _ = _unobserved_setup(-1.0)
+        grid = TimeGrid(1.0, 250)
+        G = orthonormalize([], SignalAmbient(1, grid))
+        W = orthonormalize([], SignalAmbient(2, grid))
+        ops = build_propagator(system, grid)
+        n, N = system.n, grid.n_steps
+        cols = n + n * N
+        M_entries = (N * min(system.m, n) + N * n) * cols
+        tracemalloc.start()
+        try:
+            reps = observability_constants(system, grid, G, W, ["general_initial"], ops=ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cols >= 500 and reps["general_initial"].constant_C == math.inf
+        assert peak < 8 * (M_entries + 2.0 * cols * cols)
+
+    def test_holding_general_map_takes_no_square_svd(self, monkeypatch):
+        # sigma_max, sigma_min and both general constants of a holding map
+        # come off Krylov norms of R, R^-1 and D R^-1: no SVD runs on an
+        # array with n_cols rows or columns
+        system, grid, G, W, ops = _dense_heat_setup()
+        cols = system.n + G.dim + W.dim + system.n * grid.n_steps
+        shapes = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        reps = observability_constants(system, grid, G, W, certificates.OBS_KINDS, ops=ops)
+        assert cols == 584
+        assert all(math.isfinite(rep.constant_C) for rep in reps.values())
+        assert shapes and max(max(shape) for shape in shapes) < cols
+
+    def test_constants_are_bit_identical_on_rerun(self):
+        system, grid, G, W, ops = _dense_heat_setup()
+        first, second = (observability_constants(system, grid, G, W, certificates.OBS_KINDS,
+                                                  ops=ops) for _ in range(2))
+        for kind in certificates.OBS_KINDS:
+            assert (first[kind].constant_C, first[kind].sigma_min) == \
+                (second[kind].constant_C, second[kind].sigma_min), kind
 
     @pytest.mark.parametrize("a22, initial", [(-40.0, 1.1477641779795815), (-1.0, math.inf)])
     def test_unobserved_mode(self, a22, initial):
@@ -602,6 +667,54 @@ class TestObservabilityConstants:
         system, grid, G, W = scalar_setup()
         with pytest.raises(ShapeError):
             observability_constants(system, grid, G, W, ["nonsense"])
+
+
+class TestKrylovNorms:
+    """The verdict and constants of a triangular factor from Golub-Kahan
+    norms (:func:`certificates._norm2`) against dense SVDs."""
+
+    @given(n=st.integers(1, 80), log_cond=st.floats(0.0, 12.0), by_rows=st.booleans(),
+           k=st.integers(-12, 12), seed=st.integers(0, 2**32 - 1))
+    def test_factor_verdict_matches_svd(self, n, log_cond, by_rows, k, seed):
+        # the R of a 2n x n Gaussian map (condition about 6) graded down its
+        # rows or its columns to condition up to 1e12, at scale 10**k, with
+        # random first rows of D.  Unsorted gradings are left out: there the
+        # dense SVD, not the Krylov norm, loses relative accuracy in sigma_min
+        rng = np.random.default_rng(seed)
+        grade = 10.0 ** (-log_cond * np.linspace(0.0, 1.0, n))
+        R0 = np.linalg.qr(rng.standard_normal((2 * n, n)), mode="r")
+        R = 10.0 ** k * (grade[:, None] * R0 if by_rows else R0 * grade)
+        rows = rng.standard_normal((int(rng.integers(0, n + 1)), n))
+        got = certificates._factor_verdict(R, 2 * n)
+        want = certificates._sv_verdict(R, vectors=False, rows=2 * n)
+        assert got.holds == want.holds
+        s = want.s
+        rel = 1e-12 if s[0] <= 1e6 * s[-1] else 1e-9
+        inverse = solve_triangular(R, np.eye(n))
+        X = np.vstack([rows @ inverse, inverse[rows.shape[0]:]])
+        assert certificates._norm2(lambda x: R @ x, lambda y: R.T @ y, n) == \
+            pytest.approx(s[0], rel=rel)
+        assert got.sigma_min == pytest.approx(s[-1], rel=rel)
+        assert certificates._split_constant(got, rows)[0] == \
+            pytest.approx(np.linalg.svd(X, compute_uv=False)[0], rel=rel)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300])
+    def test_kahan_matrix_fails_through_the_svd(self, scale):
+        # Kahan's matrix, n = 100 and theta = 1.2: every |r_ii| >= 9.4e-4
+        # clears the rank cutoff, 2.1e-13 at scale 1, yet sigma_min is
+        # 8.9e-17, so 1/||R^-1|| falls below the cutoff (at scale 1e-300 the
+        # solves overflow) and the verdict is the SVD's; pytest turns any
+        # RuntimeWarning into an error
+        n, theta = 100, 1.2
+        K = (math.sin(theta) ** np.arange(n))[:, None] * (
+            np.eye(n) - math.cos(theta) * np.triu(np.ones((n, n)), 1))
+        R = scale * K
+        got = certificates._factor_verdict(R, n)
+        want = certificates._sv_verdict(R, vectors=False, rows=n)
+        assert np.abs(np.diagonal(R)).min() > certificates._rank_cutoff((n, n), want.s[0])
+        assert not got.holds and got.s is not None
+        assert (got.sigma_min, got.rank) == (want.sigma_min, want.rank)
+        np.testing.assert_array_equal(got.s, want.s)
 
 
 class TestTwoTime:
