@@ -8,10 +8,10 @@ decided by its smallest singular value against the numerical-rank cutoff
 sigma_max * max(rows, cols) * eps_mach, so no verdict depends on the scale
 of the map; the companion observability constants are inverses of
 (generalized) smallest singular values, read off the triangular factor R of
-a QR of the observation map.  For a holding 'general_*' map these are
-Golub-Kahan norms of R, R^-1 and D R^-1 (:func:`_norm2`), each product a
-matvec or a triangular solve, with no SVD, inverse or Gram formed; a
-failing map takes an SVD of R.
+a QR of the observation map.  A 'general_*' map is decided by Golub-Kahan
+norms of R and R^-1 (:func:`_norm2`), each product a matvec or a triangular
+solve, and its holding constants are such norms of D R^-1, with no SVD,
+inverse or Gram formed; only 'general_initial' on a failing map takes one.
 
 Every report produced here is a discrete-level certificate: it speaks
 about the discretized system on its grid, not about any continuous limit.
@@ -70,8 +70,8 @@ OBS_KINDS = ("final_state", "initial_state", "general_final", "general_initial")
 # float64 entries of the 'general_*' map M plus the n_cols x n_cols triangular
 # factor of its QR, which overwrites M; the measured peak (heat1d, 4-6 modes,
 # M about 2 n_cols^2) is the QR's, M + 1.14-1.20 n_cols^2, for either kind and
-# both, since a holding map's constants are Krylov norms of the factor; a
-# failing map's SVD holds 3 n_cols^2 once M is dropped
+# both, since the verdict and holding constants are Krylov norms of the factor;
+# only 'general_initial' on a failing map holds its SVD, 3 n_cols^2 once M is dropped
 DENSE_CAP = 2**27
 # bytes of z nodes, and so of uniqueness-map rows, in one block of the sweep
 # of uc_verdict; a map this small or smaller is factored in one block
@@ -154,13 +154,14 @@ class SpectralClassification:
 
 
 class _Verdict(NamedTuple):
-    """Singular-value verdict on the injectivity of a map (see :func:`_sv_verdict`)."""
+    """Verdict on the injectivity of a map, the record of the rule that
+    decided it: holds iff sigma_min > cutoff (see :func:`_sv_verdict`)."""
 
     holds: bool
     sigma_min: float
-    rank: int  # singular values above the cutoff, a prefix of s
-    s: np.ndarray | None  # singular values, descending; None when read without an SVD
-    vt: np.ndarray | None  # complete right singular basis (cols x cols)
+    cutoff: float  # the numerical-rank cutoff (:func:`_rank_cutoff`) of the map
+    s: np.ndarray | None  # singular values, descending; None when no SVD ran
+    vt: np.ndarray | None  # complete right singular basis (cols x cols); None when no SVD ran
     factor: np.ndarray  # ||M x|| = ||factor x||; upper triangular when rows >= cols
 
 
@@ -172,8 +173,7 @@ def _rank_cutoff(shape: tuple[int, int], sigma_max: float) -> float:
     return sigma_max * max(shape) * float(np.finfo(float).eps)
 
 
-def _sv_verdict(M: np.ndarray, floor: float = _SIGMA_FLOOR, vectors: bool = True,
-                rows: int | None = None) -> _Verdict:
+def _sv_verdict(M: np.ndarray, floor: float = _SIGMA_FLOOR, rows: int | None = None) -> _Verdict:
     """Decide whether M is injective from its singular values.
 
     sigma_min is +inf for a map without columns and 0 for one with fewer
@@ -182,24 +182,21 @@ def _sv_verdict(M: np.ndarray, floor: float = _SIGMA_FLOOR, vectors: bool = True
     the sigma_max it scales from, so a map of rounding noise alone fails.
     A map with at least as many rows as columns is decided from the R of
     its QR, which has its singular values and right vectors and which the
-    verdict keeps as ``factor``; a wider map is its own factor.  With
-    ``vectors`` the verdict holds the right singular basis, without,
-    ``vt`` is None.  A given ``rows`` says that M is the R of a QR of a map
-    with that many rows, and the verdict is that map's.
+    verdict keeps as ``factor``; a wider map is its own factor.  The one SVD
+    of the factor keeps its complete right singular basis.  A given
+    ``rows`` says that M is the R of a QR of a map with that many rows, and
+    the verdict is that map's.
     """
     cols = M.shape[1]
     if rows is None:
         rows = M.shape[0]
         if rows >= cols:
             M = np.linalg.qr(M, mode="r")
-    if vectors:
-        _, s, vt = np.linalg.svd(M)
-    else:
-        s, vt = np.linalg.svd(M, compute_uv=False), None
+    _, s, vt = np.linalg.svd(M)
     # abs: LAPACK may return -0.0 for an exactly zero singular value
     sigma_min = math.inf if cols == 0 else (abs(float(s[-1])) if rows >= cols else 0.0)
     cutoff = _rank_cutoff((rows, cols), max(float(s[0]) if s.size else 0.0, floor))
-    return _Verdict(sigma_min > cutoff, sigma_min, int(np.sum(s > cutoff)), s, vt, M)
+    return _Verdict(sigma_min > cutoff, sigma_min, cutoff, s, vt, M)
 
 
 def _norm2(apply, apply_t, n: int) -> float:
@@ -256,29 +253,27 @@ def _orthogonalize(x: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
 
 
 def _factor_verdict(R: np.ndarray, rows: int) -> _Verdict:
-    """``_sv_verdict(R, vectors=False, rows=rows)`` for the triangular factor
-    R of a QR of a map with ``rows`` rows, without an SVD when the map holds.
+    """The verdict of :func:`_sv_verdict` on the factor R of a QR of a map
+    with ``rows`` rows, without an SVD: ``s`` and ``vt`` are None.
 
-    sigma_max = ||R|| comes off :func:`_norm2`, matvecs with R.  Since
-    sigma_min <= min |r_ii|, a square R whose diagonal clears the rank
-    cutoff may hold, and then sigma_min = 1/||R^-1||, from :func:`_norm2`
-    on triangular solves.  A sigma_min above the cutoff decides that the
-    map holds: the verdict has rank cols, ``s`` and ``vt`` None.  Any other
-    R, a failing one included, takes the SVD of :func:`_sv_verdict`, so a
-    failing verdict is always that one.
+    sigma_max = ||R|| comes off :func:`_norm2`, matvecs with R.  A wide R,
+    or one with a diagonal at or below the rank cutoff, fails with
+    sigma_min = 0, since sigma_min <= min |r_ii|; otherwise sigma_min =
+    1/||R^-1||, from :func:`_norm2` on triangular solves (0 when they
+    overflow), decides it either way.  Callers choose this route by the map,
+    not its size: Krylov norms undercut an SVD on general maps from about
+    134 columns, but converge slowly on Theta's n x n factors.
     """
     cols = R.shape[1]
-    if rows >= cols > 0:
-        sigma_max = _norm2(lambda x: R @ x, lambda y: R.T @ y, cols)
-        cutoff = _rank_cutoff((rows, cols), max(sigma_max, _SIGMA_FLOOR))
-        if float(np.abs(np.diagonal(R)).min()) > cutoff:
-            with np.errstate(over="ignore", invalid="ignore"):
-                sigma_min = 1.0 / _norm2(
-                    lambda x: solve_triangular(R, x, check_finite=False),
-                    lambda y: solve_triangular(R, y, trans=1, check_finite=False), cols)
-            if math.isfinite(sigma_min) and sigma_min > cutoff:
-                return _Verdict(True, sigma_min, cols, None, None, R)
-    return _sv_verdict(R, vectors=False, rows=rows)
+    sigma_max = _norm2(lambda x: R @ x, lambda y: R.T @ y, cols)
+    cutoff = _rank_cutoff((rows, cols), max(sigma_max, _SIGMA_FLOOR))
+    sigma_min = 0.0
+    if rows >= cols and float(np.abs(np.diagonal(R)).min()) > cutoff:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma_min = 1.0 / _norm2(
+                lambda x: solve_triangular(R, x, check_finite=False),
+                lambda y: solve_triangular(R, y, trans=1, check_finite=False), cols)
+    return _Verdict(sigma_min > cutoff, sigma_min, cutoff, None, None, R)
 
 
 def _observe(system: LinearSystem, ops: StepOperator, R: np.ndarray, Z_T: np.ndarray,
@@ -483,12 +478,12 @@ def _split_constant(v: _Verdict, rows: np.ndarray | None) -> tuple[float, float]
 
     When M holds, its factor R is square and invertible, and C = ||D R^-1||
     (:func:`_measured_norm`, each product a triangular solve), with no
-    inverse and no Gram formed.  When M fails, an SVD of R with right
-    vectors splits it against D: C = +inf when M has a kernel direction
+    inverse and no Gram formed.  When M fails, an SVD of R (the verdict's,
+    if it ran one) splits it against D: C = +inf when M has a kernel direction
     that D does not annihilate, measured against the rank cutoff of D,
     else C = ||D V_r S_r^-1|| bounds D on the rest through the r singular
-    values above the cutoff.  D is applied as its rows in every norm, so
-    neither branch holds a square D.
+    values above the verdict's cutoff.  D is applied as its rows in every
+    norm, so neither branch holds a square D.
 
     Returns (C, sigma) with sigma = 1/C the smallest generalized singular
     value.
@@ -501,16 +496,17 @@ def _split_constant(v: _Verdict, rows: np.ndarray | None) -> tuple[float, float]
         C = _measured_norm(rows, lambda x: solve_triangular(R, x, check_finite=False),
                            lambda y: solve_triangular(R, y, trans=1, check_finite=False), cols)
     else:
-        s, vt = np.linalg.svd(v.factor)[1:]
-        null, top, s_top = vt[v.rank:], vt[:v.rank], s[:v.rank]
+        s, vt = (v.s, v.vt) if v.s is not None else np.linalg.svd(v.factor)[1:]
+        rank = int(np.sum(s > v.cutoff))  # a prefix of the descending s
+        null, top, s_top = vt[rank:], vt[:rank], s[:rank]
         d_max = _measured_norm(rows, lambda x: x, lambda y: y, cols)
         if _measured_norm(rows, lambda x: x @ null, lambda y: null @ y,
-                          cols - v.rank) > _rank_cutoff((cols, cols), d_max):
+                          cols - rank) > _rank_cutoff((cols, cols), d_max):
             return math.inf, 0.0
-        if v.rank == 0:
+        if rank == 0:
             return 0.0, math.inf  # M and D both vanish; inequality is trivial
         C = _measured_norm(rows, lambda x: (x / s_top) @ top, lambda y: (top @ y) / s_top,
-                           v.rank)
+                           rank)
     if C == 0.0:
         return 0.0, math.inf
     return C, 1.0 / C
@@ -536,13 +532,13 @@ def observability_constants(
     with z(0) = (E^T)^N z_T.  The 'general_*' kinds share one assembly of
     the dense map M, one QR of M, which overwrites it and after which M is
     dropped, and one verdict on its R (:func:`_factor_verdict`): sigma_max
-    and sigma_min are Golub-Kahan norms of R and R^-1 when M holds, and an
-    SVD of R decides it otherwise; they refuse, before allocating, when M
-    and that R would hold more than ``DENSE_CAP`` float64 entries.  Each
-    constant is then read off the shared factor (:func:`_split_constant`),
-    given the first rows of the map it measures: none for the final-state
-    kinds, (E^T)^N for 'initial_state', and the n rows of z(0) over
-    (z_T, g, w, f) for 'general_initial'.
+    and sigma_min are Golub-Kahan norms of R and R^-1, and no SVD decides
+    it; they refuse, before allocating, when M and that R would hold more
+    than ``DENSE_CAP`` float64 entries.  Each constant is then read off the
+    shared factor (:func:`_split_constant`), given the first rows of the
+    map it measures: none for the final-state kinds, (E^T)^N for
+    'initial_state', and the n rows of z(0) over (z_T, g, w, f) for
+    'general_initial', the one kind that takes an SVD of a failing R.
     """
     for kind in kinds:
         if kind not in OBS_KINDS:
@@ -607,7 +603,7 @@ def two_time_check(
     sqrt_dt = math.sqrt(grid.dt)
     restriction_ok = all(
         S.dim == 0
-        or _sv_verdict(sqrt_dt * S.basis[:, :k_cut].reshape(S.dim, -1).T, vectors=False).holds
+        or _sv_verdict(sqrt_dt * S.basis[:, :k_cut].reshape(S.dim, -1).T).holds
         for S in (G, W)
     )
     uc_tilde = _uc_sweep(system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])
@@ -651,7 +647,7 @@ def restriction_kernel_check(W: Subspace, model, G: Subspace | None = None) -> b
         cols = _weak_stacked_map(W, G, model, node_vals, h)
     # the floor of 1 keeps an all-zero map (every column annihilated) from
     # passing the relative test vacuously
-    return _sv_verdict(cols, floor=1.0, vectors=False).holds
+    return _sv_verdict(cols, floor=1.0).holds
 
 
 def _weak_stacked_map(W: Subspace, G: Subspace, model, node_vals: np.ndarray,

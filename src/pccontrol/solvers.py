@@ -131,14 +131,14 @@ def minimize(
 
 def _gramian_preconditioner(p: ProblemData) -> tuple[np.ndarray, np.ndarray]:
     """The z_T block V diag(d) V^T of the CG preconditioner: d holds the
-    squared singular values of Theta on its numerical range (the rank of
-    :func:`pccontrol.certificates._sv_verdict`) and 1 on its numerical
+    squared singular values of Theta above the cutoff of its verdict
+    (:func:`pccontrol.certificates._sv_verdict`) and 1 on its numerical
     kernel, V the right singular vectors.  They come from the n x n factor
     of :func:`pccontrol.certificates._theta_verdict`, O(n^3 log N) flops,
     so Theta itself is never formed."""
     verdict = _theta_verdict(p.system, p.ops, p.grid.n_steps)
     d = np.ones(p.system.n)
-    d[:verdict.rank] = verdict.s[:verdict.rank] ** 2
+    d[:verdict.s.size] = np.where(verdict.s > verdict.cutoff, verdict.s ** 2, 1.0)
     return verdict.vt.T, d
 
 

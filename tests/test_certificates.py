@@ -170,8 +170,8 @@ class TestUCCheckMatrixExamples:
         M = U @ np.diag([1.0, 1e-14])
         want = certificates._sv_verdict(M)
         got = certificates._sv_verdict(np.linalg.qr(M, mode="r"), rows=1000)
-        assert not want.holds and want.rank == 1
-        assert (got.holds, got.rank) == (want.holds, want.rank)
+        assert not want.holds and np.sum(want.s > want.cutoff) == 1
+        assert (got.holds, np.sum(got.s > got.cutoff)) == (want.holds, 1)
         assert got.sigma_min == pytest.approx(want.sigma_min, abs=1e-15)
 
     def test_zero_sigma_min_is_positive_zero(self):
@@ -220,7 +220,11 @@ class TestUCCheckMatrixExamples:
            k=st.integers(-12, 12), seed=st.integers(0, 2**32 - 1))
     def test_verdicts_are_scale_invariant(self, cols, extra_rows, deficient, k, seed):
         # a duplicated column plants an exact kernel direction; scaling the
-        # map by c changes neither verdict nor witness and divides C by c
+        # map by c changes neither verdict nor witness and divides C by c.
+        # Each verdict, by an SVD or by Krylov norms of the map's factor,
+        # records its rule, holds iff sigma_min > cutoff, and a holding
+        # verdict's margin sigma_min/cutoff does not move with c (a failing
+        # one's sigma_min is rounding noise, which scaling reshuffles)
         rng = np.random.default_rng(seed)
         M = rng.normal(size=(cols + extra_rows, cols))
         if deficient and cols > 1:
@@ -230,9 +234,16 @@ class TestUCCheckMatrixExamples:
         assert scaled.holds == base.holds == (not deficient or cols == 1)
         if not base.holds:
             assert abs(float(base.witness @ scaled.witness)) == pytest.approx(1.0, abs=1e-8)
-        C, _ = certificates._split_constant(certificates._sv_verdict(M, vectors=False), None)
-        C_scaled, _ = certificates._split_constant(
-            certificates._sv_verdict(c * M, vectors=False), None)
+        for verdict in (certificates._sv_verdict, lambda X: certificates._factor_verdict(
+                np.linalg.qr(X, mode="r"), X.shape[0])):
+            v, v_scaled = verdict(M), verdict(c * M)
+            for u in (v, v_scaled):
+                assert u.holds == (u.sigma_min > u.cutoff) == base.holds
+            if v.holds:
+                assert v_scaled.sigma_min / v_scaled.cutoff == \
+                    pytest.approx(v.sigma_min / v.cutoff, rel=1e-9)
+        C, _ = certificates._split_constant(certificates._sv_verdict(M), None)
+        C_scaled, _ = certificates._split_constant(certificates._sv_verdict(c * M), None)
         if math.isfinite(C):
             assert C_scaled == pytest.approx(C / c, rel=1e-9)
         else:
@@ -266,14 +277,28 @@ def _batch_setup(n, m, N, p_g, p_w, seed=None):
     return system, grid, G, W, build_propagator(system, grid)
 
 
-def _unobserved_setup(a22):
-    """diag(-1, a22) with B observing only the first mode, T = 1, N = 16,
-    no G or W: the general map has a kernel."""
+def _unobserved_setup(a22, n_steps=16):
+    """diag(-1, a22) with B observing only the first mode, T = 1, no G or
+    W: the general map has a kernel."""
     system = make_ode([[-1.0, 0.0], [0.0, a22]], [[1.0], [0.0]])
-    grid = TimeGrid(1.0, 16)
+    grid = TimeGrid(1.0, n_steps)
     G = orthonormalize([], SignalAmbient(1, grid))
     W = orthonormalize([], SignalAmbient(2, grid))
     return system, grid, G, W, build_propagator(system, grid)
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """The shapes of the arrays given to ``np.linalg.svd`` while the test runs."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return shapes
 
 
 def _dense_heat_setup():
@@ -569,7 +594,7 @@ class TestObservabilityConstants:
         # n x cols and a cols x cols product alike, and exactly when infinite
         system, grid, G, W, ops = setup(*args)
         M_ref, D_ref = loop_general_maps(system, ops, G, W)
-        v = certificates._sv_verdict(M_ref, vectors=False)
+        v = certificates._sv_verdict(M_ref)
         got = certificates._split_constant(v, D_ref[:system.n])
         want = certificates._split_constant(v, D_ref)
         if math.isinf(want[0]):
@@ -606,11 +631,7 @@ class TestObservabilityConstants:
         # 3 n_cols^2 once M is dropped) sets the peak, M + 1.52 n_cols^2;
         # a square D beside it, with its norm by a dense SVD, read
         # M + 2.52 n_cols^2
-        system, grid, G, W, _ = _unobserved_setup(-1.0)
-        grid = TimeGrid(1.0, 250)
-        G = orthonormalize([], SignalAmbient(1, grid))
-        W = orthonormalize([], SignalAmbient(2, grid))
-        ops = build_propagator(system, grid)
+        system, grid, G, W, ops = _unobserved_setup(-1.0, 250)
         n, N = system.n, grid.n_steps
         cols = n + n * N
         M_entries = (N * min(system.m, n) + N * n) * cols
@@ -623,24 +644,34 @@ class TestObservabilityConstants:
         assert cols >= 500 and reps["general_initial"].constant_C == math.inf
         assert peak < 8 * (M_entries + 2.0 * cols * cols)
 
-    def test_holding_general_map_takes_no_square_svd(self, monkeypatch):
+    def test_holding_general_map_takes_no_square_svd(self, svd_shapes):
         # sigma_max, sigma_min and both general constants of a holding map
         # come off Krylov norms of R, R^-1 and D R^-1: no SVD runs on an
         # array with n_cols rows or columns
         system, grid, G, W, ops = _dense_heat_setup()
         cols = system.n + G.dim + W.dim + system.n * grid.n_steps
-        shapes = []
-        svd = np.linalg.svd
-
-        def counted(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
         reps = observability_constants(system, grid, G, W, certificates.OBS_KINDS, ops=ops)
         assert cols == 584
         assert all(math.isfinite(rep.constant_C) for rep in reps.values())
-        assert shapes and max(max(shape) for shape in shapes) < cols
+        assert svd_shapes and max(max(shape) for shape in svd_shapes) < cols
+
+    @pytest.mark.parametrize("a22, initial", [(-1.0, math.inf), (-40.0, 1.1479404319078874)],
+                             ids=["-1.0", "-40.0"])
+    def test_failing_general_map_takes_one_svd_only_for_general_initial(self, a22, initial,
+                                                                          svd_shapes):
+        # the unobserved mode at N = 250, a failing map of 502 columns: its
+        # verdict comes off Krylov norms of R, so general_final alone takes
+        # no SVD of an array with n_cols rows or columns, and general_initial
+        # takes the one SVD of R that splits it against z(0)
+        system, grid, G, W, ops = _unobserved_setup(a22, 250)
+        cols = system.n + system.n * grid.n_steps
+        for kinds, svds in ((["general_final"], 0), (["general_final", "general_initial"], 1)):
+            svd_shapes.clear()
+            reps = observability_constants(system, grid, G, W, kinds, ops=ops)
+            assert sum(max(shape) >= cols for shape in svd_shapes) == svds, kinds
+            assert (reps["general_final"].constant_C, reps["general_final"].sigma_min) == \
+                (math.inf, 0.0)
+        assert reps["general_initial"].constant_C == pytest.approx(initial, rel=1e-12)
 
     def test_constants_are_bit_identical_on_rerun(self):
         system, grid, G, W, ops = _dense_heat_setup()
@@ -673,21 +704,27 @@ class TestKrylovNorms:
     """The verdict and constants of a triangular factor from Golub-Kahan
     norms (:func:`certificates._norm2`) against dense SVDs."""
 
-    @given(n=st.integers(1, 80), log_cond=st.floats(0.0, 12.0), by_rows=st.booleans(),
+    @given(n=st.integers(1, 80), log_cond=st.floats(0.0, 16.0), by_rows=st.booleans(),
            k=st.integers(-12, 12), seed=st.integers(0, 2**32 - 1))
     def test_factor_verdict_matches_svd(self, n, log_cond, by_rows, k, seed):
         # the R of a 2n x n Gaussian map (condition about 6) graded down its
-        # rows or its columns to condition up to 1e12, at scale 10**k, with
-        # random first rows of D.  Unsorted gradings are left out: there the
-        # dense SVD, not the Krylov norm, loses relative accuracy in sigma_min
+        # rows or its columns to condition up to 1e16, past the rank cutoff,
+        # at scale 10**k, with random first rows of D: the same verdict and
+        # cutoff as the dense SVD's, and on a holding map the same sigma_max,
+        # sigma_min and C.  Unsorted gradings are left out: there the dense
+        # SVD, not the Krylov norm, loses relative accuracy in sigma_min
         rng = np.random.default_rng(seed)
         grade = 10.0 ** (-log_cond * np.linspace(0.0, 1.0, n))
         R0 = np.linalg.qr(rng.standard_normal((2 * n, n)), mode="r")
         R = 10.0 ** k * (grade[:, None] * R0 if by_rows else R0 * grade)
         rows = rng.standard_normal((int(rng.integers(0, n + 1)), n))
         got = certificates._factor_verdict(R, 2 * n)
-        want = certificates._sv_verdict(R, vectors=False, rows=2 * n)
+        want = certificates._sv_verdict(R, rows=2 * n)
         assert got.holds == want.holds
+        assert got.cutoff == pytest.approx(want.cutoff, rel=1e-12)
+        if not want.holds:
+            assert got.sigma_min <= got.cutoff
+            return
         s = want.s
         rel = 1e-12 if s[0] <= 1e6 * s[-1] else 1e-9
         inverse = solve_triangular(R, np.eye(n))
@@ -699,22 +736,23 @@ class TestKrylovNorms:
             pytest.approx(np.linalg.svd(X, compute_uv=False)[0], rel=rel)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-300])
-    def test_kahan_matrix_fails_through_the_svd(self, scale):
+    def test_kahan_matrix_fails_without_an_svd(self, scale, svd_shapes):
         # Kahan's matrix, n = 100 and theta = 1.2: every |r_ii| >= 9.4e-4
         # clears the rank cutoff, 2.1e-13 at scale 1, yet sigma_min is
         # 8.9e-17, so 1/||R^-1|| falls below the cutoff (at scale 1e-300 the
-        # solves overflow) and the verdict is the SVD's; pytest turns any
-        # RuntimeWarning into an error
+        # solves overflow and it is 0) and fails the map with no SVD of R;
+        # pytest turns any RuntimeWarning into an error
         n, theta = 100, 1.2
         K = (math.sin(theta) ** np.arange(n))[:, None] * (
             np.eye(n) - math.cos(theta) * np.triu(np.ones((n, n)), 1))
         R = scale * K
+        want = certificates._sv_verdict(R, rows=n)
+        svd_shapes.clear()
         got = certificates._factor_verdict(R, n)
-        want = certificates._sv_verdict(R, vectors=False, rows=n)
         assert np.abs(np.diagonal(R)).min() > certificates._rank_cutoff((n, n), want.s[0])
-        assert not got.holds and got.s is not None
-        assert (got.sigma_min, got.rank) == (want.sigma_min, want.rank)
-        np.testing.assert_array_equal(got.s, want.s)
+        assert not got.holds and got.s is None
+        assert got.sigma_min <= got.cutoff == pytest.approx(want.cutoff, rel=1e-12)
+        assert (n, n) not in svd_shapes
 
 
 class TestTwoTime:

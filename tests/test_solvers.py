@@ -172,7 +172,7 @@ class TestGramianPreconditioner:
                         grid=TimeGrid(1.0, N), y0=np.ones(2))
         verdict = _theta_verdict(p.system, p.ops, N)
         assert verdict.s == pytest.approx([1.0, b], rel=1e-12)
-        assert (verdict.holds, verdict.rank) == (rank == 2, rank)
+        assert (verdict.holds, np.sum(verdict.s > verdict.cutoff)) == (rank == 2, rank)
 
     def test_factor_matches_theta(self):
         # the doubled n x n factor has Theta's Gramian and Theta's rank rule,
@@ -191,7 +191,8 @@ class TestGramianPreconditioner:
             N = p.grid.n_steps
             theta = loop_theta(p.system, p.ops, N)
             want, got = _sv_verdict(theta), _theta_verdict(p.system, p.ops, N)
-            assert (got.holds, got.rank) == (want.holds, want.rank)
+            assert (got.holds, np.sum(got.s > got.cutoff)) == \
+                (want.holds, np.sum(want.s > want.cutoff))
             gram = theta.T @ theta
             assert np.allclose((got.vt[:got.s.size].T * got.s**2) @ got.vt[:got.s.size], gram,
                                rtol=0, atol=1e-12 * np.abs(gram).max())
