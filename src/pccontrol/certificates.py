@@ -76,8 +76,8 @@ DENSE_CAP = 2**27
 # bytes of z nodes, and so of uniqueness-map rows, in one block of the sweep
 # of uc_verdict; a map this small or smaller is factored in one block
 UC_BLOCK_BYTES = 2**22
-# the least sigma_max a rank cutoff scales from, so a map of rounding noise
-# alone fails
+# the least sigma_max a rank cutoff scales from, so the cutoff of a map whose
+# singular values lie below it does not underflow to 0 and pass them
 _SIGMA_FLOOR = 1e-300
 
 
@@ -179,7 +179,7 @@ def _sv_verdict(M: np.ndarray, floor: float = _SIGMA_FLOOR, rows: int | None = N
     sigma_min is +inf for a map without columns and 0 for one with fewer
     rows than columns.  The map holds (is injective) when sigma_min exceeds
     the numerical-rank cutoff of M (:func:`_rank_cutoff`); ``floor`` bounds
-    the sigma_max it scales from, so a map of rounding noise alone fails.
+    the sigma_max it scales from: a map of rounding noise at that scale fails.
     A map with at least as many rows as columns is decided from the R of
     its QR, which has its singular values and right vectors and which the
     verdict keeps as ``factor``; a wider map is its own factor.  The one SVD
@@ -645,8 +645,9 @@ def restriction_kernel_check(W: Subspace, model, G: Subspace | None = None) -> b
         if W.dim == 0 and G.dim == 0:
             return True
         cols = _weak_stacked_map(W, G, model, node_vals, h)
-    # the floor of 1 keeps an all-zero map (every column annihilated) from
-    # passing the relative test vacuously
+    # the bases are orthonormal, so the floor of 1 fails a map of rounding
+    # noise, a profile restricted to ~1e-15, which a cutoff relative to its
+    # own sigma_max would pass (an all-zero map fails at any floor)
     return _sv_verdict(cols, floor=1.0).holds
 
 

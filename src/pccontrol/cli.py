@@ -208,7 +208,7 @@ def run_config(config_path, out_dir) -> int:
         "verdict": diag.verdict,
         "iterations": diag.iterations,
         "final_residual": diag.final_residual,
-        "objective": diag.objective_history[-1],
+        "objective": diag.objective,
         "residuals": dataclasses.asdict(solution.residuals),
     }
     if diag.verdict == "diverged_infeasible" and "uc" not in checks:

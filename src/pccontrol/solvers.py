@@ -40,7 +40,7 @@ turns a failing map's witness into an explicit unreachable neighborhood.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,9 +88,13 @@ class SolverOptions:
 
 @dataclass
 class SolveDiagnostics:
+    """At the returned point, for every kind and verdict: ``final_residual``
+    is the norm of the true gradient (exact, null) or of the least-norm
+    subgradient (approximate kinds), and ``objective`` the functional J."""
+
     iterations: int
     final_residual: float
-    objective_history: list[float] = field(default_factory=list)
+    objective: float
     verdict: str = "converged"  # converged | max_iters | diverged_infeasible
 
 
@@ -98,10 +102,12 @@ def minimize(
     p: ProblemData, opts: SolverOptions | None = None
 ) -> tuple[np.ndarray, SolveDiagnostics]:
     """Minimize the dual functional of ``p``: preconditioned CG from zero
-    for the exact and null kinds, confirmed on the true gradient, and
-    shifted CG solves on the eps-multipliers for the approximate ones
-    (:func:`_minimize_approx`).  Data whose gradient at zero has no finite
-    norm are refused with :class:`ConfigError`: CG squares that norm."""
+    for the exact and null kinds, and shifted CG solves on the
+    eps-multipliers for the approximate ones (:func:`_minimize_approx`).
+    Both read J(v) = 1/2 <grad J_s(v) + grad J_s(0), v> + eps-norms off the
+    gradient at the returned v, on which an exact or null ``converged`` must
+    pass ``grad_tol``.  Data whose gradient at zero has no finite norm are
+    refused with :class:`ConfigError`: CG squares that norm."""
     opts = opts or SolverOptions()
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
         b = -grad_smooth(p, p.zero_variable())
@@ -111,18 +117,13 @@ def minimize(
                           "zero, a function of y0, y1, g_star and w_star, has no finite norm")
     if p.kind in APPROX_KINDS:
         return _minimize_approx(p, opts, b)
-    v, res, iters, verdict, decrements, _ = _cg_core(
-        p, b, p.zero_variable(), opts.grad_tol, opts.max_iters,
-        precond=_gramian_preconditioner(p),
-    )
-    if verdict == "converged":
-        res = float(np.linalg.norm(grad_smooth(p, v)))
-        if res > opts.grad_tol:
-            verdict = "diverged_infeasible"
-    history = [0.0]
-    for dec in decrements:
-        history.append(history[-1] - dec)
-    return v, SolveDiagnostics(iters, res, history, verdict)
+    v, _, iters, verdict, _ = _cg_core(p, b, p.zero_variable(), opts.grad_tol, opts.max_iters,
+                                       precond=_gramian_preconditioner(p))
+    g = grad_smooth(p, v)
+    res = float(np.linalg.norm(g))
+    if verdict == "converged" and res > opts.grad_tol:
+        verdict = "diverged_infeasible"
+    return v, SolveDiagnostics(iters, res, 0.5 * ((g - b) @ v), verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +153,14 @@ def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
     iterates and in the returned x.  ``precond`` is the z_T block (V, d) of
     :func:`_gramian_preconditioner`; without one that block is (I, 1), the
     identity.  The other blocks are always the identity.
-    Returns (x, residual_norm, iterations, verdict, objective_increments,
-    curvature_scale) where the increments reproduce the exact decrease of
-    the quadratic model per iteration and curvature_scale is the largest
-    curvature p^T S p / p^T p of a search direction p.  Verdict
-    'diverged_infeasible' is raised by a vanishing-curvature direction
-    against a nonzero residual (a numerically exposed kernel the data pairs
-    against).  Curvatures are measured in the preconditioner's norm, the
-    Euclidean norm for the identity.  The stopping test is the Euclidean
-    norm of the recursively updated residual.
+    Returns (x, residual_norm, iterations, verdict, curvature_scale),
+    curvature_scale the largest curvature p^T S p / p^T p of a search
+    direction p.  Verdict 'diverged_infeasible' is raised by a
+    vanishing-curvature direction against a nonzero residual (a numerically
+    exposed kernel the data pairs against).  Curvatures are measured in the
+    preconditioner's norm, the Euclidean norm for the identity.  The
+    stopping test is the Euclidean norm of the recursively updated
+    residual, which from x0 = 0 starts at b: S 0 = 0 exactly.
     """
     held = [m if m == math.inf else 0.0 for m in mu]
 
@@ -185,12 +185,10 @@ def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
 
     b = P(b)
     x = P(x0).copy()
-    Sx0 = apply_S(x)
-    r = b - Sx0
+    r = b - apply_S(x) if x.any() else b
     rr = r @ r
-    decrements: list[float] = []
     if math.sqrt(rr) <= tol:
-        return P(x), math.sqrt(rr), 0, "converged", decrements, 0.0
+        return P(x), math.sqrt(rr), 0, "converged", 0.0
     z = solve(r)
     rz = r @ z
     pdir = z.copy()
@@ -209,7 +207,6 @@ def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
             break
         alpha = rz / pSp
         x = x + alpha * pdir
-        decrements.append(0.5 * alpha * rz)
         if it % _RESIDUAL_REFRESH == 0:
             r = b - apply_S(x)
         else:
@@ -223,7 +220,7 @@ def _cg_core(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
         beta = rz_new / rz
         rz = rz_new
         pdir = z + beta * pdir
-    return P(x), math.sqrt(rr), iters, verdict, decrements, curvature_scale
+    return P(x), math.sqrt(rr), iters, verdict, curvature_scale
 
 
 # ---------------------------------------------------------------------------
@@ -277,21 +274,20 @@ def _minimize_approx(p: ProblemData, opts: SolverOptions,
     solve (Higham, "Accuracy and Stability of Numerical Algorithms", 2002,
     ch. 7).
 
-    ``b`` is -grad J_s(0).  J_s vanishes at 0, so each solved step records
-    J_s(v) = 1/2 <grad J_s(v) + grad J_s(0), v> plus the eps terms.
+    ``b`` is -grad J_s(0), and ``g`` is always grad J_s at ``v``, the point
+    kept so far.
     """
     b_norm = np.linalg.norm(b)
-    v = p.zero_variable()
+    v, g = p.zero_variable(), -b
     k = len(_eps_blocks(p, v))
-    residual = np.linalg.norm(_least_subgradient(p, v, -b, [True] * k))
-    history = [0.0]
+    residual = np.linalg.norm(_least_subgradient(p, v, g, [True] * k))
     if residual <= opts.grad_tol:
-        return v, SolveDiagnostics(0, residual, history, "converged")
+        return v, SolveDiagnostics(0, residual, 0.0, "converged")
 
     def inner_tol(previous: float) -> float:
         return 0.01 * max(opts.grad_tol, min(previous, b_norm))
 
-    warm, accuracy, _, verdict, _, kappa = _cg_core(p, b, v, inner_tol(math.inf), opts.max_iters)
+    warm, accuracy, _, verdict, kappa = _cg_core(p, b, v, inner_tol(math.inf), opts.max_iters)
     start = v if verdict == "diverged_infeasible" else warm
     s = np.array([np.linalg.norm(x) for x in _eps_blocks(p, warm)]) / p.epsilon
     # the last free point (s, r) of each block; ||warm|| / eps bounds s
@@ -302,15 +298,13 @@ def _minimize_approx(p: ProblemData, opts: SolverOptions,
     verdict = "max_iters"
     for it in range(1, opts.max_iters + 1):
         mu = [1.0 / float(si) if si > 0.0 else math.inf for si in s]
-        w, _, _, solve_verdict, *_ = _cg_core(p, b, start, inner_tol(accuracy), opts.max_iters, mu)
+        w, _, _, solve_verdict, _ = _cg_core(p, b, start, inner_tol(accuracy), opts.max_iters, mu)
         if solve_verdict == "diverged_infeasible":
-            history.append(history[-1])
             verdict = "diverged_infeasible"
             break
         v = start = w
         g = grad_smooth(p, v)
         residual = accuracy = np.linalg.norm(_least_subgradient(p, v, g, s == 0.0))
-        history.append(0.5 * ((g - b) @ v) + nonsmooth_value(p, v))
         if residual <= opts.grad_tol:
             verdict = "converged"
             break
@@ -339,4 +333,5 @@ def _minimize_approx(p: ProblemData, opts: SolverOptions,
         # with r < 0 stays at zero) goes to its secant zero instead
         wrong = np.where(r < 0.0, new <= s, (new >= s) & (s > 0.0))
         s = np.where(wrong, zero, new)
-    return v, SolveDiagnostics(it, residual, history, verdict)
+    return v, SolveDiagnostics(it, residual, 0.5 * ((g - b) @ v) + nonsmooth_value(p, v),
+                               verdict)

@@ -331,9 +331,8 @@ def plain_cg(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
     x = P(x0).copy()
     r = b - apply_S(x)
     rr = r @ r
-    decrements = []
     if math.sqrt(rr) <= tol:
-        return P(x), math.sqrt(rr), 0, "converged", decrements, 0.0
+        return P(x), math.sqrt(rr), 0, "converged", 0.0
     pdir = r.copy()
     curvature_scale = 0.0
     verdict = "max_iters"
@@ -350,7 +349,6 @@ def plain_cg(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
             break
         alpha = rr / pSp
         x = x + alpha * pdir
-        decrements.append(0.5 * alpha * rr)
         r = b - apply_S(x) if it % 50 == 0 else r - alpha * Sp
         rr_new = r @ r
         if math.sqrt(rr_new) <= tol:
@@ -360,4 +358,4 @@ def plain_cg(p: ProblemData, b: np.ndarray, x0: np.ndarray, tol: float, max_iter
         beta = rr_new / rr
         rr = rr_new
         pdir = r + beta * pdir
-    return P(x), math.sqrt(rr), iters, verdict, decrements, curvature_scale
+    return P(x), math.sqrt(rr), iters, verdict, curvature_scale

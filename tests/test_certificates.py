@@ -959,6 +959,21 @@ class TestRestrictionKernel:
         )
         assert restriction_kernel_check(W, model, G=G_ok)
 
+    def test_rounding_noise_restriction_fails(self):
+        # 21 masked nodes read 50 modes: a profile along a null vector of the
+        # read-out restricts to 2.1e-15, rounding noise against its unit norm.
+        # The floor of 1 fails it; a cutoff relative to its own sigma_max
+        # (1.7e-16 against 1.3e-29) would hold it
+        system, model = make_heat1d(50, (0.45, 0.55), 201)
+        readout = model.state_value_matrix[model.mask]
+        assert readout.shape == (21, 50)
+        null = np.linalg.svd(readout)[2][-1]
+        grid = TimeGrid(1.0, 16)
+        W = orthonormalize([exponential_profile_signal(grid, 0.0, null)],
+                           SignalAmbient(system.n, grid))
+        assert np.linalg.norm(readout @ null) < 1e-14
+        assert not restriction_kernel_check(W, model)
+
     @pytest.mark.parametrize("make", [make_heat1d, make_wave1d])
     @pytest.mark.parametrize("p_w, p_g", [(2, 0), (0, 2), (1, 3)])
     def test_weak_map_matches_loop(self, make, p_w, p_g):
@@ -1104,6 +1119,27 @@ class TestModalCheck:
         rep = modal_uc_check(system, mus=[(2.0, None)], rhos=[(2.0, None)])
         assert [c.role for c in rep.checks] == ["combined"]
         assert not rep.ok  # e2 is invisible and (2I + A^T) e2 = 0
+
+    def test_rate_sign_of_the_time_differentiation_reduction(self):
+        # z_T = phi with A^T phi = lambda phi gives B* z = exp(-lambda (t - T))
+        # B^T phi, so a G generator at rate rho = -lambda along B^T phi fails
+        # the uniqueness map and the modal check at rho alike (sigma_min
+        # 2.1e-16 and 2.3e-16); at rate -rho both hold (3.2e-2 and 1.96), as
+        # at a rate off the spectrum with a generic vector
+        A = np.array([[-1.0, 0.3, 0.0], [0.0, -2.0, 0.5], [0.2, 0.0, -3.0]])
+        B = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.2]])
+        system, grid = make_ode(A, B), TimeGrid(1.0, 32)
+        lam, vecs = np.linalg.eig(A.T)
+        k = int(np.argmax(lam.real))
+        assert lam[k].real == pytest.approx(-0.98532, abs=1e-5)
+        rho, g = -lam[k].real, B.T @ vecs[:, k].real
+        W = orthonormalize([], SignalAmbient(3, grid))
+        for rate, vec, holds in ((rho, g, False), (-rho, g, True),
+                                 (0.7, np.array([0.6, -0.8]), True)):
+            G = orthonormalize([exponential_profile_signal(grid, rate, vec)],
+                               SignalAmbient(2, grid))
+            assert uc_verdict(system, grid, G, W).holds == holds
+            assert modal_uc_check(system, rhos=[(rate, vec)]).ok == holds
 
     def test_mixed_order_roles(self):
         # an unpaired mu, a shared value, then the unpaired rho

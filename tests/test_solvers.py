@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -32,7 +33,7 @@ from pccontrol.certificates import (
     _sv_verdict,
     _theta_verdict,
 )
-from pccontrol.functionals import APPROX_KINDS
+from pccontrol.functionals import APPROX_KINDS, KINDS
 from pccontrol.solvers import (
     _cg_core,
     _gramian_preconditioner,
@@ -115,14 +116,7 @@ class TestQuadraticKinds:
         v2, d2 = minimize(p2)
         assert d1.iterations == d2.iterations
         assert np.array_equal(v1, v2)
-        assert d1.objective_history == d2.objective_history
-
-    def test_objective_history_nonincreasing(self):
-        rng = np.random.default_rng(10)
-        p = random_problem(rng, "null")
-        _, diag = minimize(p)
-        hist = diag.objective_history
-        assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(hist, hist[1:]))
+        assert d1.objective == d2.objective
 
 
 class TestNullIsExactAtZeroTarget:
@@ -276,8 +270,9 @@ class TestGramianPreconditioner:
     def test_identity_reproduces_plain_cg(self):
         # the approximate kinds run _cg_core with the identity: bit for bit
         # the unpreconditioned CG, shifted, held and warm-started alike; tol
-        # 0 runs to the cap through a residual refresh.  The curvature scale
-        # sums p^T p in another order, so it agrees to rounding
+        # 0 runs to the cap through a residual refresh, and a start at zero
+        # takes b for its first residual.  The curvature scale sums p^T p in
+        # another order, so it agrees to rounding
         for seed in range(12):
             kind = APPROX_KINDS[seed % 2]
             p = stress_problem(seed, kind)
@@ -290,32 +285,30 @@ class TestGramianPreconditioner:
                     got = _cg_core(p, b, start, tol, 60, mu)
                     want = plain_cg(p, b, start, tol, 60, mu)
                     assert np.array_equal(got[0], want[0])
-                    assert got[1:5] == want[1:5]
-                    assert got[5] == pytest.approx(want[5], rel=1e-14)
+                    assert got[1:4] == want[1:4]
+                    assert got[4] == pytest.approx(want[4], rel=1e-14)
 
 
 class TestConvergedMeansTrueGradient:
     def test_exact_and_null_stress_family(self):
         # CG stops on its recursively updated residual; a converged exact or
-        # null solve must also pass grad_tol on the true gradient.  The
-        # uniqueness map tells the divergences apart: a failing map never
-        # converges (CG meets a vanishing curvature), and a holding one
-        # diverges only through its true gradient staying above grad_tol
-        opts = SolverOptions(max_iters=5000)
+        # null solve must also pass grad_tol on the true gradient, which every
+        # verdict reports.  The uniqueness map tells the divergences apart: a
+        # failing map never converges (CG meets a vanishing curvature), and a
+        # holding one diverges only through its true gradient staying above
+        # grad_tol
         converged = 0
-        for seed in range(400):
-            for kind in ("exact", "null"):
-                p = stress_problem(seed, kind)
-                v, diag = minimize(p, opts)
+        for kind in ("exact", "null"):
+            for seed, (p, v, diag) in enumerate(stress_solves(kind)):
                 assert diag.verdict != "max_iters"
                 true = np.linalg.norm(grad_smooth(p, v))
+                assert diag.final_residual == true
                 holds = uc_verdict(p.system, p.grid, p.G, p.W, p.ops).holds
                 if diag.verdict == "converged":
                     converged += 1
-                    assert holds and true <= opts.grad_tol
-                    assert diag.final_residual == true
+                    assert holds and true <= STRESS_OPTS.grad_tol
                 elif holds:
-                    assert diag.final_residual == true > opts.grad_tol
+                    assert true > STRESS_OPTS.grad_tol
         assert converged >= 690
 
     def test_approximate_stress_family(self):
@@ -324,17 +317,14 @@ class TestConvergedMeansTrueGradient:
         # on the one its last outer step measured.  A divergence whose
         # uniqueness map holds ends at the rounding floor: its least
         # subgradient lies within 10 ||S||_2 ||v|| eps_mach
-        opts = SolverOptions(max_iters=5000)
         converged = set()
-        for seed in range(400):
-            for kind in APPROX_KINDS:
-                p = stress_problem(seed, kind)
-                v, diag = minimize(p, opts)
+        for kind in APPROX_KINDS:
+            for seed, (p, v, diag) in enumerate(stress_solves(kind)):
                 assert diag.verdict != "max_iters"
                 holds = uc_verdict(p.system, p.grid, p.G, p.W, p.ops).holds
                 if diag.verdict == "converged":
                     converged.add((seed, kind))
-                    assert least_subgradient_norm(p, v) <= 10 * opts.grad_tol
+                    assert least_subgradient_norm(p, v) <= 10 * STRESS_OPTS.grad_tol
                 elif holds:
                     S = np.column_stack([apply_quadratic(p, e) for e in np.eye(p.size)])
                     floor = 10 * np.linalg.norm(S, 2) * np.linalg.norm(v) * np.finfo(float).eps
@@ -342,6 +332,14 @@ class TestConvergedMeansTrueGradient:
         # four holding maps whose minimizers are large, ||v|| 5.8e6 to 1.6e8
         assert {(seed, kind) for seed in (44, 75, 83, 164) for kind in APPROX_KINDS} <= converged
         assert len(converged) >= 725
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_objective_is_the_functional_at_the_returned_point(self, kind):
+        # read off the gradient pair, the objective of a converged solve is
+        # the functional evaluated from its definition at the returned point
+        for p, v, diag in stress_solves(kind):
+            if diag.verdict == "converged":
+                assert diag.objective == pytest.approx(eval_J(p, v), rel=1e-12)
 
 
 class TestDegeneratePropagator:
@@ -405,6 +403,17 @@ def least_subgradient_norm(p, v):
     return math.sqrt(total)
 
 
+STRESS_OPTS = SolverOptions(max_iters=5000)
+
+
+@functools.lru_cache(maxsize=None)
+def stress_solves(kind):
+    """(p, v, diag) for the stress problems of seeds 0..399 of one kind,
+    solved once for every test that reads them."""
+    return [(p, *minimize(p, STRESS_OPTS))
+            for p in (stress_problem(seed, kind) for seed in range(400))]
+
+
 def stress_problem(seed, kind):
     """One problem of a seeded family; the approximate kinds have epsilon
     scaled by 10**(-2..2)."""
@@ -421,13 +430,12 @@ class TestProximalKinds:
     @pytest.mark.parametrize("kind", ["approx", "approx_relaxed"])
     @pytest.mark.parametrize("max_iters", [1, 2])
     def test_cap_reports_residual_of_returned_point(self, kind, max_iters):
-        # One history entry per outer step, and the reported residual is
-        # the least-norm subgradient at the point returned at the cap.
+        # the reported residual is the least-norm subgradient at the point
+        # returned at the cap
         p = random_problem(np.random.default_rng(15), kind)
         v, diag = minimize(p, SolverOptions(max_iters=max_iters))
         assert diag.verdict == "max_iters"
         assert diag.iterations == max_iters
-        assert len(diag.objective_history) == diag.iterations + 1
         assert diag.final_residual == pytest.approx(least_subgradient_norm(p, v), rel=1e-9)
 
     def test_final_state_lands_on_epsilon_sphere(self):
@@ -449,13 +457,6 @@ class TestProximalKinds:
         sol = recover_primal(p, v)
         assert sol.residuals.final_state_error <= p.epsilon + 1e-9
         assert sol.residuals.proj_y_error <= p.epsilon + 1e-9
-
-    def test_monotone_objective(self):
-        rng = np.random.default_rng(15)
-        p = random_problem(rng, "approx")
-        _, diag = minimize(p, SolverOptions(grad_tol=1e-9, max_iters=5000))
-        hist = diag.objective_history
-        assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(hist, hist[1:]))
 
     def test_determinism(self):
         rng1 = np.random.default_rng(16)
@@ -521,14 +522,14 @@ class TestSecularEquation:
         assert minimize(q, SolverOptions(max_iters=5000))[1].verdict == "diverged_infeasible"
         v, diag = minimize(p, SolverOptions(max_iters=5000))
         assert diag.verdict == "converged"
-        assert diag.objective_history[-1] == pytest.approx(eval_J(p, v), rel=1e-12)
-        # the history is read off the gradient pair, not evaluated: it still
-        # ends at the functional of the returned point
+        assert diag.objective == pytest.approx(eval_J(p, v), rel=1e-12)
+        # the objective is read off the gradient pair, not evaluated: it is
+        # the functional of the returned point
         for seed in range(8):
             for kind in ("approx", "approx_relaxed"):
                 p = random_problem(np.random.default_rng(200 + seed), kind)
                 v, diag = minimize(p)
-                assert diag.objective_history[-1] == pytest.approx(eval_J(p, v), rel=1e-12)
+                assert diag.objective == pytest.approx(eval_J(p, v), rel=1e-12)
 
     def test_zero_free_block_is_held(self):
         # at v = 0 the block (I - P_E) z_T is exactly zero; free, it has no
@@ -545,7 +546,7 @@ class TestSecularEquation:
         p = ProblemData(kind="approx", system=scalar_system(), grid=TimeGrid(1.0, 8),
                         y0=[0.0], y1=[0.05], epsilon=0.1)
         v, diag = minimize(p)
-        assert (diag.iterations, diag.verdict, diag.objective_history) == (0, "converged", [0.0])
+        assert (diag.iterations, diag.verdict, diag.objective) == (0, "converged", 0.0)
         assert np.array_equal(v, p.zero_variable())
 
     @pytest.mark.parametrize("seed, kind", [(310, "approx"), (5, "approx"), (5, "approx_relaxed")])
@@ -621,6 +622,37 @@ class TestOneChainPerStep:
         _, diag = minimize(p)
         assert diag.verdict == "converged"
         assert counts["adjoint_solve"] == counts["forward_solve"] > 1
+
+    @pytest.mark.parametrize("kind", ["exact", "null"])
+    def test_exact_and_null_take_two_chains_beside_the_iterations(self, kind, monkeypatch):
+        # one chain for the gradient at zero, one per CG iteration and one
+        # for the true gradient at the returned point, for every verdict: CG
+        # from zero takes that first gradient for its residual.  Below 50
+        # iterations no residual refresh adds one
+        calls = 0
+
+        def counted(*args, _chain=functionals._transpose_chain, **kwargs):
+            nonlocal calls
+            calls += 1
+            return _chain(*args, **kwargs)
+
+        monkeypatch.setattr(functionals, "_transpose_chain", counted)
+        grid = TimeGrid(1.0, 32)
+        G = orthonormalize([np.ones((32, 1))], SignalAmbient(1, grid))
+        # u in G-perp has mean 0, so y(T) = y0: y1 = 1 from 0 is unreachable, as is 0 from 1
+        data = {"y0": [0.0], "y1": [1.0]} if kind == "exact" else {"y0": [1.0]}
+        infeasible = ProblemData(kind=kind, system=scalar_system(), grid=grid, G=G, **data)
+        cases = [(random_problem(np.random.default_rng(seed), kind), SolverOptions())
+                 for seed in range(6)]
+        cases += [(cases[0][0], SolverOptions(max_iters=2)), (infeasible, SolverOptions())]
+        verdicts = set()
+        for p, opts in cases:
+            calls = 0
+            _, diag = minimize(p, opts)
+            verdicts.add(diag.verdict)
+            assert diag.iterations < 50
+            assert calls == diag.iterations + 2
+        assert verdicts == {"converged", "max_iters", "diverged_infeasible"}
 
 
 class TestCertifyInfeasibility:
