@@ -134,7 +134,7 @@ class TwoTimeReport:
 
 @dataclass
 class ModalFrequencyCheck:
-    value: float
+    value: complex  # as given: a real value stays real
     role: str  # 'mu' | 'rho' | 'combined'
     ok: bool
     sigma_min: float
@@ -708,6 +708,8 @@ def spectral_uc_classify(mu: float, w_mu: np.ndarray, model) -> SpectralClassifi
     ||w|| * n_modes * eps_mach, and the restricted norm of the minimizing Z
     above ||Z|| * max(n_modes, n_quad_omega) * eps_mach.
     """
+    if np.iscomplexobj(mu) or np.iscomplexobj(w_mu):
+        raise ShapeError("mu and w_mu must be real")
     lam = np.asarray(model.eigenvalues, dtype=float)
     w_mu = np.asarray(w_mu, dtype=float).reshape(-1)
     if w_mu.shape[0] != lam.shape[0]:
@@ -738,11 +740,13 @@ def spectral_uc_classify(mu: float, w_mu: np.ndarray, model) -> SpectralClassifi
 
 def _vector_basis(spans, dim: int, name: str) -> np.ndarray:
     """Columns (dim, p) of an orthonormal basis for the span of every given
-    basis; None is {0}, and a 1-d array is one column."""
+    real basis; None is {0}, and a 1-d array is one column."""
     cols = []
     for span in spans:
         if span is None:
             continue
+        if np.iscomplexobj(span):
+            raise ShapeError(f"{name} basis must be real")
         arr = np.asarray(span, dtype=float)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
@@ -766,12 +770,16 @@ def modal_uc_check(system: LinearSystem, mus=(), rhos=()) -> ModalUCReport:
     'combined'.  Cases keep the order and value of their first entry,
     mus before rhos.  All checks passing realizes, mode by mode, the
     time-differentiation reduction to the classical uniqueness property.
+
+    A value may be complex, as the eigenvalues of a wave or rotation block
+    are: its case is decided over C^n, where W_k and G_j are the complex
+    spans of their bases, and its witness is complex.  The bases themselves
+    must be real (:class:`ShapeError` otherwise).
     """
     n, m = system.n, system.m
-    cases: list[tuple[float, list, list]] = []  # (value, W_k given at it, G_j given at it)
+    cases: list[tuple[complex, list, list]] = []  # (value, W_k given at it, G_j given at it)
     for pairs, side in ((mus, 1), (rhos, 2)):
         for value, span in pairs:
-            value = float(value)
             case = next((c for c in cases
                          if abs(value - c[0]) <= 1e-12 * max(abs(value), abs(c[0]))), None)
             if case is None:
@@ -787,6 +795,8 @@ def modal_uc_check(system: LinearSystem, mus=(), rhos=()) -> ModalUCReport:
         Gb = _vector_basis(G_spans, m, "G_j")
         shifted = value * np.eye(n) + At
         v = _sv_verdict(np.vstack([shifted - Wb @ (Wb.T @ shifted), Bt - Gb @ (Gb.T @ Bt)]))
-        witness = None if v.holds else v.vt[-1].copy()
+        # numpy's vt is the conjugate transpose of V: its last row conjugated
+        # is the right singular vector of the smallest singular value
+        witness = None if v.holds else np.conj(v.vt[-1])
         checks.append(ModalFrequencyCheck(value, role, v.holds, v.sigma_min, witness))
     return ModalUCReport(ok=all(c.ok for c in checks), checks=checks)

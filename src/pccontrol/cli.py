@@ -21,8 +21,7 @@ serializes a failed uniqueness check's witness into the report,
 constant), 3 diverged minimization (diverged_infeasible; ``solve`` then
 writes ``checks.uc`` whether or not the config asked for it, and the
 divergence is certified non-coercive only when that entry holds a
-uniqueness witness), 4 iteration cap reached.  Verbosity is controlled by
-the PCCONTROL_LOG environment variable only.
+uniqueness witness), 4 iteration cap reached.
 """
 
 from __future__ import annotations
@@ -31,9 +30,7 @@ import argparse
 import dataclasses
 import functools
 import json
-import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -46,8 +43,6 @@ from .functionals import ControlSolution, ProblemData, recover_primal
 from .solvers import minimize
 
 __all__ = ["main", "run_config", "emit_report"]
-
-log = logging.getLogger("pccontrol")
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
@@ -193,10 +188,8 @@ def run_config(config_path, out_dir) -> int:
     build = config.build()
     _output_dir(out_dir)  # an unwritable one fails before the checks and the solve
     problem = build.problem
-    log.info("model %s built, grid T=%s n_steps=%s", problem.system.name,
-             problem.grid.horizon, problem.grid.n_steps)
     checks, failed = _run_checks(problem, build.checks)
-    report = {"config": config.to_dict(), "checks": checks}
+    report = {"config": config.data, "checks": checks}
     if failed:
         emit_report(out_dir, report)
         witness = "; witness serialized in report.json" if "uc" in failed else ""
@@ -204,13 +197,8 @@ def run_config(config_path, out_dir) -> int:
         return _EXIT_CERTIFICATION
     v, diag = minimize(problem, build.solver)
     solution = recover_primal(problem, v)
-    report["solve"] = {
-        "verdict": diag.verdict,
-        "iterations": diag.iterations,
-        "final_residual": diag.final_residual,
-        "objective": diag.objective,
-        "residuals": dataclasses.asdict(solution.residuals),
-    }
+    report["solve"] = {**dataclasses.asdict(diag),
+                       "residuals": dataclasses.asdict(solution.residuals)}
     if diag.verdict == "diverged_infeasible" and "uc" not in checks:
         # the uniqueness verdict decides whether the divergence is certified
         checks.update(_run_checks(problem, {"uc": True})[0])
@@ -277,8 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("PCCONTROL_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = _build_parser().parse_args(argv)
     if args.command == "solve":
         return run_config(args.config, args.out)

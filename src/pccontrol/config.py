@@ -18,7 +18,6 @@ deterministic, so coefficients are reproducible).
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass
@@ -123,9 +122,6 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls(raw)
-
-    def to_dict(self) -> dict:
-        return copy.deepcopy(self.data)
 
     def build(self) -> "BuildResult":
         data = self.data

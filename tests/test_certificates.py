@@ -1032,6 +1032,14 @@ class TestSpectralClassification:
         # w_mu as a uniqueness failure; only w_mu = 0 fails
         assert spectral_uc_classify(mu, w, self.model).verdict == verdict
 
+    @pytest.mark.parametrize("mu, w", [(2.5 + 3j, np.eye(8)[0]), (2.5, np.eye(8)[0] + 0j)],
+                             ids=["complex_mu", "complex_w"])
+    def test_complex_data_rejected(self, mu, w):
+        # a cast to float would keep the real part of a complex Z and report
+        # a verdict for a question nobody asked
+        with pytest.raises(ShapeError):
+            spectral_uc_classify(mu, w, self.model)
+
     @given(mode=st.one_of(st.none(), st.integers(1, 8)), mu_off=st.floats(-50.0, 700.0),
            w=st.lists(st.integers(-3, 3), min_size=8, max_size=8), k=st.integers(-12, 12))
     def test_verdicts_are_scale_invariant(self, mode, mu_off, w, k):
@@ -1140,6 +1148,65 @@ class TestModalCheck:
                                SignalAmbient(2, grid))
             assert uc_verdict(system, grid, G, W).holds == holds
             assert modal_uc_check(system, rhos=[(rate, vec)]).ok == holds
+
+    @pytest.mark.parametrize("n_modes, want", [(4, 0.390056), (16, 0.389965), (32, 0.389964)])
+    def test_wave_hautus_at_complex_eigenvalues(self, n_modes, want):
+        # wave's eigenvalues are +-i j pi: each is its own case, decided over
+        # C^n, and the smallest sigma does not depend on the grid
+        system, _ = make_wave1d(n_modes)
+        rep = modal_uc_check(system, rhos=[(lam, None) for lam in np.linalg.eigvals(-system.A)])
+        assert rep.ok and len(rep.checks) == 2 * n_modes
+        assert min(c.sigma_min for c in rep.checks) == pytest.approx(want, abs=1e-6)
+
+    def test_unobserved_rotation_fails_at_its_eigenvalues(self):
+        # B sees only the third state, so the rotation block is invisible at
+        # +-2i, and the conjugated last row of vt is a kernel witness
+        A = np.array([[0.0, 2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        B = np.array([[0.0], [0.0], [1.0]])
+        rep = modal_uc_check(make_ode(A, B), rhos=[(lam, None) for lam in np.linalg.eigvals(-A)])
+        assert not rep.ok
+        by_value = sorted(rep.checks, key=lambda c: c.value.imag)
+        assert [c.value for c in by_value] == pytest.approx([-2j, 1.0, 2j], abs=1e-12)
+        assert [c.ok for c in by_value] == [False, True, False]
+        for c in (by_value[0], by_value[2]):
+            assert c.sigma_min <= 1e-14
+            assert np.linalg.norm(c.witness) == pytest.approx(1.0, rel=1e-12)
+            assert np.linalg.norm((c.value * np.eye(3) + A.T) @ c.witness) <= 1e-14
+            assert np.linalg.norm(B.T @ c.witness) <= 1e-14
+
+    def test_complex_span_rejected(self):
+        system = make_ode(np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]))
+        with pytest.raises(ShapeError):
+            modal_uc_check(system, mus=[(2.0, np.array([1.0, 1j]))])
+        with pytest.raises(ShapeError):
+            modal_uc_check(system, rhos=[(2.0, np.array([1.0 + 0j]))])
+
+    @pytest.mark.parametrize("mu", [0.7, -0.4, 1.5])
+    def test_combined_condition_against_the_uniqueness_map(self, mu):
+        # z = exp(mu t) zeta solves z' + A^T z = exp(mu t) (mu I + A^T) zeta
+        # with B^T z = exp(mu t) B^T zeta: a W and a G generator at rate mu
+        # along those vectors fail the uniqueness map at N = 512 and the
+        # combined modal case at mu alike; with the W rate at -mu both hold
+        A = np.array([[-1.0, 0.3, 0.0], [0.0, -2.0, 0.5], [0.2, 0.0, -3.0]])
+        B = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.2]])
+        system, grid = make_ode(A, B), TimeGrid(1.0, 512)
+        zeta = np.array([0.3, -0.7, 0.5])
+        w, g = (mu * np.eye(3) + A.T) @ zeta, B.T @ zeta
+        G = orthonormalize([exponential_profile_signal(grid, mu, g)], SignalAmbient(2, grid))
+        for w_rate, holds in ((mu, False), (-mu, True)):
+            W = orthonormalize([exponential_profile_signal(grid, w_rate, w)],
+                               SignalAmbient(3, grid))
+            uc = uc_verdict(system, grid, G, W)
+            rep = modal_uc_check(system, mus=[(w_rate, w)], rhos=[(mu, g)])
+            assert uc.holds == rep.ok == holds
+            if holds:
+                assert 0.01 <= uc.sigma_min <= 0.03
+                assert [c.role for c in rep.checks] == ["mu", "rho"]
+                assert min(c.sigma_min for c in rep.checks) >= 0.3
+            else:
+                assert uc.sigma_min <= 1e-15
+                assert [c.role for c in rep.checks] == ["combined"]
+                assert rep.checks[0].sigma_min <= 1e-15
 
     def test_mixed_order_roles(self):
         # an unpaired mu, a shared value, then the unpaired rho

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +251,18 @@ class TestOtherCommands:
         assert main(["models", "list"]) == 0
         out = capsys.readouterr().out
         assert "heat1d" in out and "wave1d" in out and "ode" in out
+
+    def test_models_list_leaves_logging_alone(self):
+        # in a fresh process, since pytest installs root handlers of its own:
+        # main reads no environment variable and configures no logger
+        probe = ("import logging; from pccontrol.cli import main; main(['models', 'list']); "
+                 "root = logging.getLogger(); print(len(root.handlers), root.level)")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PCCONTROL_LOG": "DEBUG", "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout.splitlines()[-1] == "0 30"  # no handler, level WARNING
+        assert run.stderr == ""
 
     def test_missing_config_file(self, tmp_path):
         assert main(["check-uc", "--config", str(tmp_path / "absent.json")]) == 1
