@@ -89,13 +89,14 @@ class UCReport:
     singular value, present only when the property fails, with blocks
     (z_T, g coefficients, w coefficients) of sizes n, p_g and p_w.
 
-    ``infeasibility_radius`` is also present only when the property fails.
-    For a kernel vector (z_T, g, w) of the map, every trajectory from
-    y0 = 0 whose control and trajectory projections equal g and w
-    satisfies ||y(T) + z_T|| >= (||z_T||^2 + ||g||^2 + ||w||^2) / ||z_T||,
-    the radius of a neighborhood of -z_T that no constrained control
-    reaches; it is +inf when z_T = 0 (the constraints alone are
-    contradictory).  Subspace coefficients are orthonormal, so their
+    ``infeasibility_radius`` is set by :func:`uc_verdict` alone, on a failing
+    map, and is None otherwise (on the cut map of :func:`two_time_check`
+    too: its kernel equation holds only on (0, t~)).  For a kernel vector
+    (z_T, g, w), every trajectory from y0 = 0 whose control and trajectory
+    projections equal g and w over (0, T) satisfies ||y(T) + z_T|| >=
+    (||z_T||^2 + ||g||^2 + ||w||^2) / ||z_T||, the radius of a neighborhood
+    of -z_T that no constrained control reaches; it is +inf when z_T = 0
+    (the constraints alone are contradictory).  Subspace coefficients are orthonormal, so their
     Euclidean norms are the L2 norms of the lifted signals.  The bound
     assumes an exact kernel vector: the witness leaves a residual of norm
     sigma_min, which adds <u, residual> to the pairing, so for sigma_min > 0
@@ -106,25 +107,27 @@ class UCReport:
     holds: bool
     witness: np.ndarray | None
     map_dims: tuple[int, int]
-    infeasibility_radius: float | None
+    infeasibility_radius: float | None = None
 
 
 @dataclass
 class ObservabilityReport:
     """Constant C of one observability inequality; C = 1/sigma_min.
 
-    ``constant_C`` is +inf when the inequality fails at the discrete level
-    (the observation map has a kernel the measured quantity sees).
+    ``constant`` is +inf when the inequality fails at the discrete level
+    (the observation map has a kernel the measured quantity sees); the kind
+    is the key a report is filed under.
     """
 
-    kind: str
-    constant_C: float
+    constant: float
     sigma_min: float
 
 
 @dataclass
 class TwoTimeReport:
-    """Outcome of the intermediate-time reduction for null controllability."""
+    """Outcome of the intermediate-time reduction for null controllability:
+    the restrictions to (0, t~) injective, the verdict on the map cut at t~
+    (no radius), the 'tilde_T' constant of z(t~), and all three together."""
 
     restriction_ok: bool
     uc_tilde: UCReport
@@ -336,11 +339,10 @@ def _uc_sweep(system: LinearSystem, ops: StepOperator, G_basis, W_basis) -> UCRe
         R = np.linalg.qr(np.vstack([R, obs, rest if a == 0 else rest[:0]]), mode="r")
         del obs  # and none is alive through the next block's solve
     v = _sv_verdict(R, rows=rows)
-    witness = radius = None
+    witness = None
     if not v.holds:
         witness = v.vt[-1].copy() if rows else np.eye(k)[0]
-        radius = _infeasibility_radius(witness, n, p_g)
-    return UCReport(v.sigma_min, v.holds, witness, (rows, k), radius)
+    return UCReport(v.sigma_min, v.holds, witness, (rows, k))
 
 
 def _infeasibility_radius(witness: np.ndarray, n: int, p_g: int) -> float:
@@ -368,9 +370,13 @@ def uc_verdict(
     so scaling the map never changes the verdict.  The map's R accumulates
     block by block during the backward sweep (:func:`_uc_sweep`), so the
     verdict holds O(``UC_BLOCK_BYTES`` + k^2) bytes for k = n + p_g + p_w
-    columns, whatever the number of steps."""
+    columns, whatever the number of steps; a failing map's report carries
+    its ``infeasibility_radius``."""
     _check_spaces(system, grid, G, W)
-    return _uc_sweep(system, ops or build_propagator(system, grid), G.basis, W.basis)
+    rep = _uc_sweep(system, ops or build_propagator(system, grid), G.basis, W.basis)
+    if not rep.holds:
+        rep.infeasibility_radius = _infeasibility_radius(rep.witness, system.n, G.dim)
+    return rep
 
 
 def _general_maps(system, grid, G, W, ops):
@@ -562,15 +568,17 @@ def observability_constants(
         v = _factor_verdict(R, rows)
         split["general_final"] = (v, None)
         split["general_initial"] = (v, Z0)
-    return {kind: ObservabilityReport(kind, *_split_constant(*split[kind])) for kind in kinds}
+    return {kind: ObservabilityReport(*_split_constant(*split[kind])) for kind in kinds}
 
 
 def _t_tilde_node(grid: TimeGrid, t_tilde: float) -> int:
-    """Node index of the intermediate time t~: ShapeError outside (0, T],
-    GridAlignmentError off the grid."""
-    if not (0.0 < t_tilde <= grid.horizon):
-        raise ShapeError(f"t_tilde must lie in (0, T], got {t_tilde}")
-    return grid.node_index(t_tilde)
+    """Node index 1 <= k <= N of the intermediate time t~, by the one rule of
+    :meth:`TimeGrid.node_index`: GridAlignmentError off the grid (past node
+    N included), ShapeError at node 0, where the cut map has no interval."""
+    k = grid.node_index(t_tilde)
+    if k == 0:
+        raise ShapeError(f"t_tilde must lie past node 0, got {t_tilde}")
+    return k
 
 
 def two_time_check(
@@ -608,8 +616,8 @@ def two_time_check(
     )
     uc_tilde = _uc_sweep(system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])
     D = np.linalg.matrix_power(ops.E.T, N - k_cut)
-    obs_tilde = ObservabilityReport("tilde_T", *_split_constant(_theta_verdict(system, ops, N), D))
-    certified = restriction_ok and uc_tilde.holds and math.isfinite(obs_tilde.constant_C)
+    obs_tilde = ObservabilityReport(*_split_constant(_theta_verdict(system, ops, N), D))
+    certified = restriction_ok and uc_tilde.holds and math.isfinite(obs_tilde.constant)
     return TwoTimeReport(restriction_ok, uc_tilde, obs_tilde, certified)
 
 

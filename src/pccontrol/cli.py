@@ -82,32 +82,24 @@ def _run_checks(problem: ProblemData, checks: dict) -> tuple[dict, list[str]]:
     """Run the requested certifications, the only place where the CLI calls a
     certificate; ``checks`` maps a check to its request as
     :meth:`RunConfig.build` reads it, and an absent check is not run.
-    Returns (report section, the names of the failed checks)."""
+    Returns (report section, the names of the failed checks); the section
+    holds each certificate's record as it is, field for field."""
     section: dict = {}
     failed: list[str] = []
     if checks.get("uc"):
         uc = certificates.uc_verdict(
             problem.system, problem.grid, problem.G, problem.W, ops=problem.ops
         )
-        entry = {
-            "sigma_min": uc.sigma_min,
-            "holds": uc.holds,
-            "map_dims": list(uc.map_dims),  # N*min(m, n) + p_g rows: the frame of B^T
-            "witness": uc.witness,
-        }
+        section["uc"] = dataclasses.asdict(uc)
         if not uc.holds:
             failed.append("uc")
-            entry["infeasibility_radius"] = uc.infeasibility_radius
-        section["uc"] = entry
     if checks.get("observability"):
         reports = certificates.observability_constants(
             problem.system, problem.grid, problem.G, problem.W, checks["observability"],
             ops=problem.ops,
         )
-        obs = {kind: {"constant": rep.constant_C, "sigma_min": rep.sigma_min}
-               for kind, rep in reports.items()}
-        section["observability"] = obs
-        if not all(math.isfinite(entry["constant"]) for entry in obs.values()):
+        section["observability"] = {kind: dataclasses.asdict(r) for kind, r in reports.items()}
+        if not all(math.isfinite(r.constant) for r in reports.values()):
             failed.append("observability")
     if checks.get("two_time") is not None:
         rep = certificates.two_time_check(
@@ -118,14 +110,7 @@ def _run_checks(problem: ProblemData, checks: dict) -> tuple[dict, list[str]]:
             checks["two_time"],
             ops=problem.ops,
         )
-        section["two_time"] = {
-            "t_tilde": checks["two_time"],
-            "restriction_ok": rep.restriction_ok,
-            "uc_tilde_sigma_min": rep.uc_tilde.sigma_min,
-            "uc_tilde_holds": rep.uc_tilde.holds,
-            "obs_tilde_constant": rep.obs_tilde.constant_C,
-            "certified": rep.certified,
-        }
+        section["two_time"] = {"t_tilde": checks["two_time"], **dataclasses.asdict(rep)}
         if not rep.certified:
             failed.append("two_time")
     if section:

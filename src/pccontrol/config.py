@@ -36,7 +36,7 @@ __all__ = ["RunConfig", "BuildResult"]
 
 _TOP_KEYS = {"model", "grid", "problem", "solver", "checks"}
 _MODEL_KEYS = {
-    "ode": {"family", "A", "B", "name"},
+    "ode": {"family", "A", "B"},
     "heat1d": {"family", "n_modes", "omega", "n_quad"},
     "wave1d": {"family", "n_modes", "omega", "n_quad"},
 }
@@ -216,10 +216,7 @@ def _build_model(model: dict) -> LinearSystem:
     )
     if family == "ode":
         A, B = _matrix(model["A"], "model.A"), _matrix(model["B"], "model.B")
-        name = model.get("name", "ode")
-        if not isinstance(name, str):
-            raise ConfigError("model.name must be a string")
-        return make_ode(A, B, name=name)
+        return make_ode(A, B)
     n_modes = _integer(model["n_modes"], "model.n_modes")
     omega = tuple(_number_list(model.get("omega", [0.3, 0.7]), "model.omega"))
     if len(omega) != 2:

@@ -70,10 +70,11 @@ class TimeGrid:
         return (np.arange(self.n_steps) + 0.5) * self.dt
 
     def node_index(self, t: float) -> int:
-        """Index k with t_k = t, or raise if t is off the grid by more than
-        1e-9 T (a tolerance relative to the horizon, so rescaling time moves
-        no verdict)."""
-        k = int(round(t / self.dt))
+        """Index 0 <= k <= n_steps with t_k = t, or raise if t is off the grid
+        by more than 1e-9 T (a tolerance relative to the horizon, so rescaling
+        time moves no verdict)."""
+        q = t / self.dt
+        k = int(round(q)) if math.isfinite(q) else -1  # t / dt overflows far off the grid
         if k < 0 or k > self.n_steps or abs(k * self.dt - t) > 1e-9 * self.horizon:
             raise GridAlignmentError(f"t={t} is not a node of the grid (dt={self.dt})")
         return k
@@ -81,7 +82,7 @@ class TimeGrid:
 
 @dataclass
 class LinearSystem:
-    """State matrix A (n x n), control matrix B (n x m), and labels.
+    """State matrix A (n x n) and control matrix B (n x m).
 
     A must be 2-d; a 1-d B is a single control column.  ``m = 0`` is
     allowed and encodes B = 0 (control-free system).
@@ -89,7 +90,6 @@ class LinearSystem:
 
     A: np.ndarray
     B: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)

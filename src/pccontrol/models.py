@@ -71,7 +71,7 @@ def _dirichlet_modes(n_modes: int, x: np.ndarray) -> np.ndarray:
     return math.sqrt(2.0) * np.sin(np.outer(j, np.pi * x))
 
 
-def _modal_model(family: str, n_modes: int, omega, n_quad: int, assemble):
+def _modal_model(n_modes: int, omega, n_quad: int, assemble):
     """Quadratures, Dirichlet modes and absorbed control rows shared by the
     PDE families; ``assemble(lam, rows, modes_full)`` gives the family's A,
     B and state read-out from the eigenvalues, the absorbed rows
@@ -92,7 +92,7 @@ def _modal_model(family: str, n_modes: int, omega, n_quad: int, assemble):
     modes_omega = _dirichlet_modes(n_modes, x_omega)
     rows = modes_omega * np.sqrt(w_omega)[None, :]
     A, B, state_values = assemble(lam, rows, _dirichlet_modes(n_modes, x_full))
-    system = LinearSystem(A=A, B=B, name=f"{family}(n_modes={n_modes}, omega=({a}, {b}))")
+    system = LinearSystem(A=A, B=B)
     descriptor = ModelDescriptor(
         eigenvalues=lam,
         x_full=x_full,
@@ -117,7 +117,7 @@ def make_heat1d(
     def heat(lam, rows, modes_full):
         return np.diag(-lam), rows, modes_full.T.copy()
 
-    return _modal_model("heat1d", n_modes, omega, n_quad, heat)
+    return _modal_model(n_modes, omega, n_quad, heat)
 
 
 def make_wave1d(
@@ -144,12 +144,12 @@ def make_wave1d(
         state_values[:, pos] = (modes_full / freqs[:, None]).T
         return A, B, state_values
 
-    return _modal_model("wave1d", n_modes, omega, n_quad, wave)
+    return _modal_model(n_modes, omega, n_quad, wave)
 
 
-def make_ode(A, B, name: str = "ode") -> LinearSystem:
+def make_ode(A, B) -> LinearSystem:
     """Explicit finite-dimensional system; validation only."""
-    return LinearSystem(A=A, B=B, name=name)
+    return LinearSystem(A=A, B=B)
 
 
 def support_mask(grid: TimeGrid, support) -> np.ndarray:

@@ -280,7 +280,7 @@ def kkt_control(p: ProblemData) -> np.ndarray:
 def random_system(rng: np.random.Generator, n: int, m: int):
     A = 0.5 * rng.normal(size=(n, n))
     B = rng.normal(size=(n, m))
-    return make_ode(A, B, name=f"random({n},{m})")
+    return make_ode(A, B)
 
 
 def random_signal_subspace(rng, dim: int, grid: TimeGrid, p: int):

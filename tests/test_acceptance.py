@@ -327,6 +327,6 @@ def test_criterion_11_observability_constants():
         G = orthonormalize([], SignalAmbient(1, grid))
         W = orthonormalize([], SignalAmbient(1, grid))
         rep = observability_constants(system, grid, G, W, ["final_state"])["final_state"]
-        worst = max(worst, abs(rep.constant_C - 1.0 / math.sqrt(horizon)))
+        worst = max(worst, abs(rep.constant - 1.0 / math.sqrt(horizon)))
     ok = worst <= 1e-10
     record(11, ok, f"final-state constants equal 1/sqrt(T): worst |C - 1/sqrt(T)| = {worst:.2e}")

@@ -18,6 +18,7 @@ from pccontrol import (
     build_propagator,
     control_observation,
     exponential_profile_signal,
+    forward_solve,
     make_heat1d,
     make_ode,
     make_wave1d,
@@ -377,7 +378,7 @@ class TestBatchedAssembly:
         _assert_framed_signals(system, G.basis[:, :k_cut], grid.dt)
         rep = two_time_check(system, grid, G, W, k_cut * grid.dt, ops=ops)
         _assert_same_uc_report(rep.uc_tilde, system, ops, G.basis[:, :k_cut],
-                               W.basis[:, :k_cut])
+                               W.basis[:, :k_cut], full_horizon=False)
 
     @pytest.mark.parametrize("case", BATCH_CASES)
     def test_general_maps(self, case):
@@ -406,7 +407,7 @@ class TestObservabilityConstants:
     def test_scalar_final_state_inverse_sqrt_T(self, horizon):
         system, grid, G, W = scalar_setup(n_steps=64, horizon=horizon)
         rep = observability_constants(system, grid, G, W, ["final_state"])["final_state"]
-        assert rep.constant_C == pytest.approx(1.0 / math.sqrt(horizon), abs=1e-10)
+        assert rep.constant == pytest.approx(1.0 / math.sqrt(horizon), abs=1e-10)
         assert rep.sigma_min == pytest.approx(math.sqrt(horizon), abs=1e-10)
 
     def test_underflowing_trace_gives_zero_initial_constant(self):
@@ -417,8 +418,8 @@ class TestObservabilityConstants:
         _, grid, G, W = scalar_setup(n_steps=2)
         reps = observability_constants(system, grid, G, W, ["final_state", "initial_state"])
         initial = reps["initial_state"]
-        assert (initial.constant_C, initial.sigma_min) == (0.0, math.inf)
-        assert reps["final_state"].constant_C == pytest.approx(1000.0 / math.sqrt(2.0), rel=1e-12)
+        assert (initial.constant, initial.sigma_min) == (0.0, math.inf)
+        assert reps["final_state"].constant == pytest.approx(1000.0 / math.sqrt(2.0), rel=1e-12)
 
     def test_control_free_underflowing_trace_gives_zero_initial_constant(self):
         # no control columns: Theta has no rows, so it fails at rank 0, and
@@ -429,14 +430,14 @@ class TestObservabilityConstants:
         G = orthonormalize([], SignalAmbient(0, grid))
         W = orthonormalize([], SignalAmbient(1, grid))
         reps = observability_constants(system, grid, G, W, ["final_state", "initial_state"])
-        assert (reps["initial_state"].constant_C, reps["initial_state"].sigma_min) == (0.0, math.inf)
-        assert (reps["final_state"].constant_C, reps["final_state"].sigma_min) == (math.inf, 0.0)
+        assert (reps["initial_state"].constant, reps["initial_state"].sigma_min) == (0.0, math.inf)
+        assert (reps["final_state"].constant, reps["final_state"].sigma_min) == (math.inf, 0.0)
 
     def test_general_final_fails_for_constants(self):
         system, grid, _, W = scalar_setup(n_steps=16)
         G = orthonormalize([np.ones((16, 1))], SignalAmbient(1, grid))
         rep = observability_constants(system, grid, G, W, ["general_final"])["general_final"]
-        assert math.isinf(rep.constant_C)
+        assert math.isinf(rep.constant)
         assert rep.sigma_min == 0.0
 
     def test_general_final_certified_for_sinusoid(self):
@@ -445,8 +446,8 @@ class TestObservabilityConstants:
         G = orthonormalize([np.sin(2 * math.pi * t).reshape(-1, 1)],
                            SignalAmbient(1, grid))
         rep = observability_constants(system, grid, G, W, ["general_final"])["general_final"]
-        assert math.isfinite(rep.constant_C)
-        assert rep.constant_C == pytest.approx(1.0 / rep.sigma_min, rel=1e-12)
+        assert math.isfinite(rep.constant)
+        assert rep.constant == pytest.approx(1.0 / rep.sigma_min, rel=1e-12)
 
     def test_general_constant_bounds_random_samples(self):
         # C is the worst-case ratio, so random (z_T, g, w, f) obey it
@@ -456,7 +457,7 @@ class TestObservabilityConstants:
         G = random_signal_subspace(rng, 1, grid, 1)
         W = random_signal_subspace(rng, 2, grid, 1)
         rep = observability_constants(system, grid, G, W, ["general_initial"])["general_initial"]
-        assert math.isfinite(rep.constant_C)
+        assert math.isfinite(rep.constant)
         from pccontrol import adjoint_solve, build_propagator, control_observation, signal_norm
 
         ops = build_propagator(system, grid)
@@ -474,7 +475,7 @@ class TestObservabilityConstants:
                 float(z.initial @ z.initial) + float(gc @ gc) + float(wc @ wc)
                 + signal_norm(f, dt) ** 2
             )
-            assert measured <= rep.constant_C * obs * (1.0 + 1e-9) + 1e-12
+            assert measured <= rep.constant * obs * (1.0 + 1e-9) + 1e-12
 
     def test_initial_state_for_stable_scalar(self):
         # z(0) = e^{-T} z_T: the initial trace is smaller, so C_initial < C_final
@@ -483,8 +484,8 @@ class TestObservabilityConstants:
         G = orthonormalize([], SignalAmbient(1, grid))
         W = orthonormalize([], SignalAmbient(1, grid))
         reps = observability_constants(system, grid, G, W, ["final_state", "initial_state"])
-        c_final = reps["final_state"].constant_C
-        c_initial = reps["initial_state"].constant_C
+        c_final = reps["final_state"].constant
+        c_initial = reps["initial_state"].constant
         assert c_initial < c_final
 
     @pytest.mark.parametrize("k", [-170, 170])
@@ -500,8 +501,8 @@ class TestObservabilityConstants:
         base = observability_constants(make_ode(A, [[1.0], [1.0]]), grid, G, W, kinds)
         scaled = observability_constants(make_ode(A, [[10.0**k], [10.0**k]]), grid, G, W, kinds)
         for kind in kinds:
-            assert scaled[kind].constant_C == pytest.approx(base[kind].constant_C / 10.0**k,
-                                                            rel=1e-9, abs=0.0)
+            assert scaled[kind].constant == pytest.approx(base[kind].constant / 10.0**k,
+                                                          rel=1e-9, abs=0.0)
 
     def test_size_guard(self, monkeypatch):
         system, grid, G, W = scalar_setup(n_steps=64)
@@ -574,13 +575,13 @@ class TestObservabilityConstants:
                 "general_final": (general, None),
                 "general_initial": (general, D_ref)}
         for kind, (v, D) in refs.items():
-            C, ref = reps[kind].constant_C, certificates._split_constant(v, D)[0]
+            C, ref = reps[kind].constant, certificates._split_constant(v, D)[0]
             assert math.isfinite(C) == math.isfinite(ref), kind
             if math.isfinite(ref):
                 assert C == pytest.approx(ref, rel=1e-9), kind
         if general.holds:
             ref = np.linalg.norm(D_ref @ np.linalg.pinv(M_ref), 2)
-            assert reps["general_initial"].constant_C == pytest.approx(ref, rel=1e-9)
+            assert reps["general_initial"].constant == pytest.approx(ref, rel=1e-9)
 
     @pytest.mark.parametrize("setup, args",
                              [(_batch_setup, case) for case in BATCH_CASES]
@@ -641,7 +642,7 @@ class TestObservabilityConstants:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cols >= 500 and reps["general_initial"].constant_C == math.inf
+        assert cols >= 500 and reps["general_initial"].constant == math.inf
         assert peak < 8 * (M_entries + 2.0 * cols * cols)
 
     def test_holding_general_map_takes_no_square_svd(self, svd_shapes):
@@ -652,7 +653,7 @@ class TestObservabilityConstants:
         cols = system.n + G.dim + W.dim + system.n * grid.n_steps
         reps = observability_constants(system, grid, G, W, certificates.OBS_KINDS, ops=ops)
         assert cols == 584
-        assert all(math.isfinite(rep.constant_C) for rep in reps.values())
+        assert all(math.isfinite(rep.constant) for rep in reps.values())
         assert svd_shapes and max(max(shape) for shape in svd_shapes) < cols
 
     @pytest.mark.parametrize("a22, initial", [(-1.0, math.inf), (-40.0, 1.1479404319078874)],
@@ -669,17 +670,17 @@ class TestObservabilityConstants:
             svd_shapes.clear()
             reps = observability_constants(system, grid, G, W, kinds, ops=ops)
             assert sum(max(shape) >= cols for shape in svd_shapes) == svds, kinds
-            assert (reps["general_final"].constant_C, reps["general_final"].sigma_min) == \
+            assert (reps["general_final"].constant, reps["general_final"].sigma_min) == \
                 (math.inf, 0.0)
-        assert reps["general_initial"].constant_C == pytest.approx(initial, rel=1e-12)
+        assert reps["general_initial"].constant == pytest.approx(initial, rel=1e-12)
 
     def test_constants_are_bit_identical_on_rerun(self):
         system, grid, G, W, ops = _dense_heat_setup()
         first, second = (observability_constants(system, grid, G, W, certificates.OBS_KINDS,
                                                   ops=ops) for _ in range(2))
         for kind in certificates.OBS_KINDS:
-            assert (first[kind].constant_C, first[kind].sigma_min) == \
-                (second[kind].constant_C, second[kind].sigma_min), kind
+            assert (first[kind].constant, first[kind].sigma_min) == \
+                (second[kind].constant, second[kind].sigma_min), kind
 
     @pytest.mark.parametrize("a22, initial", [(-40.0, 1.1477641779795815), (-1.0, math.inf)])
     def test_unobserved_mode(self, a22, initial):
@@ -690,9 +691,9 @@ class TestObservabilityConstants:
         system, grid, G, W, ops = _unobserved_setup(a22)
         reps = observability_constants(system, grid, G, W, ["general_final", "general_initial"],
                                        ops=ops)
-        assert math.isinf(reps["general_final"].constant_C)
+        assert math.isinf(reps["general_final"].constant)
         assert reps["general_final"].sigma_min == 0.0
-        assert reps["general_initial"].constant_C == pytest.approx(initial, rel=1e-12)
+        assert reps["general_initial"].constant == pytest.approx(initial, rel=1e-12)
 
     def test_unknown_kind(self):
         system, grid, G, W = scalar_setup()
@@ -770,7 +771,7 @@ class TestTwoTime:
         rep = two_time_check(system, grid, G, W, 0.5)
         assert rep.restriction_ok
         assert rep.uc_tilde.holds
-        assert math.isfinite(rep.obs_tilde.constant_C)
+        assert math.isfinite(rep.obs_tilde.constant)
         assert rep.certified
 
     def test_late_support_flips_restriction(self):
@@ -784,17 +785,37 @@ class TestTwoTime:
         assert not rep.restriction_ok
         assert not rep.certified
 
-    @pytest.mark.parametrize("t_tilde", [0.25, 0.5, 1.0])
+    def test_cut_map_claims_no_radius(self):
+        # the scalar integrator, N = 2, G the constants, t~ = 1/2: the cut map
+        # fails with witness (z_T, g) = (1, 1)/sqrt(2), whose full-horizon
+        # radius would be sqrt(2); but u = sqrt(2) on (1/2, 1) has coefficient
+        # g and leaves y(t~) = 0, at distance 1/sqrt(2) from -z(t~) = -z_T
+        system, grid, _, W = scalar_setup(n_steps=2)
+        G = orthonormalize([np.ones((2, 1))], SignalAmbient(1, grid))
+        rep = two_time_check(system, grid, G, W, 0.5).uc_tilde
+        assert not rep.holds and rep.infeasibility_radius is None
+        z_T, g = rep.witness * np.sign(rep.witness[0])
+        assert (z_T, g) == pytest.approx((1.0 / math.sqrt(2.0),) * 2, abs=1e-12)
+        assert certificates._infeasibility_radius(rep.witness, 1, 1) == \
+            pytest.approx(math.sqrt(2.0), rel=1e-12)
+        u = np.array([[0.0], [math.sqrt(2.0)]])
+        assert G.coords(u) == pytest.approx([g], abs=1e-12)
+        y = forward_solve(system, build_propagator(system, grid), np.zeros(1), u)
+        assert y.node_values[1, 0] == 0.0
+        assert abs(y.node_values[1, 0] + z_T) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("t_tilde", [0.25, 0.5, 1.0, 1.0 + 1e-10])
     def test_tilde_constant_is_the_power_of_the_step(self, t_tilde):
         # z(t~) is the homogeneous step applied N - k times to z_T, bounded
-        # by the B* z signal of the oracle's Theta, one step at a time
+        # by the B* z signal of the oracle's Theta, one step at a time;
+        # T(1 + 1e-10) lies within the grid tolerance of node N
         system, _, grid, G, W = self.heat_setup()
         ops = build_propagator(system, grid)
         theta = loop_theta(system, ops, grid.n_steps)
         D = np.linalg.matrix_power(ops.E.T, grid.n_steps - grid.node_index(t_tilde))
         ref = certificates._split_constant(certificates._sv_verdict(theta), D)[0]
         rep = two_time_check(system, grid, G, W, t_tilde, ops=ops)
-        assert rep.obs_tilde.constant_C == pytest.approx(ref, rel=1e-12)
+        assert rep.obs_tilde.constant == pytest.approx(ref, rel=1e-12)
 
     def test_control_free_fails_uc(self):
         system = make_ode([[0.0]], np.zeros((1, 0)))
@@ -828,9 +849,10 @@ class TestTwoTime:
             two_time_check(system, grid, G, W, 0.377)
 
 
-def _assert_same_uc_report(got, system, ops, G_basis, W_basis):
+def _assert_same_uc_report(got, system, ops, G_basis, W_basis, full_horizon=True):
     """``got`` is the verdict on the uniqueness map over the horizon of the
-    bases (p, N, dim) up to rounding.  The reference decides the oracle's
+    bases (p, N, dim) up to rounding, with an infeasibility radius only on a
+    failing full-horizon map (a map cut at t~ proves none).  The reference decides the oracle's
     map in plain coordinates, with the rows of the framed map, N*r + p_g,
     so with the same cutoff; zero rows pad that map to at least as many
     rows as columns, which adds the zero singular values of a wide map.
@@ -852,7 +874,10 @@ def _assert_same_uc_report(got, system, ops, G_basis, W_basis):
         return
     w = got.witness
     assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
-    assert got.infeasibility_radius >= 1.0 - 1e-12  # ||w||^2 / ||z_T|| for a unit w
+    if full_horizon:
+        assert got.infeasibility_radius >= 1.0 - 1e-12  # ||w||^2 / ||z_T|| for a unit w
+    else:
+        assert got.infeasibility_radius is None
     assert np.linalg.norm(M @ w) <= ref.sigma_min + 1e-12 * s_max
     if s.size > 1 and s[-2] > 1e-6 * s_max:
         assert abs(float(w @ ref.vt[-1])) == pytest.approx(1.0, abs=1e-6)
@@ -895,7 +920,8 @@ class TestUCVerdict:
             got_cut = two_time_check(system, grid, G, W, grid.nodes()[k_cut], ops=ops).uc_tilde
             assert len(calls) == -(-k_cut // steps)
         _assert_same_uc_report(got, system, ops, G.basis, W.basis)
-        _assert_same_uc_report(got_cut, system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut])
+        _assert_same_uc_report(got_cut, system, ops, G.basis[:, :k_cut], W.basis[:, :k_cut],
+                               full_horizon=False)
 
     def test_uc_stage_memory_does_not_grow_with_N(self):
         # the uniqueness map of wave1d with 32 modes over N = 2048 is
@@ -912,7 +938,7 @@ class TestUCVerdict:
         finally:
             tracemalloc.stop()
         assert peak < 5 * certificates.UC_BLOCK_BYTES + 8 * 64 * 64
-        assert section["uc"]["map_dims"] == [2048 * 64, 64]
+        assert section["uc"]["map_dims"] == (2048 * 64, 64)
         assert section["uc"]["holds"] and not failed
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pccontrol import RunConfig, cli
+from pccontrol import (
+    ObservabilityReport,
+    RunConfig,
+    TwoTimeReport,
+    UCReport,
+    cli,
+    observability_constants,
+    two_time_check,
+    uc_verdict,
+)
 from pccontrol.cli import _json_ready, _write_csv, main, run_config
 from pccontrol.errors import ConfigError
 
@@ -164,7 +174,7 @@ class TestSolveCommand:
         assert "certification failed: two_time" in err and "witness" not in err
         two_time = json.loads((out / "report.json").read_text())["checks"]["two_time"]
         assert not two_time["certified"]
-        assert math.copysign(1.0, two_time["uc_tilde_sigma_min"]) == 1.0
+        assert math.copysign(1.0, two_time["uc_tilde"]["sigma_min"]) == 1.0
         cfg = infeasible_config()
         cfg["checks"] = {"uc": True}
         assert run_config(write(tmp_path, cfg, "uc.json"), tmp_path / "uc") == 2
@@ -449,14 +459,14 @@ class TestConfigParsing:
         assert main(["check-uc", "--config", str(write(tmp_path, cfg))]) == 1
         assert f"grid.{key}" in capsys.readouterr().err
 
-    def test_model_name_must_be_a_string(self, tmp_path, capsys):
-        # a mapping used to pass through to report.json
+    def test_model_name_is_unknown_key(self, tmp_path, capsys):
+        # a system has no name: the key is refused like any unknown one
         cfg = scalar_null_config(n_steps=16)
-        cfg["model"]["name"] = {"not": "a string"}
-        with pytest.raises(ConfigError, match=r"model\.name must be a string"):
+        cfg["model"]["name"] = "ode"
+        with pytest.raises(ConfigError, match=r"unknown key 'name' in model"):
             RunConfig(cfg).build()
         assert run_config(write(tmp_path, cfg), tmp_path / "out") == 1
-        assert "model.name" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown key 'name' in model\n"
 
     @pytest.mark.parametrize("A, B, where", [
         ([["x"]], [[1.0]], r"model\.A\[0\]\[0\] must be a number"),
@@ -537,6 +547,45 @@ class TestHeatConfigEndToEnd:
         ctrl = (out / "control.csv").read_text().strip().split("\n")
         # t_mid column plus one column per control node
         assert len(ctrl[0].split(",")) == 1 + report_control_dim(report)
+
+    def test_checks_section_holds_the_records(self, tmp_path):
+        # every check of a certify-dense problem (heat1d, 6 modes, N = 96):
+        # each entry is its certificate's record, field for field
+        kinds = ["final_state", "initial_state", "general_final", "general_initial"]
+        cfg = {
+            "model": {"family": "heat1d", "n_modes": 6},
+            "grid": {"T": 1.0, "n_steps": 96},
+            "problem": {"kind": "null", "y0": [1.0, -0.5, 0.25, 0.0, 0.0, 0.0],
+                        "G": [{"rate": 1.0, "coords": [[0, 1.0]]}],
+                        "W": [{"rate": -0.5, "coords": [[1, 1.0]]}]},
+            "checks": {"uc": True, "observability": kinds, "two_time": {"t_tilde": 0.5}},
+        }
+        out = tmp_path / "out"
+        assert run_config(write(tmp_path, cfg), out) == 0
+        checks = json.loads((out / "report.json").read_text())["checks"]
+
+        def fields(record):
+            return {f.name for f in dataclasses.fields(record)}
+
+        assert set(checks["uc"]) == fields(UCReport)
+        assert set(checks["observability"]) == set(kinds)
+        for kind in kinds:
+            assert set(checks["observability"][kind]) == fields(ObservabilityReport)
+        two_time = checks["two_time"]
+        assert set(two_time) == {"t_tilde"} | fields(TwoTimeReport)
+        assert set(two_time["uc_tilde"]) == fields(UCReport)
+        assert set(two_time["obs_tilde"]) == fields(ObservabilityReport)
+        problem = RunConfig(cfg).build().problem
+        args = (problem.system, problem.grid, problem.G, problem.W)
+        reports = observability_constants(*args, kinds, ops=problem.ops)
+        want = {
+            "certificate_level": "discrete",
+            "uc": dataclasses.asdict(uc_verdict(*args, ops=problem.ops)),
+            "observability": {kind: dataclasses.asdict(r) for kind, r in reports.items()},
+            "two_time": {"t_tilde": 0.5,
+                         **dataclasses.asdict(two_time_check(*args, 0.5, ops=problem.ops))},
+        }
+        assert checks == _json_ready(want)
 
 
 class TestUcMapDims:
@@ -647,10 +696,11 @@ class TestExitCodes:
         assert run_config(path, blocker / "out") == 1
         assert capsys.readouterr().err.startswith("error: cannot create output directory")
 
-    @pytest.mark.parametrize("t_tilde", [0.25, 0.0, 1.5])
+    @pytest.mark.parametrize("t_tilde", [0.25, 0.0, 1e-10, 1.5, 1e308])
     def test_bad_t_tilde_fails_before_checks_and_solve(self, tmp_path, capsys, monkeypatch,
                                                        t_tilde):
-        # off the grid or outside (0, T]: a configuration error at build time
+        # off the grid, or at node 0 (1e-10 rounds to it), or so far past T
+        # that t~/dt overflows: a configuration error at build time
         def refuse(*args, **kwargs):
             raise AssertionError("ran although the configuration is invalid")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -96,8 +97,10 @@ class TestWave1d:
 
 class TestMakeOde:
     def test_passthrough(self):
-        system = make_ode([[0.0, 1.0], [-1.0, 0.0]], [[1.0], [0.0]], name="rotor")
-        assert system.name == "rotor"
+        system = make_ode([[0.0, 1.0], [-1.0, 0.0]], [[1.0], [0.0]])
+        assert [f.name for f in dataclasses.fields(system)] == ["A", "B"]
+        assert np.array_equal(system.A, [[0.0, 1.0], [-1.0, 0.0]])
+        assert np.array_equal(system.B, [[1.0], [0.0]])
         assert system.n == 2 and system.m == 1
 
     def test_scalar_workhorse(self):

@@ -200,7 +200,7 @@ class TestGramianPreconditioner:
                 rep = two_time_check(p.system, p.grid, p.G, p.W, p.grid.nodes()[k], ops=p.ops)
                 pairs.append((rep.obs_tilde, np.linalg.matrix_power(step, N - k)))
             for rep, D in pairs:
-                C, ref = rep.constant_C, _split_constant(want, D)[0]
+                C, ref = rep.constant, _split_constant(want, D)[0]
                 assert math.isfinite(C) == math.isfinite(ref)
                 if math.isfinite(ref):
                     assert C == pytest.approx(ref, rel=1e-9)
@@ -235,7 +235,7 @@ class TestGramianPreconditioner:
             finally:
                 tracemalloc.stop()
             assert peak < 8 * 2**20
-            assert math.isfinite(rep.constant_C)
+            assert math.isfinite(rep.constant)
 
     def test_heat_control_matches_kkt_oracle(self):
         system, _ = make_heat1d(16)
